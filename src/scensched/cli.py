@@ -3,8 +3,10 @@
 Machine-readable JSON/CSV only; value fields are deterministic for identical
 invocations (wall-clock fields are reported but excluded from that contract).
 Exit codes: 0 success, 1 verification failure, 2 contract violation,
-3 resource guard.  Setting SCHED_GUARD_OVERRIDE=1 lifts the size guards (at
-your own risk: memory and runtime grow quickly past them).
+3 resource guard.  The size guards are the oracle's n*log2(m) <= 32, 2M
+states per layer for the exact DPs (dp, config, fptas) and K <= 3 for the
+Hilbert basis.  Setting SCHED_GUARD_OVERRIDE=1 lifts them (at your own risk:
+memory and runtime grow quickly past them).
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ EXACT_ALGOS = {"two-scenario", "dp", "config"}
 
 def _guards() -> dict:
     if os.environ.get("SCHED_GUARD_OVERRIDE"):
-        return {"guard_bits": 1e9, "max_states": 10**9, "max_types": 64, "max_k": 6}
-    return {"guard_bits": 32.0, "max_states": 2_000_000, "max_types": 8, "max_k": 3}
+        return {"guard_bits": 1e9, "max_states": 10**9, "max_k": 6}
+    return {"guard_bits": 32.0, "max_states": 2_000_000, "max_k": 3}
 
 
 def _load_instance(path: str) -> Instance:
@@ -99,9 +101,7 @@ def _run_algorithm(inst: Instance, algo: str, kind: ObjectiveKind, epsilon, guar
     if algo == "config":
         if kind not in (ObjectiveKind.MINMAX, ObjectiveKind.MINAVG):
             raise ValueError("config handles minmax or minavg")
-        res = solve_config(
-            inst, kind, max_types=guards["max_types"], max_states=guards["max_states"]
-        )
+        res = solve_config(inst, kind, max_states=guards["max_states"])
         return res.schedule, res.value, {}
     if algo == "approx-minmax2":
         if kind is not ObjectiveKind.MINMAX:

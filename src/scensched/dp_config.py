@@ -1,133 +1,30 @@
 """Exact solver for unit weights on any number of machines.
 
-Unit-weight jobs with the same scenario profile are interchangeable, so an
-instance is summarized by the count of jobs per nonempty profile (its job
-"types").  A machine receives a configuration q = (q_T)_T of per-type counts;
-its cost in scenario k is the triangular number of ``n(q,k) = sum of q_T over
-types containing k``.  Machines are filled one at a time: a state is the
-vector of remaining type counts together with the accumulated cost -- the
-per-scenario cost vector for the max objective, collapsed to its sum for the
-sum objective.  Only reachable states are kept.
-
-Jobs whose profile is empty cost nothing and are pinned to machine 1.  The
-schedule is rebuilt by materializing one configuration per machine, taking
-the lowest-index jobs of each type first.
+With unit weights the count matrix of :mod:`.dp_minavg` fixes every
+per-scenario total, so the general exact solvers need no configuration
+state space of their own: each of their cost fronts holds a single vector.
+``solve_config`` keeps the unit-weight contract and hands the instance to
+the solver for its objective.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .model import (
-    GuardExceeded,
-    Instance,
-    ObjectiveKind,
-    Schedule,
-    SolveResult,
-)
-
-DEFAULT_MAX_STATES = 2_000_000
-DEFAULT_MAX_TYPES = 8
+from .dp_minavg import DEFAULT_MAX_STATES, solve_minavg
+from .dp_minmax import solve_pseudo
+from .model import Instance, ObjectiveKind, SolveResult
 
 
 def solve_config(
     inst: Instance,
     kind: ObjectiveKind = ObjectiveKind.MINMAX,
     *,
-    max_types: int = DEFAULT_MAX_TYPES,
     max_states: int = DEFAULT_MAX_STATES,
-    prune: bool = False,
 ) -> SolveResult:
-    """Exact optimum (MINMAX or MINAVG) for a unit-weight instance.
-
-    ``prune`` caps per-machine type counts at ceil(remaining/machines_left)+1;
-    it is a heuristic accelerator, off by default, and not used by any
-    correctness-critical path.
-    """
+    """Exact optimum (MINMAX or MINAVG) for a unit-weight instance."""
     if kind not in (ObjectiveKind.MINMAX, ObjectiveKind.MINAVG):
         raise ValueError(f"configuration solver handles minmax and minavg, not {kind.value}")
     if any(w != 1 for w in inst.weights):
         raise ValueError("configuration solver requires unit weights")
-    n, m, K = inst.n, inst.m, inst.K
-
-    type_jobs: dict[frozenset[int], list[int]] = {}
-    for j in range(n):
-        prof = frozenset(inst.job_scenarios[j])
-        if prof:
-            type_jobs.setdefault(prof, []).append(j)
-    # Fixed type order: by characteristic vector of the profile.
-    types = sorted(type_jobs, key=lambda T: tuple(1 if k in T else 0 for k in range(K)))
-    if len(types) > max_types:
-        raise GuardExceeded(
-            f"{len(types)} distinct nonempty job types exceed the guard of {max_types}"
-        )
-    counts = tuple(len(type_jobs[T]) for T in types)
-    scen_types = [
-        [t for t, T in enumerate(types) if k in T] for k in range(K)
-    ]
-
-    minmax = kind is ObjectiveKind.MINMAX
-    d0 = (0,) * K if minmax else 0
-    # layers[i]: (remaining counts, accumulated cost) -> (previous state, q).
-    layers: list[dict] = [{(counts, d0): None}]
-    for used in range(m):
-        remaining_machines = m - used
-        nxt: dict = {}
-        for state in layers[-1]:
-            pi, d = state
-            if prune:
-                caps = tuple(
-                    min(c, -(-c // remaining_machines) + 1) for c in pi
-                )
-            else:
-                caps = pi
-            for q in itertools.product(*(range(c + 1) for c in caps)):
-                load = [0] * K
-                for k in range(K):
-                    load[k] = sum(q[t] for t in scen_types[k])
-                cost = [nk * (nk + 1) // 2 for nk in load]
-                if minmax:
-                    d2 = tuple(a + b for a, b in zip(d, cost))
-                else:
-                    d2 = d + sum(cost)
-                pi2 = tuple(a - b for a, b in zip(pi, q))
-                new_state = (pi2, d2)
-                link = (state, q)
-                old = nxt.get(new_state)
-                if old is None or link < old:
-                    nxt[new_state] = link
-        if len(nxt) > max_states:
-            raise GuardExceeded(
-                f"configuration state layer grew past {max_states} states at machine {used + 1}"
-            )
-        layers.append(nxt)
-
-    zero_pi = (0,) * len(types)
-    best = None
-    for pi, d in layers[m]:
-        if pi != zero_pi:
-            continue
-        value = max(d) if minmax else d
-        if best is None or (value, d) < best[:2]:
-            best = (value, d, (pi, d))
-    if best is None:
-        raise RuntimeError("no complete assignment found (internal error)")
-    value, _, state = best
-
-    configs = []
-    for used in range(m, 0, -1):
-        prev, q = layers[used][state]
-        configs.append(q)
-        state = prev
-    configs.reverse()
-
-    assign = [0] * n
-    cursors = {T: 0 for T in types}
-    for machine, q in enumerate(configs):
-        for t, ct in enumerate(q):
-            T = types[t]
-            jobs = type_jobs[T]
-            for _ in range(ct):
-                assign[jobs[cursors[T]]] = machine
-                cursors[T] += 1
-    return SolveResult(value=value, schedule=Schedule(tuple(assign)))
+    if kind is ObjectiveKind.MINMAX:
+        return solve_pseudo(inst, kind, max_states=max_states)
+    return solve_minavg(inst, max_states=max_states)

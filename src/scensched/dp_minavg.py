@@ -1,88 +1,95 @@
-"""Exact solver for the scenario-sum objective with few machines.
+"""Exact solver for the scenario-sum objective, and the count-matrix state
+space that every exact DP in the package shares.
 
-For the sum objective the contribution of job j depends only on how many
-earlier jobs of each of its scenarios sit on each machine, so an m x K count
-matrix X is a sufficient state: assigning job j to machine l costs
-``sum over k with j in S_k of w_j * (1 + x_lk)``.  States are stored sparsely
-per layer and keyed with sorted rows (machines are interchangeable);
-predecessor links drive the same forward replay as the min-max solver.
+After the first j jobs are placed, the m x K count matrix Y holds per
+machine and scenario the number of placed scenario jobs.  Placing job j on a
+machine with row y costs ``sum over k with j in S_k of w_j * (y_k + 1)``, so
+future costs depend on Y alone.  Y is kept with its rows sorted, since
+machines are interchangeable; a placement is tried once per distinct row,
+because identical rows lead to the same next state; and only min(m, n)
+machines are kept, because the rest stay empty.  Each stored state links to
+its lexicographically least predecessor (previous state, receiving row), and
+one optimal assignment is rebuilt by forward replay of those links.
 
+For the sum objective the least total cost per Y is the whole payload.
 Sum-regret needs no separate machinery: its minimizers coincide with the
 plain sum's, shifted by the constant sum of the standalone scenario optima.
 """
 
 from __future__ import annotations
 
-from .model import GuardExceeded, Instance, Schedule, SolveResult
+from .model import GuardExceeded, Instance, Schedule, SolveResult, scenario_optima
 
 DEFAULT_MAX_STATES = 2_000_000
 
 
+def _start(inst: Instance) -> tuple:
+    """The empty count matrix on the min(m, n) machines a schedule can use."""
+    return ((0,) * inst.K,) * min(inst.m, inst.n)
+
+
+def _guard(size: int, max_states: int, j: int, what: str) -> None:
+    if size > max_states:
+        raise GuardExceeded(f"{what} state layer grew past {max_states} states at job {j + 1}")
+
+
+def _replay(inst: Instance, chain: list) -> Schedule:
+    """Follow ``chain[j] = (count matrix before job j, receiving row)``,
+    putting each job on the lowest-index machine whose counts equal the row."""
+    machine_rows = list(_start(inst))
+    assign = []
+    for ks, (prev, r) in zip(inst.job_scenarios, chain):
+        assert tuple(sorted(machine_rows)) == prev, "replay drifted off the stored chain"
+        i = machine_rows.index(prev[r])
+        counts = list(prev[r])
+        for k in ks:
+            counts[k] += 1
+        machine_rows[i] = tuple(counts)
+        assign.append(i)
+    return Schedule(tuple(assign))
+
+
 def solve_minavg(inst: Instance, *, max_states: int = DEFAULT_MAX_STATES) -> SolveResult:
     """Exact optimum of the scenario-sum objective."""
-    n, m, K = inst.n, inst.m, inst.K
     w = inst.weights
-    job_scens = inst.job_scenarios
-
-    zero_row = (0,) * K
-    start = tuple([zero_row] * m)
-    # layers[j]: canonical X -> (value, previous canonical X, receiving row).
-    layers: list[dict] = [{start: (0, None, None)}]
-    for j in range(n):
+    # layers[j]: canonical Y -> (least total cost, previous Y, receiving row).
+    layers: list[dict] = [{_start(inst): (0, None, None)}]
+    for j, ks in enumerate(inst.job_scenarios):
         wj = w[j]
-        ks = job_scens[j]
         nxt: dict = {}
         for state, (value, _, _) in layers[-1].items():
             rows = list(state)
-            for r in range(m):
-                row = state[r]
-                inc = 0
+            for r, row in enumerate(state):
+                if r and row == state[r - 1]:
+                    continue
+                cost = value
                 counts = list(row)
                 for k in ks:
-                    inc += wj * (counts[k] + 1)
                     counts[k] += 1
+                    cost += wj * counts[k]
                 rows[r] = tuple(counts)
                 new_state = tuple(sorted(rows))
                 rows[r] = row
-                entry = (value + inc, state, r)
+                entry = (cost, state, r)
                 old = nxt.get(new_state)
                 if old is None or entry < old:
                     nxt[new_state] = entry
-        if len(nxt) > max_states:
-            raise GuardExceeded(
-                f"count-matrix state layer grew past {max_states} states at job {j + 1}"
-            )
+        _guard(len(nxt), max_states, j, "count-matrix")
         layers.append(nxt)
 
-    best_state = min(layers[n], key=lambda s: (layers[n][s][0], s))
-    value = layers[n][best_state][0]
-
+    state = min(layers[-1], key=lambda s: (layers[-1][s][0], s))
+    value = layers[-1][state][0]
     chain = []
-    state = best_state
-    for j in range(n, 0, -1):
-        _, prev, r = layers[j][state]
+    for layer in reversed(layers[1:]):
+        _, prev, r = layer[state]
         chain.append((prev, r))
         state = prev
     chain.reverse()
-
-    machine_rows = [zero_row] * m
-    assign = [0] * n
-    for j, (prev_canonical, r) in enumerate(chain):
-        assert tuple(sorted(machine_rows)) == prev_canonical, "replay drifted off the stored chain"
-        target = prev_canonical[r]
-        i = machine_rows.index(target)  # lowest machine index on ties
-        counts = list(target)
-        for k in job_scens[j]:
-            counts[k] += 1
-        machine_rows[i] = tuple(counts)
-        assign[j] = i
-    return SolveResult(value=value, schedule=Schedule(tuple(assign)))
+    return SolveResult(value=value, schedule=_replay(inst, chain))
 
 
 def solve_regret_sum(inst: Instance, *, max_states: int = DEFAULT_MAX_STATES) -> SolveResult:
     """Sum-regret optimum: the scenario-sum optimum shifted by a constant."""
-    from .model import scenario_optima
-
     res = solve_minavg(inst, max_states=max_states)
     return SolveResult(
         value=res.value - sum(scenario_optima(inst)), schedule=res.schedule

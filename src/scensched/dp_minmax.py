@@ -1,28 +1,30 @@
 """Exact pseudopolynomial solver for the min-max (and max-regret) objective,
 plus the rounding wrapper that turns it into an approximation scheme.
 
-The state after placing the first j jobs is the pair of m x K matrices
-(Y, Z): per machine and scenario, Y counts placed scenario jobs and Z holds
-the accumulated weighted completion time.  Placing job j on machine i adds
-``w_j * (y_ik + 1)`` to ``z_ik`` for every scenario k containing j.  Only
-reachable states are stored, layer by layer, keyed canonically: each state's
-rows are sorted, which merges machine-symmetric states (the objectives are
-invariant under machine relabeling).  Predecessor links allow rebuilding one
-optimal assignment by forward replay.
+The solver walks the count-matrix state space of :mod:`.dp_minavg`.  Both
+objectives read only the per-scenario totals C and are monotone in them, and
+future cost increments depend on the count matrix Y alone, so a state (Y, C)
+is useless when another state with the same Y has a componentwise smaller or
+equal C.  Each Y therefore keeps its Pareto front of C vectors, each vector
+with its lexicographically least link (previous Y, previous C, receiving
+row) for the forward replay.  With unit weights Y fixes C and every front
+holds one vector.
 
 The rounding wrapper scales weights by rho = W*eps/(m*n^2) and rounds up:
 the exact optimum of the rounded instance, evaluated under original weights,
 is within a factor 1+eps of the true optimum, and the rounded weights are at
-most m*n^2/eps + 1.
+most m*n^2/eps + 1.  When rho <= 1 rounding cannot shrink any weight, so the
+instance is solved as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 
+from .dp_minavg import DEFAULT_MAX_STATES, _guard, _replay, _start
 from .model import (
-    GuardExceeded,
     Instance,
     ObjectiveKind,
     Schedule,
@@ -31,7 +33,15 @@ from .model import (
     scenario_optima,
 )
 
-DEFAULT_MAX_STATES = 2_000_000
+
+def _pareto(bucket: dict) -> dict:
+    """The entries whose keys no other key dominates componentwise."""
+    front: list = []
+    for c in sorted(bucket):
+        # a dominating vector sorts first, so it is already in the front
+        if not any(all(map(le, f, c)) for f in front):
+            front.append(c)
+    return {c: bucket[c] for c in front}
 
 
 def solve_pseudo(
@@ -40,91 +50,57 @@ def solve_pseudo(
     *,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> SolveResult:
-    """Exact optimum for MINMAX or REGRET_MAX over load/cost states."""
+    """Exact optimum for MINMAX or REGRET_MAX over count-matrix cost fronts."""
     if kind not in (ObjectiveKind.MINMAX, ObjectiveKind.REGRET_MAX):
         raise ValueError(f"load/cost solver handles minmax and regret-max, not {kind.value}")
-    n, m, K = inst.n, inst.m, inst.K
+    K = inst.K
     w = inst.weights
-    job_scens = inst.job_scenarios
-
-    zero_row = (0,) * (2 * K)
-    start = tuple([zero_row] * m)
-    # layers[j]: canonical state -> (previous canonical state, row index that
-    # received job j-1), with the lexicographically least link kept so the
-    # result does not depend on iteration order.
-    layers: list[dict] = [{start: None}]
-    for j in range(n):
+    # layers[j]: canonical Y -> {C on Y's front: (previous Y, previous C, row)}.
+    layers: list[dict] = [{_start(inst): {(0,) * K: None}}]
+    for j, ks in enumerate(inst.job_scenarios):
         wj = w[j]
-        ks = job_scens[j]
         nxt: dict = {}
-        for state in layers[-1]:
+        for state, front in layers[-1].items():
             rows = list(state)
-            for r in range(m):
-                row = state[r]
-                y = list(row[:K])
-                z = list(row[K:])
+            for r, row in enumerate(state):
+                if r and row == state[r - 1]:
+                    continue
+                inc = [0] * K
+                counts = list(row)
                 for k in ks:
-                    z[k] += wj * (y[k] + 1)
-                    y[k] += 1
-                rows[r] = tuple(y) + tuple(z)
+                    counts[k] += 1
+                    inc[k] = wj * counts[k]
+                rows[r] = tuple(counts)
                 new_state = tuple(sorted(rows))
                 rows[r] = row
-                link = (state, r)
-                old = nxt.get(new_state)
-                if old is None or link < old:
-                    nxt[new_state] = link
-        if len(nxt) > max_states:
-            raise GuardExceeded(
-                f"load/cost state layer grew past {max_states} states at job {j + 1}"
-            )
+                bucket = nxt.setdefault(new_state, {})
+                for c in front:
+                    c2 = tuple(map(add, c, inc))
+                    link = (state, c, r)
+                    old = bucket.get(c2)
+                    if old is None or link < old:
+                        bucket[c2] = link
+        size = 0
+        for state, bucket in nxt.items():
+            if len(bucket) > 1:
+                nxt[state] = bucket = _pareto(bucket)
+            size += len(bucket)
+        _guard(size, max_states, j, "load/cost")
         layers.append(nxt)
 
-    if kind is ObjectiveKind.REGRET_MAX:
-        opts = scenario_optima(inst)
-    else:
-        opts = (0,) * K
-
-    best = None
-    for state in layers[n]:
-        per = [0] * K
-        for row in state:
-            for k in range(K):
-                per[k] += row[K + k]
-        value = max(c - o for c, o in zip(per, opts))
-        if best is None or (value, state) < best:
-            best = (value, state)
-    assert best is not None
-    value, final_state = best
-    return SolveResult(value=value, schedule=_rebuild(inst, layers, final_state))
-
-
-def _rebuild(inst: Instance, layers: list[dict], final_state) -> Schedule:
-    """Replay the predecessor chain, lowest machine index on row ties."""
-    n, m, K = inst.n, inst.m, inst.K
+    opts = scenario_optima(inst) if kind is ObjectiveKind.REGRET_MAX else (0,) * K
+    value, state, c = min(
+        (max(map(sub, c, opts)), state, c)
+        for state, front in layers[-1].items()
+        for c in front
+    )
     chain = []
-    state = final_state
-    for j in range(n, 0, -1):
-        prev, r = layers[j][state]
+    for layer in reversed(layers[1:]):
+        prev, c, r = layer[state][c]
         chain.append((prev, r))
         state = prev
     chain.reverse()
-
-    zero_row = (0,) * (2 * K)
-    machine_rows = [zero_row] * m
-    assign = [0] * n
-    for j, (prev_canonical, r) in enumerate(chain):
-        assert tuple(sorted(machine_rows)) == prev_canonical, "replay drifted off the stored chain"
-        target = prev_canonical[r]
-        i = machine_rows.index(target)
-        wj = inst.weights[j]
-        y = list(target[:K])
-        z = list(target[K:])
-        for k in inst.job_scenarios[j]:
-            z[k] += wj * (y[k] + 1)
-            y[k] += 1
-        machine_rows[i] = tuple(y) + tuple(z)
-        assign[j] = i
-    return Schedule(tuple(assign))
+    return SolveResult(value=value, schedule=_replay(inst, chain))
 
 
 @dataclass(frozen=True)
@@ -146,8 +122,10 @@ def fptas(
 
     Rounds each weight to ceil(w_j / rho) with rho = W*eps/(m*n^2), solves the
     rounded instance exactly, and reports that schedule's cost under the
-    original weights.  eps must be positive and the largest weight nonzero.
-    Zero weights round to zero and keep their place at the end of the order.
+    original weights.  When rho <= 1 the instance itself is solved and
+    returned as ``rounded``.  eps must be positive and the largest weight
+    nonzero.  Zero weights round to zero and keep their place at the end of
+    the order.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -159,13 +137,15 @@ def fptas(
     # ceil(w / rho) = ceil(w * m * n^2 * eps.den / (W * eps.num)), exactly.
     num = m * n * n * eps.denominator
     den = W * eps.numerator
-    rounded_weights = tuple(-((-wj * num) // den) for wj in inst.weights)
-    rounded = Instance(
-        m=m,
-        weights=rounded_weights,
-        scenarios=inst.scenarios,
-        original_order=inst.original_order,
-    )
+    if den <= num:
+        rounded = inst  # rho <= 1: rounding up would scale weights up
+    else:
+        rounded = Instance(
+            m=m,
+            weights=tuple(-((-wj * num) // den) for wj in inst.weights),
+            scenarios=inst.scenarios,
+            original_order=inst.original_order,
+        )
     result = solve_pseudo(rounded, ObjectiveKind.MINMAX, max_states=max_states)
     value = evaluate(inst, result.schedule, ObjectiveKind.MINMAX).aggregate
     return FptasResult(value=value, schedule=result.schedule, rounded=rounded)

@@ -71,21 +71,22 @@ class Instance:
 
     def __post_init__(self) -> None:
         n = len(self.weights)
-        if self.m < 1:
-            raise ValueError("need at least one machine")
+        # type(), not isinstance(): a bool is an int, and no count or weight
+        if type(self.m) is not int or self.m < 1:
+            raise ValueError("m must be a positive integer")
         if n < 1:
             raise ValueError("need at least one job")
         if len(self.scenarios) < 1:
             raise ValueError("need at least one scenario")
         for j, w in enumerate(self.weights):
-            if not isinstance(w, int) or w < 0:
+            if type(w) is not int or w < 0:
                 raise ValueError(f"weight of job {j} must be a nonnegative integer")
             if j > 0 and self.weights[j - 1] < w:
                 raise ValueError("weights must be non-increasing in canonical order")
         if sorted(self.original_order) != list(range(n)):
             raise ValueError("original_order must be a permutation of 0..n-1")
         for k, s in enumerate(self.scenarios):
-            if not all(isinstance(j, int) and 0 <= j < n for j in s):
+            if not all(type(j) is int and 0 <= j < n for j in s):
                 raise ValueError(f"scenario {k} contains an invalid job index")
         scenario_jobs = tuple(tuple(sorted(s)) for s in self.scenarios)
         per_job: list[list[int]] = [[] for _ in range(n)]
@@ -163,8 +164,8 @@ def make_instance(m: int, weights: list[int], scenarios) -> Instance:
     for s in scenarios:
         members = set(s)
         for j in members:
-            if not isinstance(j, int) or not 0 <= j < n:
-                raise ValueError(f"scenario member {j!r} out of range")
+            if type(j) is not int or not 0 <= j < n:
+                raise ValueError(f"scenario member {j!r} is not a job index in 0..{n - 1}")
         remapped.append(frozenset(pos[j] for j in members))
     return Instance(
         m=m,
@@ -297,10 +298,18 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
+    """Build an Instance from a JSON document, coercing nothing: m, weights
+    and scenario members must be integers (not booleans), and a scenario
+    must not list a job twice."""
     try:
-        return make_instance(int(data["m"]), list(data["weights"]), data["scenarios"])
+        scenarios = [list(s) for s in data["scenarios"]]
+        inst = make_instance(data["m"], list(data["weights"]), scenarios)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance document: {exc}") from exc
+    for k, members in enumerate(scenarios):
+        if len(members) != len(inst.scenarios[k]):
+            raise ValueError(f"scenario {k} lists a job more than once")
+    return inst
 
 
 def schedule_to_dict(inst: Instance, sched: Schedule) -> dict:

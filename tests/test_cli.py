@@ -49,6 +49,13 @@ def test_solve_config_requires_unit_weights(tmp_path, capsys):
     assert "unit weights" in capsys.readouterr().err
 
 
+def test_solve_coercible_instance_is_contract_error(tmp_path, capsys):
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps({"m": 2.9, "weights": [1, 1, 1], "scenarios": [[0, 1, 2]]}))
+    assert main(["solve", "--algo", "dp", "-i", str(path)]) == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_fptas_within_factor_of_verify(five_unit, tmp_path):
     run = tmp_path / "fptas.json"
     ver = tmp_path / "verify.json"

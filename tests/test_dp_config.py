@@ -2,7 +2,6 @@ import pytest
 
 from scensched.dp_config import solve_config
 from scensched.model import (
-    GuardExceeded,
     ObjectiveKind,
     evaluate,
     make_instance,
@@ -40,10 +39,16 @@ def test_rejects_regret_kinds():
         solve_config(inst, ObjectiveKind.REGRET_MAX)
 
 
-def test_type_guard():
-    inst = make_instance(2, [1] * 3, [[0], [1], [2]])
-    with pytest.raises(GuardExceeded):
-        solve_config(inst, ObjectiveKind.MINMAX, max_types=2)
+def test_many_profile_types_match_oracle():
+    # 10 jobs with 10 distinct nonempty profiles over K=4 scenarios
+    profiles = [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 3), (2, 3), (0, 1, 2), (0, 1, 2, 3)]
+    scenarios = [[j for j, p in enumerate(profiles) if k in p] for k in range(4)]
+    for m in (2, 3):
+        inst = make_instance(m, [1] * len(profiles), scenarios)
+        for kind in (ObjectiveKind.MINMAX, ObjectiveKind.MINAVG):
+            res = solve_config(inst, kind)
+            assert res.value == brute_force(inst, kind).best_value
+            assert evaluate(inst, res.schedule, kind).aggregate == res.value
 
 
 def test_matches_oracle_both_objectives():
@@ -53,12 +58,6 @@ def test_matches_oracle_both_objectives():
             assert res.value == brute_force(inst, kind).best_value
             # materialized schedule reproduces the configuration costs
             assert evaluate(inst, res.schedule, kind).aggregate == res.value
-
-
-def test_pruned_run_agrees_on_suite():
-    for inst in unit_suite(20):
-        exact = solve_config(inst, ObjectiveKind.MINAVG).value
-        assert solve_config(inst, ObjectiveKind.MINAVG, prune=True).value == exact
 
 
 def test_configuration_cost_formula_matches_evaluation():

@@ -1,7 +1,10 @@
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from scensched.dp_minavg import solve_minavg
 from scensched.dp_minmax import fptas, solve_pseudo
 from scensched.model import (
     GuardExceeded,
@@ -88,3 +91,42 @@ def test_fptas_zero_weights_round_to_zero():
     res = fptas(inst, Fraction(1, 2))
     assert res.rounded.weights[-2:] == (0, 0)
     assert res.value == brute_force(inst, ObjectiveKind.MINMAX).best_value
+
+
+def test_fptas_solves_instance_itself_when_rounding_cannot_shrink():
+    # rho = W*eps/(m*n^2) <= 1 on every instance here
+    for inst in weighted_suite(20):
+        res = fptas(inst, Fraction(1, 2))
+        assert res.rounded is inst
+        assert res.value == solve_pseudo(inst, ObjectiveKind.MINMAX).value
+
+
+def test_fptas_rounds_when_rho_exceeds_one():
+    inst = make_instance(1, [1000, 999, 1], [[0, 1, 2]])
+    res = fptas(inst, Fraction(1))  # rho = 1000/9
+    assert res.rounded.weights == (9, 9, 1)
+    opt = brute_force(inst, ObjectiveKind.MINMAX).best_value
+    assert res.value <= 2 * opt
+
+
+def test_machines_beyond_n_change_nothing():
+    for inst in weighted_suite(40):
+        exact = replace(inst, m=inst.n)
+        extra = replace(inst, m=inst.n + 3)
+        for kind in (ObjectiveKind.MINMAX, ObjectiveKind.REGRET_MAX):
+            assert solve_pseudo(extra, kind).value == solve_pseudo(exact, kind).value
+        assert solve_minavg(extra).value == solve_minavg(exact).value
+        for kind in ObjectiveKind:
+            assert (brute_force(extra, kind).best_value
+                    == brute_force(exact, kind).best_value)
+
+
+def test_many_machines_few_jobs_returns_at_once():
+    inst = make_instance(20000, [3, 2, 1], [[0, 1], [1, 2]])
+    start = time.perf_counter()
+    res = solve_pseudo(inst, ObjectiveKind.MINMAX)
+    avg = solve_minavg(inst)
+    assert time.perf_counter() - start < 5.0
+    # every job alone on a machine
+    assert res.value == 5 and avg.value == 8
+    assert evaluate(inst, res.schedule, ObjectiveKind.MINMAX).aggregate == 5

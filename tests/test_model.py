@@ -208,6 +208,33 @@ def test_invalid_instances_rejected():
         make_instance(1, [-1], [[0]])
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"m": 2.9, "weights": [1, 2], "scenarios": [[0, 1]]},
+        {"m": 2.0, "weights": [1, 2], "scenarios": [[0, 1]]},
+        {"m": "2", "weights": [1, 2], "scenarios": [[0, 1]]},
+        {"m": True, "weights": [1, 2], "scenarios": [[0, 1]]},
+        {"m": 2, "weights": [True, 2], "scenarios": [[0, 1]]},
+        {"m": 2, "weights": [1, 1, 1], "scenarios": [[True, 0, 0]]},
+        {"m": 2, "weights": [1, 1], "scenarios": [[False]]},
+        {"m": 2, "weights": [1, 1], "scenarios": [[0, 1, 0]]},
+    ],
+)
+def test_loader_rejects_instead_of_coercing(doc):
+    with pytest.raises(ValueError):
+        instance_from_dict(doc)
+
+
+def test_bool_weights_and_members_rejected_by_constructor():
+    with pytest.raises(ValueError):
+        make_instance(2, [True, 1], [[0]])
+    with pytest.raises(ValueError):
+        make_instance(2, [1, 1], [[True]])
+    with pytest.raises(ValueError):
+        make_instance(True, [1, 1], [[0]])
+
+
 def test_json_round_trip():
     doc = {"m": 2, "weights": [1, 5, 3], "scenarios": [[0], [1, 2]]}
     inst = instance_from_dict(doc)
