@@ -7,6 +7,9 @@ Exit codes: 0 success, 1 verification failure, 2 contract violation,
 states per layer for the exact DPs (dp, config, fptas) and K <= 3 for the
 Hilbert basis.  Setting SCHED_GUARD_OVERRIDE=1 lifts them (at your own risk:
 memory and runtime grow quickly past them).
+
+``solve``, ``verify``, ``bench`` and the ``--algo`` choices all derive from
+one table of algorithms, ``ALGORITHMS``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import balance as bal
 from . import generators as gen
@@ -30,6 +34,8 @@ from .model import (
     GuardExceeded,
     Instance,
     ObjectiveKind,
+    Schedule,
+    SolveResult,
     disbalance,
     evaluate,
     instance_from_dict,
@@ -47,13 +53,65 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONTRACT = 2
 EXIT_GUARD = 3
 
-EXACT_ALGOS = {"two-scenario", "dp", "config"}
+MINMAX, MINAVG = ObjectiveKind.MINMAX, ObjectiveKind.MINAVG
+REGRET_MAX, REGRET_SUM = ObjectiveKind.REGRET_MAX, ObjectiveKind.REGRET_SUM
+
+
+class Algorithm(NamedTuple):
+    """``runners`` maps each objective (the first is the default) to
+    ``runner(inst, epsilon, max_states)``, returning a Schedule or a solver
+    result; it looks its solver up as a module global at call time, so
+    rebinding that global reaches every call.  ``bound(inst, epsilon)`` is
+    the certified ratio; None marks an exact algorithm.  Instance
+    preconditions (K=2, m=2, unit weights) are the solvers' own checks."""
+
+    runners: dict
+    epsilon: bool = False
+    bound: Callable[[Instance, Fraction | None], Fraction] | None = None
+
+
+ALGORITHMS = {
+    "two-scenario": Algorithm(
+        dict.fromkeys((MINMAX, MINAVG), lambda inst, eps, cap: solve_two_scenarios(inst))
+    ),
+    "dp": Algorithm({
+        MINMAX: lambda inst, eps, cap: solve_pseudo(inst, MINMAX, max_states=cap),
+        MINAVG: lambda inst, eps, cap: solve_minavg(inst, max_states=cap),
+        REGRET_MAX: lambda inst, eps, cap: solve_pseudo(inst, REGRET_MAX, max_states=cap),
+        REGRET_SUM: lambda inst, eps, cap: solve_regret_sum(inst, max_states=cap),
+    }),
+    "fptas": Algorithm(
+        {MINMAX: lambda inst, eps, cap: fptas(inst, eps, max_states=cap)},
+        epsilon=True,
+        bound=lambda inst, eps: 1 + eps,
+    ),
+    "config": Algorithm({
+        MINMAX: lambda inst, eps, cap: solve_config(inst, MINMAX, max_states=cap),
+        MINAVG: lambda inst, eps, cap: solve_config(inst, MINAVG, max_states=cap),
+    }),
+    "approx-minmax2": Algorithm(
+        {MINMAX: lambda inst, eps, cap: minmax_all_on_one(inst)},
+        bound=lambda inst, eps: Fraction(2),
+    ),
+    "approx-minavg": Algorithm(
+        {MINAVG: lambda inst, eps, cap: minavg_derandomized(inst)},
+        bound=lambda inst, eps: Fraction(3, 2) - Fraction(1, 2 * inst.m),
+    ),
+}
 
 
 def _guards() -> dict:
-    if os.environ.get("SCHED_GUARD_OVERRIDE"):
+    if os.environ.get("SCHED_GUARD_OVERRIDE") == "1":
         return {"guard_bits": 1e9, "max_states": 10**9, "max_k": 6}
     return {"guard_bits": 32.0, "max_states": 2_000_000, "max_k": 3}
+
+
+def _rational(text: str) -> Fraction:
+    """Parses a rational flag like 1/2; ValueError (exit 2) when malformed."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _load_instance(path: str) -> Instance:
@@ -61,62 +119,64 @@ def _load_instance(path: str) -> Instance:
         return instance_from_dict(json.load(fh))
 
 
-def _emit(doc, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+def _write(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
-def _default_objective(algo: str) -> str:
-    return "minavg" if algo == "approx-minavg" else "minmax"
+def _emit(doc, path: str | None) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", path)
 
 
-def _run_algorithm(inst: Instance, algo: str, kind: ObjectiveKind, epsilon, guards):
-    """Returns (schedule, value, params) or raises ValueError on bad pairing."""
+def _run(inst: Instance, algo: str, kind: ObjectiveKind, epsilon, guards):
+    """Returns (schedule, value, ms); ValueError on a pairing outside the
+    table or an instance the solver rejects."""
+    entry = ALGORITHMS[algo]
+    if kind not in entry.runners:
+        handled = ", ".join(k.value for k in entry.runners)
+        raise ValueError(f"{algo} handles {handled}, not {kind.value}")
+    if entry.epsilon != (epsilon is not None):
+        raise ValueError(f"{algo} {'requires' if entry.epsilon else 'takes no'} --epsilon")
+    start = time.perf_counter()
+    out = entry.runners[kind](inst, epsilon, guards["max_states"])
+    if isinstance(out, Schedule):
+        out = SolveResult(evaluate(inst, out, kind).aggregate, out)
+    return out.schedule, out.value, round((time.perf_counter() - start) * 1000.0, 3)
+
+
+def _check(inst, algo, kind, sched, value, epsilon, guards):
+    """Compares a run with the oracle; returns (ratio, ok, detail)."""
+    best = brute_force(inst, kind, guard_bits=guards["guard_bits"]).best_value
+    ratio = Fraction(value, best) if best else Fraction(1)
+    detail = {"oracle_value": best}
+    bound = ALGORITHMS[algo].bound
     if algo == "two-scenario":
-        if inst.K != 2:
-            raise ValueError(f"two-scenario requires K=2, got K={inst.K}")
-        if kind not in (ObjectiveKind.MINMAX, ObjectiveKind.MINAVG):
-            raise ValueError("two-scenario reports minmax or minavg objectives")
-        sched = solve_two_scenarios(inst)
-        return sched, evaluate(inst, sched, kind).aggregate, {}
-    if algo == "dp":
-        if kind in (ObjectiveKind.MINMAX, ObjectiveKind.REGRET_MAX):
-            res = solve_pseudo(inst, kind, max_states=guards["max_states"])
-        elif kind is ObjectiveKind.MINAVG:
-            res = solve_minavg(inst, max_states=guards["max_states"])
-        else:
-            res = solve_regret_sum(inst, max_states=guards["max_states"])
-        return res.schedule, res.value, {}
-    if algo == "fptas":
-        if kind is not ObjectiveKind.MINMAX:
-            raise ValueError("fptas targets the minmax objective")
-        if epsilon is None:
-            raise ValueError("fptas requires --epsilon")
-        res = fptas(inst, epsilon, max_states=guards["max_states"])
-        return res.schedule, res.value, {"epsilon": str(epsilon)}
-    if algo == "config":
-        if kind not in (ObjectiveKind.MINMAX, ObjectiveKind.MINAVG):
-            raise ValueError("config handles minmax or minavg")
-        res = solve_config(inst, kind, max_states=guards["max_states"])
-        return res.schedule, res.value, {}
-    if algo == "approx-minmax2":
-        if kind is not ObjectiveKind.MINMAX:
-            raise ValueError("approx-minmax2 targets the minmax objective")
-        sched = minmax_all_on_one(inst)
-        return sched, evaluate(inst, sched, kind).aggregate, {}
-    if algo == "approx-minavg":
-        if kind is not ObjectiveKind.MINAVG:
-            raise ValueError("approx-minavg targets the minavg objective")
-        sched = minavg_derandomized(inst)
-        return sched, evaluate(inst, sched, kind).aggregate, {}
-    raise ValueError(f"unknown algorithm {algo!r}")
+        per = list(evaluate(inst, sched, kind).per_scenario)
+        opts = [single_scenario_optimum(inst, k) for k in range(2)]
+        ok = per == opts
+        detail.update(per_scenario=per, per_scenario_optima=opts)
+    elif bound is None:
+        ok = value == best
+    else:
+        limit = bound(inst, epsilon)
+        ok = ratio <= limit
+        detail["bound"] = str(limit)
+    return ratio, ok, detail
 
 
-def _record(inst, algo, kind, sched, value, params, elapsed_ms) -> dict:
+def _request(args):
+    """The instance, objective and epsilon named by solve/verify arguments."""
+    inst = _load_instance(args.instance)
+    default = next(iter(ALGORITHMS[args.algo].runners))
+    kind = ObjectiveKind(args.objective) if args.objective else default
+    epsilon = None if args.epsilon is None else _rational(args.epsilon)
+    return inst, kind, epsilon
+
+
+def _record(inst, algo, kind, sched, value, epsilon, elapsed_ms) -> dict:
     cost = evaluate(inst, sched, kind)
     rep = disbalance(inst, sched)
     return {
@@ -135,59 +195,28 @@ def _record(inst, algo, kind, sched, value, params, elapsed_ms) -> dict:
             "final_d": rep.final_d,
             "full_f": rep.full_f,
         },
-        "params": params,
+        "params": {} if epsilon is None else {"epsilon": str(epsilon)},
         "time_ms": elapsed_ms,
     }
 
 
 def _cmd_solve(args) -> int:
     guards = _guards()
-    inst = _load_instance(args.instance)
-    kind = ObjectiveKind(args.objective or _default_objective(args.algo))
-    epsilon = Fraction(args.epsilon) if args.epsilon else None
-    start = time.perf_counter()
-    sched, value, params = _run_algorithm(inst, args.algo, kind, epsilon, guards)
-    elapsed = round((time.perf_counter() - start) * 1000.0, 3)
-    _emit(_record(inst, args.algo, kind, sched, value, params, elapsed), args.output)
+    inst, kind, epsilon = _request(args)
+    sched, value, elapsed = _run(inst, args.algo, kind, epsilon, guards)
+    _emit(_record(inst, args.algo, kind, sched, value, epsilon, elapsed), args.output)
     return EXIT_OK
-
-
-def _approx_bound(algo: str, inst: Instance, epsilon) -> Fraction | None:
-    if algo == "approx-minavg":
-        return Fraction(3, 2) - Fraction(1, 2 * inst.m)
-    if algo == "approx-minmax2":
-        return Fraction(2)
-    if algo == "fptas":
-        return 1 + Fraction(epsilon)
-    return None
 
 
 def _cmd_verify(args) -> int:
     guards = _guards()
-    inst = _load_instance(args.instance)
-    kind = ObjectiveKind(args.objective or _default_objective(args.algo))
-    epsilon = Fraction(args.epsilon) if args.epsilon else None
-    sched, value, params = _run_algorithm(inst, args.algo, kind, epsilon, guards)
-    oracle = brute_force(inst, kind, guard_bits=guards["guard_bits"])
-    ratio = Fraction(value, oracle.best_value) if oracle.best_value else Fraction(1)
-
-    if args.algo == "two-scenario":
-        per = [evaluate(inst, sched, kind).per_scenario[k] for k in range(2)]
-        opts = [single_scenario_optimum(inst, k) for k in range(2)]
-        ok = per == opts
-        detail = {"per_scenario": per, "per_scenario_optima": opts}
-    elif args.algo in EXACT_ALGOS:
-        ok = value == oracle.best_value
-        detail = {}
-    else:
-        bound = _approx_bound(args.algo, inst, epsilon)
-        ok = ratio <= bound
-        detail = {"bound": str(bound)}
+    inst, kind, epsilon = _request(args)
+    sched, value, _ = _run(inst, args.algo, kind, epsilon, guards)
+    ratio, ok, detail = _check(inst, args.algo, kind, sched, value, epsilon, guards)
     report = {
         "algorithm": args.algo,
         "objective": kind.value,
         "value": value,
-        "oracle_value": oracle.best_value,
         "ratio": str(ratio),
         "ok": ok,
         **detail,
@@ -234,7 +263,7 @@ def _cmd_generate(args) -> int:
                 args.m,
                 args.K,
                 w_max=args.w_max,
-                density=float(Fraction(args.density)),
+                density=float(_rational(args.density)),
                 seed=args.seed,
             )
         )
@@ -252,7 +281,7 @@ def _cmd_probe(args) -> int:
         args.K,
         args.trials,
         args.seed,
-        density=float(Fraction(args.density)),
+        density=float(_rational(args.density)),
         guard_bits=guards["guard_bits"],
     )
     _emit(
@@ -324,19 +353,9 @@ def _bench_items():
     ]
 
 
-def _bench_algos(inst: Instance):
-    algos = [("dp", "minmax", None), ("dp", "minavg", None), ("fptas", "minmax", Fraction(1, 2))]
-    if inst.m == 2:
-        algos.append(("approx-minmax2", "minmax", None))
-    algos.append(("approx-minavg", "minavg", None))
-    if all(w == 1 for w in inst.weights):
-        algos.append(("config", "minmax", None))
-    if inst.K == 2:
-        algos.append(("two-scenario", "minmax", None))
-    return algos
-
-
 def _cmd_bench(args) -> int:
+    """Runs every (algorithm, objective) pair of the table on the suite, with
+    epsilon 1/2 where it is needed, skipping instances a solver rejects."""
     if args.suite != "default":
         raise ValueError(f"unknown suite {args.suite!r}")
     guards = _guards()
@@ -359,39 +378,31 @@ def _cmd_bench(args) -> int:
     )
     failures = 0
     for name, inst in _bench_items():
-        for algo, objective, eps in _bench_algos(inst):
-            kind = ObjectiveKind(objective)
-            start = time.perf_counter()
-            sched, value, _ = _run_algorithm(inst, algo, kind, eps, guards)
-            elapsed = round((time.perf_counter() - start) * 1000.0, 3)
-            oracle = brute_force(inst, kind, guard_bits=guards["guard_bits"])
-            ratio = Fraction(value, oracle.best_value) if oracle.best_value else Fraction(1)
-            bound = _approx_bound(algo, inst, eps)
-            if bound is not None and ratio > bound:
-                failures += 1
-            if algo in EXACT_ALGOS and value != oracle.best_value:
-                failures += 1
-            writer.writerow(
-                [
-                    name,
-                    inst.n,
-                    inst.m,
-                    inst.K,
-                    algo,
-                    objective,
-                    value,
-                    oracle.best_value,
-                    str(ratio),
-                    elapsed,
-                    disbalance(inst, sched).full_f,
-                ]
-            )
-    text = out.getvalue()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        for algo, entry in ALGORITHMS.items():
+            epsilon = Fraction(1, 2) if entry.epsilon else None
+            for kind in entry.runners:
+                try:
+                    sched, value, elapsed = _run(inst, algo, kind, epsilon, guards)
+                except ValueError:
+                    continue
+                ratio, ok, detail = _check(inst, algo, kind, sched, value, epsilon, guards)
+                failures += not ok
+                writer.writerow(
+                    [
+                        name,
+                        inst.n,
+                        inst.m,
+                        inst.K,
+                        algo,
+                        kind.value,
+                        value,
+                        detail["oracle_value"],
+                        str(ratio),
+                        elapsed,
+                        disbalance(inst, sched).full_f,
+                    ]
+                )
+    _write(out.getvalue(), args.output)
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
@@ -402,31 +413,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    algo_choices = [
-        "two-scenario",
-        "dp",
-        "fptas",
-        "config",
-        "approx-minmax2",
-        "approx-minavg",
-    ]
-    objective_choices = [k.value for k in ObjectiveKind]
-
-    p_solve = sub.add_parser("solve", help="run one algorithm on an instance file")
-    p_solve.add_argument("--algo", required=True, choices=algo_choices)
-    p_solve.add_argument("--objective", choices=objective_choices)
-    p_solve.add_argument("--epsilon", help="rational like 1/2 (fptas only)")
-    p_solve.add_argument("-i", "--instance", required=True)
-    p_solve.add_argument("-o", "--output")
-    p_solve.set_defaults(func=_cmd_solve)
-
-    p_verify = sub.add_parser("verify", help="compare an algorithm against the oracle")
-    p_verify.add_argument("--algo", required=True, choices=algo_choices)
-    p_verify.add_argument("--objective", choices=objective_choices)
-    p_verify.add_argument("--epsilon")
-    p_verify.add_argument("-i", "--instance", required=True)
-    p_verify.add_argument("-o", "--output")
-    p_verify.set_defaults(func=_cmd_verify)
+    epsilon_algos = ", ".join(a for a, entry in ALGORITHMS.items() if entry.epsilon)
+    for name, help_text, func in (
+        ("solve", "run one algorithm on an instance file", _cmd_solve),
+        ("verify", "compare an algorithm against the oracle", _cmd_verify),
+    ):
+        p_run = sub.add_parser(name, help=help_text)
+        p_run.add_argument("--algo", required=True, choices=list(ALGORITHMS))
+        p_run.add_argument("--objective", choices=[k.value for k in ObjectiveKind])
+        p_run.add_argument("--epsilon", help=f"rational like 1/2 ({epsilon_algos} only)")
+        p_run.add_argument("-i", "--instance", required=True)
+        p_run.add_argument("-o", "--output")
+        p_run.set_defaults(func=func)
 
     p_gen = sub.add_parser("generate", help="emit a generated instance or matrix")
     p_gen.add_argument(
@@ -483,7 +481,7 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from scensched import cli
 from scensched.cli import main
-from scensched.model import instance_to_dict, make_instance
+from scensched.model import ObjectiveKind, instance_to_dict, make_instance
 
 
 @pytest.fixture
@@ -12,6 +13,9 @@ def five_unit(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(instance_to_dict(inst)))
     return path
+
+
+DEFAULT_GUARDS = {"guard_bits": 32.0, "max_states": 2_000_000, "max_k": 3}
 
 
 def _write_instance(tmp_path, inst, name="i.json"):
@@ -171,3 +175,83 @@ def test_generate_rerun_is_byte_identical(tmp_path):
     assert main(args + ["-o", str(a)]) == 0
     assert main(args + ["-o", str(b)]) == 0
     assert a.read_text() == b.read_text()
+
+
+SUPPORTED_PAIRS = {
+    "two-scenario": {"minmax", "minavg"},
+    "dp": {kind.value for kind in ObjectiveKind},
+    "fptas": {"minmax"},
+    "config": {"minmax", "minavg"},
+    "approx-minmax2": {"minmax"},
+    "approx-minavg": {"minavg"},
+}
+
+
+@pytest.fixture
+def k2_unit(tmp_path):
+    return _write_instance(tmp_path, make_instance(2, [1] * 4, [[0, 1, 2], [1, 2, 3]]))
+
+
+def _solve_argv(algo, path, *extra):
+    argv = ["solve", "--algo", algo, "-i", str(path), *extra]
+    return argv + ["--epsilon", "1/2"] if algo == "fptas" else argv
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("algo", sorted(SUPPORTED_PAIRS))
+def test_algorithm_objective_pairing(k2_unit, algo, kind, capsys):
+    code = main(_solve_argv(algo, k2_unit, "--objective", kind.value))
+    assert code == (0 if kind.value in SUPPORTED_PAIRS[algo] else 2)
+    if code == 2:
+        assert not capsys.readouterr().out
+
+
+@pytest.mark.parametrize("algo", sorted(SUPPORTED_PAIRS))
+def test_default_objective(k2_unit, tmp_path, algo):
+    out = tmp_path / "run.json"
+    assert main(_solve_argv(algo, k2_unit, "-o", str(out))) == 0
+    expected = "minavg" if algo == "approx-minavg" else "minmax"
+    assert json.loads(out.read_text())["objective"] == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--algo", "fptas", "--epsilon", "1/0"],
+    ["verify", "--algo", "fptas", "--epsilon", "1/0"],
+    ["generate", "random", "--density", "1/0"],
+    ["probe", "conjecture", "--n", "4", "--m", "2", "--K", "2", "--trials", "1",
+     "--seed", "0", "--density", "1/0"],
+], ids=["solve", "verify", "generate", "probe"])
+def test_zero_denominator_flag_is_contract_error(five_unit, argv, capsys):
+    if argv[0] in ("solve", "verify"):
+        argv = argv + ["-i", str(five_unit)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("algo", sorted(set(SUPPORTED_PAIRS) - {"fptas"}))
+def test_epsilon_rejected_where_unused(k2_unit, command, algo, capsys):
+    assert main([command, "--algo", algo, "--epsilon", "1/2", "-i", str(k2_unit)]) == 2
+    assert "takes no --epsilon" in capsys.readouterr().err
+
+
+def test_fptas_without_epsilon_is_contract_error(five_unit, capsys):
+    assert main(["solve", "--algo", "fptas", "-i", str(five_unit)]) == 2
+    assert "requires --epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "", "true", "yes"])
+def test_guard_override_needs_exactly_one(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("SCHED_GUARD_OVERRIDE", value)
+    assert cli._guards() == DEFAULT_GUARDS
+    wide = _write_instance(tmp_path, make_instance(2, [1] * 33, [list(range(33))]))
+    assert main(["verify", "--algo", "approx-minavg", "-i", str(wide)]) == 3
+
+
+def test_guard_override_lifts_guards(monkeypatch):
+    monkeypatch.delenv("SCHED_GUARD_OVERRIDE", raising=False)
+    assert cli._guards() == DEFAULT_GUARDS
+    monkeypatch.setenv("SCHED_GUARD_OVERRIDE", "1")
+    assert cli._guards()["max_states"] > DEFAULT_GUARDS["max_states"]
