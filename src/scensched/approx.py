@@ -34,19 +34,26 @@ def minavg_derandomized(inst: Instance) -> Schedule:
     (3/2 - 1/(2m)) times the optimum and never exceeds the exact uniform
     expectation from the oracle module.
     """
-    m = inst.m
-    K = inst.K
-    counts = [[0] * K for _ in range(m)]
-    assign = [0] * inst.n
-    for j in range(inst.n):
-        ks = inst.job_scenarios[j]
-        best_i = 0
-        best_score = None
-        for i in range(m):
-            score = sum(counts[i][k] for k in ks)
-            if best_score is None or score < best_score:
-                best_i, best_score = i, score
-        assign[j] = best_i
+    return Schedule(_greedy(inst)[0])
+
+
+def _greedy(inst: Instance) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The derandomized assignment and its per-scenario totals.
+
+    An empty machine scores 0, so no job goes past the first empty machine,
+    and job j past machine j: min(m, n) machines give the same assignment
+    as all m.
+    """
+    w = inst.weights
+    counts = [[0] * inst.K for _ in range(min(inst.m, inst.n))]
+    machines = range(len(counts))
+    totals = [0] * inst.K
+    assign = []
+    for j, ks in enumerate(inst.job_scenarios):
+        best = min(machines, key=lambda i: sum(counts[i][k] for k in ks))
+        row = counts[best]
         for k in ks:
-            counts[best_i][k] += 1
-    return Schedule(tuple(assign))
+            row[k] += 1
+            totals[k] += w[j] * row[k]
+        assign.append(best)
+    return tuple(assign), tuple(totals)

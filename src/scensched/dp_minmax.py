@@ -10,6 +10,16 @@ with its lexicographically least link (previous Y, previous C, receiving
 row) for the forward replay.  With unit weights Y fixes C and every front
 holds one vector.
 
+The fronts are pruned with the bounds of :mod:`.dp_minavg`: a vector C at Y
+is dropped when max_k(C_k + lb_k(Y) - opt_k) is strictly greater than the
+greedy incumbent ub, with opt_k the scenario optima for max-regret and 0 for
+min-max.  That quantity never decreases along a placement, so a vector that
+survives has all its predecessors surviving, and a vector that dominated it
+would have survived too.  Each front is therefore the unpruned walk's front
+less the vectors above ub, each kept vector has the same least link, and the
+optimum, at most ub, keeps its witness.  The ``max_states`` guard counts
+the vectors that survive.
+
 The rounding wrapper scales weights by rho = W*eps/(m*n^2) and rounds up:
 the exact optimum of the rounded instance, evaluated under original weights,
 is within a factor 1+eps of the true optimum, and the rounded weights are at
@@ -23,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
 
-from .dp_minavg import DEFAULT_MAX_STATES, _guard, _replay, _start
+from .dp_minavg import DEFAULT_MAX_STATES, _bounds, _guard, _replay, _start
 from .model import (
     Instance,
     ObjectiveKind,
@@ -55,6 +65,9 @@ def solve_pseudo(
         raise ValueError(f"load/cost solver handles minmax and regret-max, not {kind.value}")
     K = inst.K
     w = inst.weights
+    opts = scenario_optima(inst) if kind is ObjectiveKind.REGRET_MAX else (0,) * K
+    totals, lb = _bounds(inst)
+    ub = max(map(sub, totals, opts))
     # layers[j]: canonical Y -> {C on Y's front: (previous Y, previous C, row)}.
     layers: list[dict] = [{_start(inst): {(0,) * K: None}}]
     for j, ks in enumerate(inst.job_scenarios):
@@ -80,15 +93,16 @@ def solve_pseudo(
                     old = bucket.get(c2)
                     if old is None or link < old:
                         bucket[c2] = link
-        size = 0
+        kept: dict = {}
         for state, bucket in nxt.items():
-            if len(bucket) > 1:
-                nxt[state] = bucket = _pareto(bucket)
-            size += len(bucket)
-        _guard(size, max_states, j, "load/cost")
-        layers.append(nxt)
+            # C survives while C_k + lb_k - opt_k <= ub in every scenario k
+            room = [ub + o - b for o, b in zip(opts, lb(state))]
+            bucket = {c: link for c, link in bucket.items() if all(map(le, c, room))}
+            if bucket:
+                kept[state] = _pareto(bucket) if len(bucket) > 1 else bucket
+        _guard(sum(map(len, kept.values())), max_states, j, "load/cost")
+        layers.append(kept)
 
-    opts = scenario_optima(inst) if kind is ObjectiveKind.REGRET_MAX else (0,) * K
     value, state, c = min(
         (max(map(sub, c, opts)), state, c)
         for state, front in layers[-1].items()

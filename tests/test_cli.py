@@ -150,6 +150,13 @@ def test_bench_default_suite(tmp_path):
     assert len(lines) > 10
 
 
+def test_bench_unknown_suite_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--suite", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def _strip_volatile(doc):
     doc = dict(doc)
     doc.pop("time_ms", None)

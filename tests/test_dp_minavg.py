@@ -1,7 +1,9 @@
 import pytest
 
+from scensched.approx import minavg_derandomized
 from scensched.dp_config import solve_config
-from scensched.dp_minavg import solve_minavg, solve_regret_sum
+from scensched.dp_minavg import _bounds, _start, solve_minavg, solve_regret_sum
+from scensched.dp_minmax import solve_pseudo
 from scensched.model import (
     GuardExceeded,
     ObjectiveKind,
@@ -58,6 +60,26 @@ def test_regret_sum_shift():
 
 
 def test_state_guard():
-    inst = make_instance(3, [5, 4, 3, 2, 1, 1], [[0, 1, 2], [3, 4, 5]])
-    with pytest.raises(GuardExceeded):
+    # every job alone in its scenario: each placement costs the same, so the
+    # bound prunes nothing and the third layer holds more than two states
+    inst = make_instance(3, [3, 2, 1], [[0], [1], [2]])
+    with pytest.raises(GuardExceeded, match="at job 3"):
         solve_minavg(inst, max_states=2)
+
+
+def test_start_state_bounds_are_scenario_optima():
+    for inst in weighted_suite() + unit_suite():
+        _, lb = _bounds(inst)
+        assert lb(_start(inst)) == scenario_optima(inst)
+
+
+def test_incumbent_is_the_greedy_schedule_and_bounds_every_objective():
+    for inst in weighted_suite(60):
+        totals, _ = _bounds(inst)
+        greedy = evaluate(inst, minavg_derandomized(inst), ObjectiveKind.MINAVG)
+        assert totals == greedy.per_scenario
+        regrets = [t - o for t, o in zip(totals, scenario_optima(inst))]
+        assert sum(totals) >= solve_minavg(inst).value
+        assert max(totals) >= solve_pseudo(inst, ObjectiveKind.MINMAX).value
+        assert max(regrets) >= solve_pseudo(inst, ObjectiveKind.REGRET_MAX).value
+        assert sum(regrets) >= solve_regret_sum(inst).value

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from scensched.dp_minavg import solve_minavg
+from scensched.dp_minavg import _bounds, solve_minavg
 from scensched.dp_minmax import fptas, solve_pseudo
+from scensched.generators import gen_random
 from scensched.model import (
     GuardExceeded,
     ObjectiveKind,
     evaluate,
     make_instance,
+    scenario_optima,
 )
 from scensched.oracle import brute_force
 
@@ -130,3 +132,20 @@ def test_many_machines_few_jobs_returns_at_once():
     # every job alone on a machine
     assert res.value == 5 and avg.value == 8
     assert evaluate(inst, res.schedule, ObjectiveKind.MINMAX).aggregate == 5
+
+
+@pytest.mark.parametrize("n, seed, kind, aggregate", [
+    (30, 1, ObjectiveKind.MINMAX, max),
+    (40, 0, ObjectiveKind.MINAVG, sum),
+])
+def test_pruning_keeps_large_instances_small(n, seed, kind, aggregate):
+    # Unpruned, the widest layer holds 346,000 cost vectors (n=30, min-max)
+    # and 692,000 count matrices (n=40, sum); pruned, about 1,000 and 46.
+    inst = gen_random(n, 3, 3, w_max=9, density=0.5, seed=seed)
+    if kind is ObjectiveKind.MINMAX:
+        res = solve_pseudo(inst, kind, max_states=10_000)
+    else:
+        res = solve_minavg(inst, max_states=10_000)
+    assert evaluate(inst, res.schedule, kind).aggregate == res.value
+    totals, _ = _bounds(inst)
+    assert aggregate(scenario_optima(inst)) <= res.value <= aggregate(totals)
