@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     GuardExceeded,
@@ -76,8 +76,7 @@ def _scenario_columns(K: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class LatticePoint:
+class LatticePoint(NamedTuple):
     """Per-profile counts on machine 1 (x) and machine 2 (y)."""
 
     x: tuple[int, ...]
@@ -95,8 +94,7 @@ class LatticePoint:
         return max(self.vector())
 
 
-@dataclass(frozen=True)
-class HilbertBasis:
+class HilbertBasis(NamedTuple):
     K: int
     elements: tuple[LatticePoint, ...]  # sorted ascending by flat vector
 
@@ -246,8 +244,7 @@ def profile_round_robin(inst: Instance, sched: Schedule, i1: int, i2: int) -> Sc
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EqualizeReport:
+class EqualizeReport(NamedTuple):
     """Pairwise disbalance before/after one equalization, per scenario."""
 
     machines: tuple[int, int]
@@ -529,8 +526,7 @@ def equalize_all(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     n: int
     m: int
     K: int
@@ -556,16 +552,18 @@ def conjecture_probe(
     achievable by *any* optimal schedule of the sum objective.
 
     Trial t uses seed ``seed + t``.  Reports the per-trial minima, their
-    maximum, and which trials attain it.
+    maximum, and which trials attain it.  ``trials`` must be at least 1.
     """
     from .generators import gen_random
 
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     per_trial = []
     for t in range(trials):
         instance = gen_random(n, m, K, w_max=w_max, density=density, seed=seed + t)
         optima = optimal_schedules(instance, ObjectiveKind.MINAVG, guard_bits=guard_bits)
         per_trial.append(min(disbalance(instance, s).full_f for s in optima))
-    max_observed = max(per_trial) if per_trial else 0
+    max_observed = max(per_trial)
     achieving = tuple(t for t, v in enumerate(per_trial) if v == max_observed)
     return ProbeReport(
         n=n,

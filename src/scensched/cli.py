@@ -9,27 +9,23 @@ Hilbert basis.  Setting SCHED_GUARD_OVERRIDE=1 lifts them (at your own risk:
 memory and runtime grow quickly past them).
 
 ``solve``, ``verify``, ``bench`` and the ``--algo`` choices all derive from
-one table of algorithms, ``ALGORITHMS``.
+one table of algorithms, ``ALGORITHMS``.  A process imports only what its
+command runs: each solver module on the first call of its runner, the
+generators, balance and oracle modules inside the handlers that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 import time
 from fractions import Fraction
+from importlib import import_module
 from typing import Callable, NamedTuple
 
-from . import balance as bal
-from . import generators as gen
-from .dp_config import solve_config
-from .dp_minavg import solve_minavg, solve_regret_sum
-from .dp_minmax import fptas, solve_pseudo
-from .approx import minavg_derandomized, minmax_all_on_one
 from .model import (
     GuardExceeded,
     Instance,
@@ -45,8 +41,6 @@ from .model import (
     schedule_to_dict,
     single_scenario_optimum,
 )
-from .oracle import brute_force
-from .two_scenario import solve_two_scenarios
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -57,12 +51,18 @@ MINMAX, MINAVG = ObjectiveKind.MINMAX, ObjectiveKind.MINAVG
 REGRET_MAX, REGRET_SUM = ObjectiveKind.REGRET_MAX, ObjectiveKind.REGRET_SUM
 
 
+def _call(module: str, name: str, *args, **kwargs):
+    """Calls function ``name`` of submodule ``module``, importing the module
+    on first use and looking the name up on every call, so rebinding it in
+    its module reaches every call."""
+    return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+
 class Algorithm(NamedTuple):
     """``runners`` maps each objective (the first is the default) to
     ``runner(inst, epsilon, max_states)``, returning a Schedule or a solver
-    result; it looks its solver up as a module global at call time, so
-    rebinding that global reaches every call.  ``bound(inst, epsilon)`` is
-    the certified ratio; None marks an exact algorithm.  Instance
+    result; it calls its solver through ``_call``.  ``bound(inst, epsilon)``
+    is the certified ratio; None marks an exact algorithm.  Instance
     preconditions (K=2, m=2, unit weights) are the solvers' own checks."""
 
     runners: dict
@@ -71,30 +71,37 @@ class Algorithm(NamedTuple):
 
 
 ALGORITHMS = {
-    "two-scenario": Algorithm(
-        dict.fromkeys((MINMAX, MINAVG), lambda inst, eps, cap: solve_two_scenarios(inst))
-    ),
+    "two-scenario": Algorithm(dict.fromkeys(
+        (MINMAX, MINAVG),
+        lambda inst, eps, cap: _call("two_scenario", "solve_two_scenarios", inst),
+    )),
     "dp": Algorithm({
-        MINMAX: lambda inst, eps, cap: solve_pseudo(inst, MINMAX, max_states=cap),
-        MINAVG: lambda inst, eps, cap: solve_minavg(inst, max_states=cap),
-        REGRET_MAX: lambda inst, eps, cap: solve_pseudo(inst, REGRET_MAX, max_states=cap),
-        REGRET_SUM: lambda inst, eps, cap: solve_regret_sum(inst, max_states=cap),
+        MINMAX: lambda inst, eps, cap: _call(
+            "dp_minmax", "solve_pseudo", inst, MINMAX, max_states=cap),
+        MINAVG: lambda inst, eps, cap: _call(
+            "dp_minavg", "solve_minavg", inst, max_states=cap),
+        REGRET_MAX: lambda inst, eps, cap: _call(
+            "dp_minmax", "solve_pseudo", inst, REGRET_MAX, max_states=cap),
+        REGRET_SUM: lambda inst, eps, cap: _call(
+            "dp_minavg", "solve_regret_sum", inst, max_states=cap),
     }),
     "fptas": Algorithm(
-        {MINMAX: lambda inst, eps, cap: fptas(inst, eps, max_states=cap)},
+        {MINMAX: lambda inst, eps, cap: _call("dp_minmax", "fptas", inst, eps, max_states=cap)},
         epsilon=True,
         bound=lambda inst, eps: 1 + eps,
     ),
     "config": Algorithm({
-        MINMAX: lambda inst, eps, cap: solve_config(inst, MINMAX, max_states=cap),
-        MINAVG: lambda inst, eps, cap: solve_config(inst, MINAVG, max_states=cap),
+        MINMAX: lambda inst, eps, cap: _call(
+            "dp_config", "solve_config", inst, MINMAX, max_states=cap),
+        MINAVG: lambda inst, eps, cap: _call(
+            "dp_config", "solve_config", inst, MINAVG, max_states=cap),
     }),
     "approx-minmax2": Algorithm(
-        {MINMAX: lambda inst, eps, cap: minmax_all_on_one(inst)},
+        {MINMAX: lambda inst, eps, cap: _call("approx", "minmax_all_on_one", inst)},
         bound=lambda inst, eps: Fraction(2),
     ),
     "approx-minavg": Algorithm(
-        {MINAVG: lambda inst, eps, cap: minavg_derandomized(inst)},
+        {MINAVG: lambda inst, eps, cap: _call("approx", "minavg_derandomized", inst)},
         bound=lambda inst, eps: Fraction(3, 2) - Fraction(1, 2 * inst.m),
     ),
 }
@@ -149,6 +156,8 @@ def _run(inst: Instance, algo: str, kind: ObjectiveKind, epsilon, guards):
 
 def _check(inst, algo, kind, sched, value, epsilon, guards):
     """Compares a run with the oracle; returns (ratio, ok, detail)."""
+    from .oracle import brute_force
+
     best = brute_force(inst, kind, guard_bits=guards["guard_bits"]).best_value
     ratio = Fraction(value, best) if best else Fraction(1)
     detail = {"oracle_value": best}
@@ -236,6 +245,8 @@ def _parse_edges(spec: str) -> tuple[tuple[int, int], ...]:
 
 
 def _cmd_generate(args) -> int:
+    from . import generators as gen
+
     if args.family == "coloring":
         g = gen.Graph(args.vertices, _parse_edges(args.edges))
         doc = instance_to_dict(gen.gen_coloring(g, args.m))
@@ -272,6 +283,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from . import balance as bal
+
     guards = _guards()
     report = bal.conjecture_probe(
         args.n,
@@ -299,6 +312,8 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_balance(args) -> int:
+    from . import balance as bal
+
     guards = _guards()
     inst = _load_instance(args.instance)
     with open(args.schedule) as fh:
@@ -338,6 +353,8 @@ def _cmd_balance(args) -> int:
 
 
 def _bench_items():
+    from . import generators as gen
+
     triangle = gen.Graph(3, ((0, 1), (1, 2), (0, 2)))
     path = gen.Graph(4, ((0, 1), (1, 2), (2, 3)))
     return [
@@ -354,6 +371,8 @@ def _bench_items():
 def _cmd_bench(args) -> int:
     """Runs every (algorithm, objective) pair of the table on the suite, with
     epsilon 1/2 where it is needed, skipping instances a solver rejects."""
+    import csv
+
     guards = _guards()
     out = io.StringIO()
     writer = csv.writer(out)

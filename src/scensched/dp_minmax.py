@@ -29,9 +29,9 @@ instance is solved as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
+from typing import NamedTuple
 
 from .dp_minavg import DEFAULT_MAX_STATES, _bounds, _guard, _replay, _start
 from .model import (
@@ -117,8 +117,7 @@ def solve_pseudo(
     return SolveResult(value=value, schedule=_replay(inst, chain))
 
 
-@dataclass(frozen=True)
-class FptasResult:
+class FptasResult(NamedTuple):
     """Approximation result: value is under the *original* weights."""
 
     value: int

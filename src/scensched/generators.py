@@ -5,49 +5,48 @@ family, unsplittable scenario matrices, and seeded random instances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import GuardExceeded, Instance, make_instance
+from .model import GuardExceeded, Instance, _Frozen, make_instance
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Frozen):
     """A simple undirected graph on vertices 0..n_vertices-1."""
 
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("n_vertices", "edges")
 
-    def __post_init__(self) -> None:
-        if self.n_vertices < 1:
+    def __init__(self, n_vertices: int, edges: tuple[tuple[int, int], ...]) -> None:
+        if n_vertices < 1:
             raise ValueError("graph needs at least one vertex")
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
+            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
                 raise ValueError(f"edge ({u},{v}) out of range")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "edges", edges)
 
 
-@dataclass(frozen=True)
-class ScenarioMatrix:
+class ScenarioMatrix(_Frozen):
     """0/1 matrix with jobs as rows and scenarios as columns."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("rows",)
 
-    def __post_init__(self) -> None:
-        if not self.rows:
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        if not rows:
             raise ValueError("matrix needs at least one row")
-        width = len(self.rows[0])
-        for r in self.rows:
+        width = len(rows[0])
+        for r in rows:
             if len(r) != width:
                 raise ValueError("ragged matrix")
             if any(v not in (0, 1) for v in r):
                 raise ValueError("entries must be 0 or 1")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n_rows(self) -> int:

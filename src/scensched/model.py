@@ -11,15 +11,18 @@ completion time of the SPT schedule of the corresponding processing times
 
 All costs are exact Python integers; expectations and ratios elsewhere in the
 package use :class:`fractions.Fraction`.  Every type here is immutable after
-construction and every operation is a pure function.
+construction and every operation is a pure function.  The records that need
+no checks (``Schedule``, ``CostVector``, ...) are ``typing.NamedTuple``s;
+``Instance`` validates its fields and is a ``__slots__`` class on the shared
+``_Frozen`` base, as are the generators' ``Graph`` and ``ScenarioMatrix``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class GuardExceeded(RuntimeError):
@@ -41,8 +44,44 @@ class ObjectiveKind(str, Enum):
     REGRET_SUM = "regret-sum"
 
 
-@dataclass(frozen=True)
-class Instance:
+class _Frozen:
+    """Base of the validating value types: an immutable ``__slots__`` object.
+
+    A subclass's ``__init__`` checks its arguments and stores them with
+    ``object.__setattr__``.  Equality, hash, ``repr`` and copying (``copy``,
+    ``deepcopy``, ``pickle``, through ``__reduce__``, which calls the
+    constructor again) use the fields named in ``_fields`` only.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Instance(_Frozen):
     """A scheduling instance in canonical (non-increasing weight) job order.
 
     Fields:
@@ -53,48 +92,54 @@ class Instance:
         original_order: original_order[i] is the input-order id of internal
             job i (the permutation applied by the sorting constructor).
 
+    Two derived lookups, ``scenario_jobs`` (each scenario's jobs, sorted)
+    and ``job_scenarios`` (each job's scenarios), are computed once here and
+    take no part in equality, hash or ``repr``.
+
     Use :func:`make_instance` / :func:`from_processing_times` to construct
     from input-order data; the direct constructor expects canonical order.
     """
 
-    m: int
-    weights: tuple[int, ...]
-    scenarios: tuple[frozenset[int], ...]
-    original_order: tuple[int, ...]
-    # Derived lookups, computed once at construction.
-    scenario_jobs: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    job_scenarios: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("m", "weights", "scenarios", "original_order", "scenario_jobs", "job_scenarios")
+    _fields = ("m", "weights", "scenarios", "original_order")
 
-    def __post_init__(self) -> None:
-        n = len(self.weights)
+    def __init__(
+        self,
+        m: int,
+        weights: tuple[int, ...],
+        scenarios: tuple[frozenset[int], ...],
+        original_order: tuple[int, ...],
+    ) -> None:
+        n = len(weights)
         # type(), not isinstance(): a bool is an int, and no count or weight
-        if type(self.m) is not int or self.m < 1:
+        if type(m) is not int or m < 1:
             raise ValueError("m must be a positive integer")
         if n < 1:
             raise ValueError("need at least one job")
-        if len(self.scenarios) < 1:
+        if len(scenarios) < 1:
             raise ValueError("need at least one scenario")
-        for j, w in enumerate(self.weights):
+        for j, w in enumerate(weights):
             if type(w) is not int or w < 0:
                 raise ValueError(f"weight of job {j} must be a nonnegative integer")
-            if j > 0 and self.weights[j - 1] < w:
+            if j > 0 and weights[j - 1] < w:
                 raise ValueError("weights must be non-increasing in canonical order")
-        if sorted(self.original_order) != list(range(n)):
+        if sorted(original_order) != list(range(n)):
             raise ValueError("original_order must be a permutation of 0..n-1")
-        for k, s in enumerate(self.scenarios):
+        for k, s in enumerate(scenarios):
             if not all(type(j) is int and 0 <= j < n for j in s):
                 raise ValueError(f"scenario {k} contains an invalid job index")
-        scenario_jobs = tuple(tuple(sorted(s)) for s in self.scenarios)
+        scenario_jobs = tuple(tuple(sorted(s)) for s in scenarios)
         per_job: list[list[int]] = [[] for _ in range(n)]
         for k, jobs in enumerate(scenario_jobs):
             for j in jobs:
                 per_job[j].append(k)
-        object.__setattr__(self, "scenario_jobs", scenario_jobs)
-        object.__setattr__(self, "job_scenarios", tuple(tuple(ks) for ks in per_job))
+        store = object.__setattr__
+        store(self, "m", m)
+        store(self, "weights", weights)
+        store(self, "scenarios", scenarios)
+        store(self, "original_order", original_order)
+        store(self, "scenario_jobs", scenario_jobs)
+        store(self, "job_scenarios", tuple(tuple(ks) for ks in per_job))
 
     @property
     def n(self) -> int:
@@ -109,15 +154,13 @@ class Instance:
         return max(self.weights)
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """A total assignment of jobs to machines, in canonical job order."""
 
     assignment: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CostVector:
+class CostVector(NamedTuple):
     """Per-scenario total completion times plus the aggregate of one kind."""
 
     kind: ObjectiveKind
@@ -125,16 +168,14 @@ class CostVector:
     aggregate: int
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Value and witness schedule returned by the exact solvers."""
 
     value: int
     schedule: Schedule
 
 
-@dataclass(frozen=True)
-class DisbalanceReport:
+class DisbalanceReport(NamedTuple):
     """Final and prefix-maximal (full) per-scenario machine-count spreads."""
 
     final_dk: tuple[int, ...]

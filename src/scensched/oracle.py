@@ -10,8 +10,8 @@ the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import (
     GuardExceeded,
@@ -22,8 +22,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     best_value: int
     best_schedule: Schedule
     optima_count: int

@@ -358,6 +358,12 @@ def test_probe_single_scenario_bound_and_determinism():
     assert rep == conjecture_probe(6, 2, 1, trials=25, seed=11)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_probe_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        conjecture_probe(6, 2, 1, trials=trials, seed=11)
+
+
 def test_probe_single_profile_instances():
     rep = conjecture_probe(7, 2, 2, trials=10, seed=5, density=1.0)
     assert rep.max_observed <= 1  # one profile: alternation is optimal

@@ -128,6 +128,16 @@ def test_probe_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_probe_without_trials_is_contract_error(trials, capsys):
+    argv = ["probe", "conjecture", "--n", "6", "--m", "2", "--K", "2",
+            "--trials", trials, "--seed", "7"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"error: trials must be at least 1, got {trials}\n"
+
+
 def test_balance_equalize_two(tmp_path):
     inst = make_instance(2, [1] * 8, [list(range(8))])
     inst_path = _write_instance(tmp_path, inst)

@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +8,7 @@ from scensched.dp_minmax import fptas, solve_pseudo
 from scensched.generators import gen_random
 from scensched.model import (
     GuardExceeded,
+    Instance,
     ObjectiveKind,
     evaluate,
     make_instance,
@@ -113,8 +113,8 @@ def test_fptas_rounds_when_rho_exceeds_one():
 
 def test_machines_beyond_n_change_nothing():
     for inst in weighted_suite(40):
-        exact = replace(inst, m=inst.n)
-        extra = replace(inst, m=inst.n + 3)
+        exact = Instance(inst.n, inst.weights, inst.scenarios, inst.original_order)
+        extra = Instance(inst.n + 3, inst.weights, inst.scenarios, inst.original_order)
         for kind in (ObjectiveKind.MINMAX, ObjectiveKind.REGRET_MAX):
             assert solve_pseudo(extra, kind).value == solve_pseudo(exact, kind).value
         assert solve_minavg(extra).value == solve_minavg(exact).value

@@ -1,0 +1,199 @@
+"""The package surface: what a process imports, the lazy package root, and
+the immutable value types."""
+
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import scensched
+from scensched.balance import conjecture_probe, equalize_two, hilbert_basis
+from scensched.dp_minavg import solve_minavg
+from scensched.dp_minmax import fptas
+from scensched.generators import Graph, gen_unsplittable
+from scensched.model import (
+    Instance,
+    ObjectiveKind,
+    Schedule,
+    disbalance,
+    evaluate,
+    make_instance,
+)
+from scensched.oracle import brute_force
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Runs in a fresh interpreter; prints the watched modules loaded after each
+# step, counting only modules that were not loaded before the first import.
+IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+watched = {watched!r}
+
+def loaded():
+    return sorted(m for m in watched if m in sys.modules and m not in before)
+
+import scensched.cli
+after_import = loaded()
+code = scensched.cli.main(["solve", "--algo", "dp", "--objective", "minavg",
+                           "-i", {instance!r}, "-o", {output!r}])
+print(json.dumps({{"import": after_import, "solve": loaded(), "code": code}}))
+"""
+
+WATCHED = [
+    "dataclasses",
+    "csv",
+    *(f"scensched.{name}" for name in (
+        "balance", "generators", "oracle", "dp_minmax", "dp_minavg", "dp_config",
+        "two_scenario", "approx",
+    )),
+]
+
+
+def test_cli_process_imports_only_what_its_command_runs(tmp_path):
+    instance = tmp_path / "inst.json"
+    instance.write_text(json.dumps({"m": 2, "weights": [3, 2, 1], "scenarios": [[0, 1], [1, 2]]}))
+    code = IMPORT_PROBE.format(
+        watched=WATCHED, instance=str(instance), output=str(tmp_path / "out.json")
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    report = json.loads(proc.stdout)
+    assert report["import"] == []
+    assert report["code"] == 0
+    assert "scensched.dp_minavg" in report["solve"]
+    assert "scensched.approx" in report["solve"]
+    for name in ("scensched.dp_minmax", "scensched.oracle", "scensched.balance", "dataclasses"):
+        assert name not in report["solve"]
+
+
+def test_every_public_name_is_the_defining_modules_object():
+    assert len(scensched.__all__) == len(set(scensched.__all__))
+    for name in scensched.__all__:
+        value = getattr(scensched, name)
+        if isinstance(value, type(scensched)):
+            assert value is import_module(f"scensched.{name}")
+        else:
+            assert value is getattr(import_module(value.__module__), name)
+            assert value.__module__.startswith("scensched.")
+    with pytest.raises(AttributeError):
+        scensched.no_such_name
+    with pytest.raises(ImportError):
+        from scensched import no_such_name  # noqa: F401
+
+
+def test_package_root_sees_rebinding_of_a_submodule_name(monkeypatch):
+    import scensched.dp_minavg as dp_minavg
+
+    def replacement(*args, **kwargs):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(dp_minavg, "solve_minavg", replacement)
+    assert scensched.solve_minavg is replacement
+    monkeypatch.undo()
+    assert scensched.solve_minavg is dp_minavg.solve_minavg
+    assert "solve_minavg" not in vars(scensched)
+
+
+def test_readme_quick_start_runs(capsys):
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "(2, 2)\n"
+
+
+def _instance():
+    return make_instance(2, [1, 3], [[0, 1], [1]])
+
+
+def test_instance_equality_and_hash_use_the_constructor_fields():
+    inst = _instance()
+    same = Instance(inst.m, inst.weights, inst.scenarios, inst.original_order)
+    assert same == inst and same is not inst
+    assert hash(same) == hash(inst)
+    assert hash(inst) == hash((inst.m, inst.weights, inst.scenarios, inst.original_order))
+    assert inst != Instance(3, inst.weights, inst.scenarios, inst.original_order)
+    assert inst != (inst.m, inst.weights, inst.scenarios, inst.original_order)
+
+
+def test_instance_repr_is_unchanged():
+    assert repr(_instance()) == (
+        "Instance(m=2, weights=(3, 1), scenarios=(frozenset({0, 1}), frozenset({0})), "
+        "original_order=(1, 0))"
+    )
+    assert repr(Graph(3, ((0, 1), (1, 2)))) == "Graph(n_vertices=3, edges=((0, 1), (1, 2)))"
+
+
+def test_instance_validates_on_construction():
+    inst = _instance()
+    with pytest.raises(ValueError, match="positive integer"):
+        Instance(True, inst.weights, inst.scenarios, inst.original_order)
+    with pytest.raises(ValueError, match="non-increasing"):
+        Instance(2, (1, 3), inst.scenarios, inst.original_order)
+    with pytest.raises(ValueError, match="permutation"):
+        Instance(2, inst.weights, inst.scenarios, (0, 0))
+    with pytest.raises(ValueError, match="invalid job index"):
+        Instance(2, inst.weights, (frozenset({2}),), inst.original_order)
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy,
+    copy.deepcopy,
+    lambda obj: pickle.loads(pickle.dumps(obj)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_instance_copies_are_equal_with_the_same_lookups(duplicate):
+    inst = _instance()
+    twin = duplicate(inst)
+    assert twin == inst and hash(twin) == hash(inst)
+    assert twin.scenario_jobs == inst.scenario_jobs == ((0, 1), (0,))
+    assert twin.job_scenarios == inst.job_scenarios == ((0, 1), (0,))
+
+
+def _values():
+    """One object of every value type, from the calls that return them."""
+    inst = _instance()
+    result = solve_minavg(inst)
+    unit = make_instance(2, [1] * 4, [[0, 1, 2, 3]])
+    _, report = equalize_two(unit, Schedule((0, 0, 1, 1)), 0, 1, with_report=True)
+    basis = hilbert_basis(1)
+    return [
+        inst,
+        result,
+        result.schedule,
+        evaluate(inst, result.schedule, ObjectiveKind.MINMAX),
+        disbalance(inst, result.schedule),
+        brute_force(inst, ObjectiveKind.MINAVG),
+        fptas(inst, Fraction(1, 2)),
+        basis,
+        basis.elements[0],
+        report,
+        conjecture_probe(4, 2, 1, 1, 0),
+        Graph(3, ((0, 1), (1, 2))),
+        gen_unsplittable(2, 2),
+    ]
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_value_types_are_immutable_and_copyable(value):
+    names = list(value._fields)
+    if isinstance(value, Instance):
+        names += ["scenario_jobs", "job_scenarios"]
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
