@@ -25,7 +25,6 @@ way out.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from typing import NamedTuple
 
@@ -254,17 +253,13 @@ class EqualizeReport(NamedTuple):
     post_final: tuple[int, ...]
     post_full: tuple[int, ...]
     extended_final: tuple[int, ...]  # with auxiliaries, must be all zero
+    # some pre_final entry exceeds the optimal-schedule bound sqrt(K)*2^(K-1)
+    likely_nonoptimal: bool
 
 
 def lemma_final_bound_sq(K: int) -> int:
     """Square of the final-disbalance bound sqrt(K)*2^(K-1) for optima."""
     return K * 4 ** (K - 1)
-
-
-def prop8_closed_form(K: int) -> int:
-    """The closed-form pairwise full-disbalance certificate (astronomical)."""
-    b = basis_norm_cap(K)
-    return (b + 1) ** (2 * 2**K) * 2 * 2**K * b
 
 
 def basis_l1_sum(basis: HilbertBasis) -> int:
@@ -332,9 +327,9 @@ def equalize_two(
     over basis classes, preferring the i1 side.  Auxiliaries are then dropped.
 
     Preserves per-scenario counts outside the pair and never increases the
-    pair's count imbalance, so on an optimal input (the intended use; a
-    warning flags likely non-optimal ones) the unit-weight sum objective is
-    preserved exactly.
+    pair's count imbalance, so on an optimal input (the intended use; the
+    report's ``likely_nonoptimal`` flags inputs that cannot be optimal) the
+    unit-weight sum objective is preserved exactly.
     """
     _check_pair(inst, i1, i2)
     _require_unit_weights(inst)
@@ -361,12 +356,6 @@ def equalize_two(
                 c2[k] += 1
 
     d = [abs(a - b) for a, b in zip(c1, c2)]
-    if any(dk * dk > lemma_final_bound_sq(K) for dk in d):
-        warnings.warn(
-            "pair final disbalance exceeds the optimal-schedule bound; "
-            "the input schedule is likely not optimal",
-            stacklevel=2,
-        )
     aux: list[tuple[int, int]] = []
     for k in range(K):
         if d[k]:
@@ -438,6 +427,7 @@ def equalize_two(
         post_final=post_final,
         post_full=post_full,
         extended_final=ext_final,
+        likely_nonoptimal=any(dk * dk > lemma_final_bound_sq(K) for dk in d),
     )
     return result, report
 
@@ -455,7 +445,6 @@ def equalize_all(
     sched: Schedule,
     *,
     threshold=None,
-    use_closed_form: bool = False,
     max_iter: int = 10_000,
     basis: HilbertBasis | None = None,
 ) -> Schedule:
@@ -463,19 +452,17 @@ def equalize_all(
 
     While some machine's scenario count differs from the scenario average by
     more than ``threshold`` (default 2*K*f with f the certified pairwise
-    bound; the astronomically large closed form is available behind
-    ``use_closed_form``), equalize that machine against the currently
-    lightest/heaviest one.  The summed deviation from average strictly
-    decreases each round -- checked at runtime, since a violation would
-    falsify the implementation -- which forces termination.
+    bound, the sum of the basis elements' l1 norms), equalize that machine
+    against the currently lightest/heaviest one.  The summed deviation from
+    average strictly decreases each round -- checked at runtime, since a
+    violation would falsify the implementation -- which forces termination.
     """
     _require_unit_weights(inst)
     K = inst.K
     if basis is None:
         basis = hilbert_basis(K)
     if threshold is None:
-        f = prop8_closed_form(K) if use_closed_form else basis_l1_sum(basis)
-        threshold = 2 * K * f
+        threshold = 2 * K * basis_l1_sum(basis)
     m = inst.m
     sizes = [len(s) for s in inst.scenario_jobs]
 

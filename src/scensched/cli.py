@@ -12,6 +12,10 @@ memory and runtime grow quickly past them).
 one table of algorithms, ``ALGORITHMS``.  A process imports only what its
 command runs: each solver module on the first call of its runner, the
 generators, balance and oracle modules inside the handlers that use them.
+``fractions`` (with ``decimal``) loads only where a Fraction is built or a
+module that uses one is imported: ``solve --algo fptas``, ``verify``,
+``bench``, ``generate``, ``probe`` and ``balance``.  No command loads
+``hashlib``: the instance digest uses the interpreter's built-in SHA-256.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from importlib import import_module
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .model import (
     GuardExceeded,
@@ -42,6 +45,9 @@ from .model import (
     single_scenario_optimum,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONTRACT = 2
@@ -49,6 +55,14 @@ EXIT_GUARD = 3
 
 MINMAX, MINAVG = ObjectiveKind.MINMAX, ObjectiveKind.MINAVG
 REGRET_MAX, REGRET_SUM = ObjectiveKind.REGRET_MAX, ObjectiveKind.REGRET_SUM
+
+
+def _fraction(*args) -> Fraction:
+    """``Fraction(*args)``; ``fractions`` (and ``decimal``) load only in the
+    processes that build one."""
+    from fractions import Fraction
+
+    return Fraction(*args)
 
 
 def _call(module: str, name: str, *args, **kwargs):
@@ -98,11 +112,11 @@ ALGORITHMS = {
     }),
     "approx-minmax2": Algorithm(
         {MINMAX: lambda inst, eps, cap: _call("approx", "minmax_all_on_one", inst)},
-        bound=lambda inst, eps: Fraction(2),
+        bound=lambda inst, eps: _fraction(2),
     ),
     "approx-minavg": Algorithm(
         {MINAVG: lambda inst, eps, cap: _call("approx", "minavg_derandomized", inst)},
-        bound=lambda inst, eps: Fraction(3, 2) - Fraction(1, 2 * inst.m),
+        bound=lambda inst, eps: _fraction(3, 2) - _fraction(1, 2 * inst.m),
     ),
 }
 
@@ -116,7 +130,7 @@ def _guards() -> dict:
 def _rational(text: str) -> Fraction:
     """Parses a rational flag like 1/2; ValueError (exit 2) when malformed."""
     try:
-        return Fraction(text)
+        return _fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -159,7 +173,7 @@ def _check(inst, algo, kind, sched, value, epsilon, guards):
     from .oracle import brute_force
 
     best = brute_force(inst, kind, guard_bits=guards["guard_bits"]).best_value
-    ratio = Fraction(value, best) if best else Fraction(1)
+    ratio = _fraction(value, best) if best else _fraction(1)
     detail = {"oracle_value": best}
     bound = ALGORITHMS[algo].bound
     if algo == "two-scenario":
@@ -333,6 +347,7 @@ def _cmd_balance(args) -> int:
             "post_final": list(rep.post_final),
             "post_full": list(rep.post_full),
             "extended_final": list(rep.extended_final),
+            "likely_nonoptimal": rep.likely_nonoptimal,
         }
     else:
         result = bal.equalize_all(inst, sched, basis=basis)
@@ -394,7 +409,7 @@ def _cmd_bench(args) -> int:
     failures = 0
     for name, inst in _bench_items():
         for algo, entry in ALGORITHMS.items():
-            epsilon = Fraction(1, 2) if entry.epsilon else None
+            epsilon = _fraction(1, 2) if entry.epsilon else None
             for kind in entry.runners:
                 try:
                     sched, value, elapsed = _run(inst, algo, kind, epsilon, guards)

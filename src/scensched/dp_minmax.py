@@ -29,9 +29,8 @@ instance is solved as it is.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, le, sub
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dp_minavg import DEFAULT_MAX_STATES, _bounds, _guard, _replay, _start
 from .model import (
@@ -42,6 +41,9 @@ from .model import (
     evaluate,
     scenario_optima,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _pareto(bucket: dict) -> dict:
@@ -140,6 +142,8 @@ def fptas(
     nonzero.  Zero weights round to zero and keep their place at the end of
     the order.
     """
+    from fractions import Fraction
+
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")

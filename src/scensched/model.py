@@ -19,10 +19,19 @@ no checks (``Schedule``, ``CostVector``, ...) are ``typing.NamedTuple``s;
 
 from __future__ import annotations
 
-import hashlib
 import json
 from enum import Enum
 from typing import NamedTuple
+
+# hashlib loads OpenSSL, which costs every CLI process a few ms and MB; the
+# interpreter's own SHA-256 gives the same digest.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 class GuardExceeded(RuntimeError):
@@ -375,4 +384,4 @@ def schedule_from_dict(inst: Instance, data: dict) -> Schedule:
 
 def instance_hash(inst: Instance) -> str:
     payload = json.dumps(instance_to_dict(inst), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return sha256(payload.encode()).hexdigest()

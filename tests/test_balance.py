@@ -1,5 +1,4 @@
 import itertools
-import warnings
 
 import pytest
 
@@ -251,10 +250,12 @@ def test_equalize_two_pathological_single_scenario():
     assert disbalance(inst, out).full_f <= 2  # f(1) + sqrt(1) * 2^0
 
 
-def test_equalize_two_warns_on_likely_nonoptimal_input():
+def test_equalize_two_flags_likely_nonoptimal_input():
     inst = make_instance(2, [1] * 8, [list(range(8))])
-    with pytest.warns(UserWarning):
-        equalize_two(inst, Schedule((0,) * 8), 0, 1)
+    _, rep = equalize_two(inst, Schedule((0,) * 8), 0, 1, with_report=True)
+    assert rep.pre_final == (8,) and rep.likely_nonoptimal
+    _, rep = equalize_two(inst, Schedule((0, 1) * 4), 0, 1, with_report=True)
+    assert not rep.likely_nonoptimal
 
 
 def test_equalize_two_machine_validation():
@@ -280,6 +281,7 @@ def test_equalize_two_on_optimal_suite():
                 out, rep = equalize_two(inst, best, i1, i2, with_report=True, basis=basis)
                 assert _minavg(inst, out) == value  # optimality preserved
                 assert rep.extended_final == (0,) * inst.K
+                assert not rep.likely_nonoptimal
                 assert rep.post_final == rep.pre_final  # final disbalance unchanged
                 for f in rep.post_full:
                     overshoot = f - bound
@@ -313,9 +315,7 @@ def test_equalize_all_preserves_optimal_value_on_suite():
 def test_equalize_all_converges_from_skewed_input():
     inst = make_instance(4, [1] * 120, [list(range(120))])
     skewed = Schedule((0,) * 120)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = equalize_all(inst, skewed)
+    out = equalize_all(inst, skewed)
     counts = [out.assignment.count(i) for i in range(4)]
     threshold = 2 * 1 * basis_l1_sum(hilbert_basis(1))
     assert all(abs(c - 30) <= threshold for c in counts)
@@ -325,18 +325,14 @@ def test_equalize_all_converges_from_skewed_input():
 def test_equalize_all_two_machines_single_pair_path():
     inst = make_instance(2, [1] * 40, [list(range(40))])
     skewed = Schedule((0,) * 40)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = equalize_all(inst, skewed)
+    out = equalize_all(inst, skewed)
     assert abs(out.assignment.count(0) - 20) <= 2 * basis_l1_sum(hilbert_basis(1))
 
 
 def test_equalize_all_iteration_cap():
     inst = make_instance(4, [1] * 120, [list(range(120))])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(GuardExceeded):
-            equalize_all(inst, Schedule((0,) * 120), max_iter=0)
+    with pytest.raises(GuardExceeded):
+        equalize_all(inst, Schedule((0,) * 120), max_iter=0)
 
 
 # ---------------------------------------------------------------------------

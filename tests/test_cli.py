@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,23 @@ def test_balance_equalize_two(tmp_path):
                  "--machines", "0", "1", "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["objective_before"] == doc["objective_after"]
+    assert doc["report"]["likely_nonoptimal"] is False
+
+
+def test_balance_equalize_flags_nonoptimal_input_with_empty_stderr(tmp_path):
+    # a separate process, so that a Python warning would reach its stderr
+    inst_path = _write_instance(tmp_path, make_instance(2, [1] * 8, [list(range(8))]))
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text(json.dumps({"assignment": [0] * 8}))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "scensched.cli", "balance", "equalize", "-i", str(inst_path),
+         "-s", str(sched_path), "--machines", "0", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["report"]["likely_nonoptimal"] is True
 
 
 def test_bench_default_suite(tmp_path):

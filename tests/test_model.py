@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +12,7 @@ from scensched.model import (
     evaluate_scenario,
     from_processing_times,
     instance_from_dict,
+    instance_hash,
     instance_to_dict,
     make_instance,
     scenario_optima,
@@ -18,7 +22,7 @@ from scensched.model import (
 )
 from scensched.oracle import iter_canonical_assignments
 
-from conftest import small_suite
+from conftest import small_suite, unit_suite, weighted_suite
 
 
 def test_from_processing_times_sorts_and_matches_spt():
@@ -244,3 +248,12 @@ def test_json_round_trip():
     assert schedule_to_dict(inst, sched) == sched_doc
     # input job 1 (weight 5) is internal job 0
     assert sched.assignment[0] == 0
+
+
+def test_instance_hash_is_sha256_of_the_canonical_document():
+    for inst in weighted_suite() + unit_suite():
+        payload = json.dumps(instance_to_dict(inst), sort_keys=True, separators=(",", ":"))
+        assert instance_hash(inst) == hashlib.sha256(payload.encode()).hexdigest()
+    # pinned, so that a change to the canonical document is caught too
+    inst = make_instance(3, [5, 2, 7, 1], [[0, 2], [1, 2, 3]])
+    assert instance_hash(inst) == "a13bc07504cf24b884bfa7a7b657fb4f288bec6f3e20d498c8ba247fbd2bf0ec"

@@ -30,8 +30,9 @@ from scensched.oracle import brute_force
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Runs in a fresh interpreter; prints the watched modules loaded after each
-# step, counting only modules that were not loaded before the first import.
+# Runs in a fresh interpreter; prints the watched modules loaded after the
+# import and after each CLI step, counting only modules that were not loaded
+# before the first import.
 IMPORT_PROBE = """
 import json, sys
 before = set(sys.modules)
@@ -41,14 +42,18 @@ def loaded():
     return sorted(m for m in watched if m in sys.modules and m not in before)
 
 import scensched.cli
-after_import = loaded()
-code = scensched.cli.main(["solve", "--algo", "dp", "--objective", "minavg",
-                           "-i", {instance!r}, "-o", {output!r}])
-print(json.dumps({{"import": after_import, "solve": loaded(), "code": code}}))
+report = {{"import": loaded(), "codes": []}}
+for step, argv in {steps!r}:
+    report["codes"].append(scensched.cli.main(argv))
+    report[step] = loaded()
+print(json.dumps(report))
 """
 
+# hashlib loads OpenSSL; fractions loads decimal.
+HEAVY = ["dataclasses", "hashlib", "_hashlib", "fractions", "decimal"]
+
 WATCHED = [
-    "dataclasses",
+    *HEAVY,
     "csv",
     *(f"scensched.{name}" for name in (
         "balance", "generators", "oracle", "dp_minmax", "dp_minavg", "dp_config",
@@ -60,20 +65,29 @@ WATCHED = [
 def test_cli_process_imports_only_what_its_command_runs(tmp_path):
     instance = tmp_path / "inst.json"
     instance.write_text(json.dumps({"m": 2, "weights": [3, 2, 1], "scenarios": [[0, 1], [1, 2]]}))
-    code = IMPORT_PROBE.format(
-        watched=WATCHED, instance=str(instance), output=str(tmp_path / "out.json")
-    )
+    io_args = ["-i", str(instance), "-o", str(tmp_path / "out.json")]
+    steps = [
+        ("minavg", ["solve", "--algo", "dp", "--objective", "minavg", *io_args]),
+        ("minmax", ["solve", "--algo", "dp", "--objective", "minmax", *io_args]),
+        ("fptas", ["solve", "--algo", "fptas", "--epsilon", "1/2", *io_args]),
+    ]
+    code = IMPORT_PROBE.format(watched=WATCHED, steps=steps)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     report = json.loads(proc.stdout)
     assert report["import"] == []
-    assert report["code"] == 0
-    assert "scensched.dp_minavg" in report["solve"]
-    assert "scensched.approx" in report["solve"]
-    for name in ("scensched.dp_minmax", "scensched.oracle", "scensched.balance", "dataclasses"):
-        assert name not in report["solve"]
+    assert report["codes"] == [0, 0, 0]
+    assert "scensched.dp_minavg" in report["minavg"]
+    assert "scensched.approx" in report["minavg"]
+    for name in ("scensched.dp_minmax", "scensched.oracle", "scensched.balance", *HEAVY):
+        assert name not in report["minavg"]
+    assert "scensched.dp_minmax" in report["minmax"]
+    for name in ("scensched.oracle", "scensched.balance", *HEAVY):
+        assert name not in report["minmax"]
+    # fptas parses its epsilon as a Fraction: the probe sees the module load
+    assert "fractions" in report["fptas"]
 
 
 def test_every_public_name_is_the_defining_modules_object():
