@@ -9,25 +9,32 @@ Hilbert basis.  Setting SCHED_GUARD_OVERRIDE=1 lifts them (at your own risk:
 memory and runtime grow quickly past them).
 
 ``solve``, ``verify``, ``bench`` and the ``--algo`` choices all derive from
-one table of algorithms, ``ALGORITHMS``.  A process imports only what its
-command runs: each solver module on the first call of its runner, the
-generators, balance and oracle modules inside the handlers that use them.
-``fractions`` (with ``decimal``) loads only where a Fraction is built or a
-module that uses one is imported: ``solve --algo fptas``, ``verify``,
-``bench``, ``generate``, ``probe`` and ``balance``.  No command loads
-``hashlib``: the instance digest uses the interpreter's built-in SHA-256.
+one table of algorithms, ``ALGORITHMS``.  The command line is read from one
+table of commands, ``COMMANDS``: each command's handler, help text,
+positional argument and flags (names, type, default, required mark,
+choices, number of values).  ``_parse`` walks it, and the ``-h`` text is
+rendered from it.  Flags match only by their exact names, as ``--flag
+value`` or ``--flag=value``.
+
+A process imports only what its command runs: no option-parsing library
+(nor ``gettext`` and ``locale``), each solver module on the first call of
+its runner, the generators, balance and oracle modules inside the handlers
+that use them.  ``fractions`` (with ``decimal``) loads only where a Fraction is
+built: ``solve --algo fptas``, ``verify``, ``bench``, ``generate random``
+and ``probe``.  No command loads ``hashlib``: the instance digest uses the
+interpreter's built-in SHA-256.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
 import sys
 import time
 from importlib import import_module
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn
 
 from .model import (
     GuardExceeded,
@@ -436,78 +443,229 @@ def _cmd_bench(args) -> int:
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="scensched",
-        description="Solvers and generators for scheduling under job-subset scenarios",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Flag(NamedTuple):
+    """One argument of a command.  ``nargs`` is 1, 2 (a list of two values)
+    or 0 (store-true: True when given, else False); ``type`` converts each
+    value, and ``choices`` constrains the converted value."""
 
-    epsilon_algos = ", ".join(a for a, entry in ALGORITHMS.items() if entry.epsilon)
-    for name, help_text, func in (
-        ("solve", "run one algorithm on an instance file", _cmd_solve),
-        ("verify", "compare an algorithm against the oracle", _cmd_verify),
-    ):
-        p_run = sub.add_parser(name, help=help_text)
-        p_run.add_argument("--algo", required=True, choices=list(ALGORITHMS))
-        p_run.add_argument("--objective", choices=[k.value for k in ObjectiveKind])
-        p_run.add_argument("--epsilon", help=f"rational like 1/2 ({epsilon_algos} only)")
-        p_run.add_argument("-i", "--instance", required=True)
-        p_run.add_argument("-o", "--output")
-        p_run.set_defaults(func=func)
+    names: tuple
+    type: Callable = str
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+    nargs: int = 1
+    help: str = ""
 
-    p_gen = sub.add_parser("generate", help="emit a generated instance or matrix")
-    p_gen.add_argument(
-        "family", choices=["coloring", "maxcut", "partition3", "unsplittable", "random"]
-    )
-    p_gen.add_argument("--vertices", type=int, default=0)
-    p_gen.add_argument("--edges", default="", help='edge list like "0-1,1-2"')
-    p_gen.add_argument("--m", type=int, default=2)
-    p_gen.add_argument("--a", default="", help='partition numbers like "1,1,1"')
-    p_gen.add_argument("--q", type=int, default=2)
-    p_gen.add_argument("--t", type=int, default=2)
-    p_gen.add_argument("--to-instance", action="store_true")
-    p_gen.add_argument("--eps-denominator", type=int, default=100)
-    p_gen.add_argument("--n", type=int, default=8)
-    p_gen.add_argument("--K", type=int, default=2)
-    p_gen.add_argument("--w-max", type=int, default=9)
-    p_gen.add_argument("--density", default="1/2")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("-o", "--output")
-    p_gen.set_defaults(func=_cmd_generate)
+    @property
+    def dest(self) -> str:
+        return self.names[-1].lstrip("-").replace("-", "_")
 
-    p_probe = sub.add_parser("probe", help="empirical disbalance probe")
-    p_probe.add_argument("kind", choices=["conjecture"])
-    p_probe.add_argument("--n", type=int, required=True)
-    p_probe.add_argument("--m", type=int, required=True)
-    p_probe.add_argument("--K", type=int, required=True)
-    p_probe.add_argument("--trials", type=int, required=True)
-    p_probe.add_argument("--seed", type=int, required=True)
-    p_probe.add_argument("--density", default="1/2")
-    p_probe.add_argument("-o", "--output")
-    p_probe.set_defaults(func=_cmd_probe)
+    @property
+    def label(self) -> str:
+        return "/".join(self.names)
 
-    p_bal = sub.add_parser("balance", help="equalize a schedule's disbalance")
-    p_bal.add_argument("action", choices=["equalize"])
-    p_bal.add_argument("-i", "--instance", required=True)
-    p_bal.add_argument("-s", "--schedule", required=True)
-    p_bal.add_argument("--machines", type=int, nargs=2, metavar=("I1", "I2"))
-    p_bal.add_argument("-o", "--output")
-    p_bal.set_defaults(func=_cmd_balance)
 
-    p_bench = sub.add_parser("bench", help="run the benchmark suite to CSV")
-    p_bench.add_argument("--suite", default="default", choices=("default",))
-    p_bench.add_argument("-o", "--output")
-    p_bench.set_defaults(func=_cmd_bench)
+class Command(NamedTuple):
+    """``handler(args)`` returns the exit code.  ``positional`` is the one
+    required bare argument, named by itself (``Flag(("family",), ...)``)."""
 
-    return parser
+    handler: Callable
+    help: str
+    flags: tuple
+    positional: Flag | None = None
+
+
+_OUTPUT = Flag(("-o", "--output"))
+_RUN_FLAGS = (
+    Flag(("--algo",), required=True, choices=tuple(ALGORITHMS)),
+    Flag(("--objective",), choices=tuple(k.value for k in ObjectiveKind)),
+    Flag(("--epsilon",), help="rational like 1/2 ("
+         + ", ".join(a for a, entry in ALGORITHMS.items() if entry.epsilon) + " only)"),
+    Flag(("-i", "--instance"), required=True),
+    _OUTPUT,
+)
+
+COMMANDS = {
+    "solve": Command(_cmd_solve, "run one algorithm on an instance file", _RUN_FLAGS),
+    "verify": Command(_cmd_verify, "compare an algorithm against the oracle", _RUN_FLAGS),
+    "generate": Command(
+        _cmd_generate,
+        "emit a generated instance or matrix",
+        (
+            Flag(("--vertices",), int, 0),
+            Flag(("--edges",), default="", help='edge list like "0-1,1-2"'),
+            Flag(("--m",), int, 2),
+            Flag(("--a",), default="", help='partition numbers like "1,1,1"'),
+            Flag(("--q",), int, 2),
+            Flag(("--t",), int, 2),
+            Flag(("--to-instance",), default=False, nargs=0),
+            Flag(("--eps-denominator",), int, 100),
+            Flag(("--n",), int, 8),
+            Flag(("--K",), int, 2),
+            Flag(("--w-max",), int, 9),
+            Flag(("--density",), default="1/2", help="rational like 1/2"),
+            Flag(("--seed",), int, 0),
+            _OUTPUT,
+        ),
+        Flag(("family",), required=True,
+             choices=("coloring", "maxcut", "partition3", "unsplittable", "random")),
+    ),
+    "probe": Command(
+        _cmd_probe,
+        "empirical disbalance probe",
+        (
+            *(Flag((name,), int, required=True)
+              for name in ("--n", "--m", "--K", "--trials", "--seed")),
+            Flag(("--density",), default="1/2", help="rational like 1/2"),
+            _OUTPUT,
+        ),
+        Flag(("kind",), required=True, choices=("conjecture",)),
+    ),
+    "balance": Command(
+        _cmd_balance,
+        "equalize a schedule's disbalance",
+        (
+            Flag(("-i", "--instance"), required=True),
+            Flag(("-s", "--schedule"), required=True),
+            Flag(("--machines",), int, nargs=2, help="the two machines to equalize"),
+            _OUTPUT,
+        ),
+        Flag(("action",), required=True, choices=("equalize",)),
+    ),
+    "bench": Command(
+        _cmd_bench,
+        "run the benchmark suite to CSV",
+        (Flag(("--suite",), default="default", choices=("default",)), _OUTPUT),
+    ),
+}
+
+_HELP = ("-h", "--help")
+
+
+def _spec(flag: Flag) -> str:
+    """How a flag is written: ``-i/--instance INSTANCE``."""
+    return " ".join((flag.label, *[flag.dest.upper()] * flag.nargs))
+
+
+def _usage(name: str | None) -> str:
+    if name is None:
+        return f"usage: scensched [-h] {{{','.join(COMMANDS)}}} ...\n"
+    cmd = COMMANDS[name]
+    parts = [f"usage: scensched {name} [-h]"]
+    if cmd.positional:
+        parts.append(f"{{{','.join(cmd.positional.choices)}}}")
+    parts += [_spec(f) if f.required else f"[{_spec(f)}]" for f in cmd.flags]
+    return " ".join(parts) + "\n"
+
+
+def _help(name: str | None) -> str:
+    """The -h text: usage, then one line per command or per argument."""
+    if name is None:
+        title = "Solvers and generators for scheduling under job-subset scenarios"
+        heading = "commands (scensched COMMAND -h lists its arguments):"
+        rows = [(cmd, COMMANDS[cmd].help) for cmd in COMMANDS]
+    else:
+        cmd = COMMANDS[name]
+        title, heading = cmd.help, "arguments:"
+        rows = [("-h/--help", "show this help and exit")]
+        for flag in (cmd.positional, *cmd.flags):
+            if flag is None:
+                continue
+            notes = [flag.help] if flag.help else []
+            if flag.choices:
+                notes.append("one of " + ", ".join(map(str, flag.choices)))
+            if flag.required:
+                notes.append("required")
+            elif flag.nargs and flag.default not in (None, ""):
+                notes.append(f"default {flag.default}")
+            if flag.type is int:
+                notes.append("integer" if flag.nargs == 1 else "integers")
+            rows.append((flag.dest if flag is cmd.positional else _spec(flag), "; ".join(notes)))
+    width = max(len(label) for label, _ in rows) + 2
+    lines = [f"  {label:<{width}}{text}".rstrip() for label, text in rows]
+    return "\n".join((_usage(name), title, "", heading, *lines)) + "\n"
+
+
+def _fail(name: str | None, reason: str) -> NoReturn:
+    """Writes the usage line and the reason to stderr; exits 2."""
+    prog = "scensched" if name is None else f"scensched {name}"
+    sys.stderr.write(f"{_usage(name)}{prog}: error: {reason}\n")
+    raise SystemExit(EXIT_CONTRACT)
+
+
+def _convert(name: str, flag: Flag, text: str):
+    try:
+        value = flag.type(text)
+    except ValueError:
+        _fail(name, f"argument {flag.label}: invalid {flag.type.__name__} value: {text!r}")
+    if flag.choices and value not in flag.choices:
+        _fail(name, f"argument {flag.label}: invalid choice: {value!r} "
+                    f"(choose from {', '.join(map(repr, flag.choices))})")
+    return value
+
+
+def _parse(argv: list[str]):
+    """Returns (handler, args) for a command line; ``args`` holds the
+    positional and every flag of the command under its dest, at its default
+    when not given.  Only exact flag names match, ``--flag=value`` is
+    accepted, and the token after a flag is its value even when it starts
+    with "-".  -h prints the help and exits 0; a malformed line exits 2."""
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    if argv[0] in _HELP:
+        sys.stdout.write(_help(None))
+        raise SystemExit(EXIT_OK)
+    name, rest = argv[0], argv[1:]
+    if name not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {name!r} "
+                    f"(choose from {', '.join(map(repr, COMMANDS))})")
+    cmd = COMMANDS[name]
+    by_name = {n: flag for flag in cmd.flags for n in flag.names}
+    values = {flag.dest: flag.default for flag in cmd.flags if not flag.required}
+    pos = 0
+    while pos < len(rest):
+        token = rest[pos]
+        pos += 1
+        if token in _HELP:
+            sys.stdout.write(_help(name))
+            raise SystemExit(EXIT_OK)
+        if not token.startswith("-"):
+            if cmd.positional is None or cmd.positional.dest in values:
+                _fail(name, f"unrecognized argument: {token}")
+            values[cmd.positional.dest] = _convert(name, cmd.positional, token)
+            continue
+        key, eq, inline = token.partition("=")
+        flag = by_name.get(key)
+        if flag is None:
+            _fail(name, f"unrecognized argument: {key}")
+        if eq:
+            if flag.nargs != 1:
+                _fail(name, f"argument {flag.label}: takes {flag.nargs or 'no'} values, "
+                            "not one after '='")
+            texts = [inline]
+        else:
+            texts = rest[pos:pos + flag.nargs]
+            pos += flag.nargs
+            if len(texts) < flag.nargs:
+                _fail(name, f"argument {flag.label}: expected "
+                            + ("one value" if flag.nargs == 1 else f"{flag.nargs} values"))
+        if flag.nargs == 0:
+            values[flag.dest] = True
+        elif flag.nargs == 1:
+            values[flag.dest] = _convert(name, flag, texts[0])
+        else:
+            values[flag.dest] = [_convert(name, flag, text) for text in texts]
+    missing = [flag.label for flag in (cmd.positional, *cmd.flags)
+               if flag is not None and flag.required and flag.dest not in values]
+    if missing:
+        _fail(name, "the following arguments are required: " + ", ".join(missing))
+    return cmd.handler, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        return handler(args)
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -5,9 +5,12 @@ family, unsplittable scenario matrices, and seeded random instances.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .model import GuardExceeded, Instance, _Frozen, make_instance
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Graph(_Frozen):
@@ -136,6 +139,8 @@ def gen_partition3(a: list[int], m: int) -> Instance:
 def partition3_tight_bound(a: list[int], m: int) -> Fraction:
     """Max-objective lower bound met exactly by yes-instances (machines 1, 2;
     gray machines contribute equally everywhere and are not counted here)."""
+    from fractions import Fraction
+
     q = partition3_block_weights(a, m)
     total = sum(
         (8 * (j + 1) - 2) * q[j] + (4 * (j + 1) - 2) * a[j] for j in range(len(a))

@@ -10,8 +10,7 @@ the package.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import (
     GuardExceeded,
@@ -20,6 +19,9 @@ from .model import (
     Schedule,
     scenario_optima,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class OracleResult(NamedTuple):
@@ -150,6 +152,8 @@ def expected_uniform_cost(inst: Instance) -> tuple[tuple[Fraction, ...], Fractio
     scenario jobs on its own machine, hence expected position 1 + (r-1)/m.
     Returns the per-scenario expectations and their sum, as exact fractions.
     """
+    from fractions import Fraction
+
     per = []
     m = inst.m
     for jobs_k in inst.scenario_jobs:

@@ -6,7 +6,6 @@ criterion; each test also prints an explicit summary line.
 
 import itertools
 import json
-import warnings
 from fractions import Fraction
 
 from scensched.approx import minavg_derandomized, minmax_all_on_one
@@ -185,9 +184,7 @@ def test_criterion_7_disbalance_theory():
 
     # exercise the driver loop (and its strictly-decreasing-potential check)
     big = make_instance(4, [1] * 120, [list(range(120))])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        settled = equalize_all(big, Schedule((0,) * 120))
+    settled = equalize_all(big, Schedule((0,) * 120))
     threshold = 2 * basis_l1_sum(basis1)
     assert all(abs(settled.assignment.count(i) - 30) <= threshold for i in range(4))
     _report(7, f"final-disbalance bound over every optimum of {len(suite)} instances; "

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -293,3 +294,102 @@ def test_guard_override_lifts_guards(monkeypatch):
     assert cli._guards() == DEFAULT_GUARDS
     monkeypatch.setenv("SCHED_GUARD_OVERRIDE", "1")
     assert cli._guards()["max_states"] > DEFAULT_GUARDS["max_states"]
+
+
+def _sample(flag):
+    """(argv tokens, parsed value) of one value for ``flag``, off its default
+    where the flag allows another value."""
+    if flag.nargs == 0:
+        return [], True
+    if flag.choices:
+        return [flag.choices[-1]], flag.choices[-1]
+    if flag.type is int:
+        values = [7, 8][:flag.nargs]
+        return [str(v) for v in values], values if flag.nargs == 2 else values[0]
+    return ["1/3"], "1/3"
+
+
+def _flag_cases():
+    for name, cmd in cli.COMMANDS.items():
+        for flag in cmd.flags:
+            for option in flag.names:
+                for equals in (False, True) if flag.nargs == 1 else (False,):
+                    form = f"{option}=VALUE" if equals else option
+                    yield pytest.param(name, flag, option, equals, id=f"{name} {form}")
+
+
+@pytest.mark.parametrize("name, flag, option, equals", list(_flag_cases()))
+def test_every_flag_reaches_the_handler(monkeypatch, name, flag, option, equals):
+    cmd = cli.COMMANDS[name]
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, name,
+                        cmd._replace(handler=lambda args: seen.append(vars(args)) or 0))
+    argv = [name]
+    expected = {other.dest: other.default for other in cmd.flags}
+    if cmd.positional:
+        argv.append(cmd.positional.choices[-1])
+        expected[cmd.positional.dest] = cmd.positional.choices[-1]
+    for other in cmd.flags:
+        if other.required and other is not flag:
+            tokens, expected[other.dest] = _sample(other)
+            argv += [other.names[-1], *tokens]
+    tokens, expected[flag.dest] = _sample(flag)
+    argv += [f"{option}={tokens[0]}"] if equals else [option, *tokens]
+    assert main(argv) == 0
+    assert seen == [expected]
+    assert {k: type(v) for k, v in seen[0].items()} == {k: type(v) for k, v in expected.items()}
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ([], "the following arguments are required: command"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+    (["solve", "--algo", "dp", "--bogus", "1", "-i", "x"], "unrecognized argument: --bogus"),
+    (["solve", "--algo", "dp", "--obj", "minavg", "-i", "x"], "unrecognized argument: --obj"),
+    (["solve", "-i", "x", "--algo"], "argument --algo: expected one value"),
+    (["balance", "equalize", "-i", "x", "-s", "y", "--machines", "0"],
+     "argument --machines: expected 2 values"),
+    (["generate", "random", "--to-instance=yes"], "argument --to-instance: takes no values"),
+    (["solve", "--algo", "dp"], "the following arguments are required: -i/--instance"),
+    (["probe", "--n", "4", "--m", "2", "--K", "2", "--trials", "1"],
+     "the following arguments are required: kind, --seed"),
+    (["generate", "random", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["balance", "equalize", "-i", "x", "-s", "y", "--machines", "0", "1.5"],
+     "argument --machines: invalid int value: '1.5'"),
+    (["solve", "--algo", "nope", "-i", "x"], "argument --algo: invalid choice: 'nope'"),
+    (["generate", "nope"], "argument family: invalid choice: 'nope'"),
+    (["bench", "extra"], "unrecognized argument: extra"),
+    (["generate", "random", "coloring"], "unrecognized argument: coloring"),
+], ids=["no-command", "unknown-command", "unknown-flag", "abbreviated-flag", "missing-value",
+        "missing-second-value", "store-true-with-value", "missing-flag", "missing-positional",
+        "bad-int", "bad-int-in-pair", "bad-choice", "bad-positional", "extra-positional",
+        "second-positional"])
+def test_malformed_command_line_exits_2_with_usage(argv, reason, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    prog = " ".join(["scensched", *argv[:1]]) if argv and argv[0] in cli.COMMANDS else "scensched"
+    assert usage.startswith(f"usage: {prog} [-h] ")
+    assert error.startswith(f"{prog}: error: ") and reason in error
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], *([name, "-h"] for name in cli.COMMANDS),
+                                  ["solve", "--algo", "dp", "--help"]],
+                         ids=lambda argv: " ".join(argv))
+def test_help_exits_0_and_names_every_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("usage: scensched")
+    usage, body = captured.out.split("\n\n", 1)
+    words = set(re.split(r"[\s/,;]+", body))
+    if len(argv) == 1:
+        assert set(cli.COMMANDS) <= words
+    else:
+        cmd = cli.COMMANDS[argv[0]]
+        assert {"-h", "--help", *(n for flag in cmd.flags for n in flag.names)} <= words
+        if cmd.positional:
+            assert {cmd.positional.dest, *cmd.positional.choices} <= words

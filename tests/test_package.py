@@ -49,11 +49,14 @@ for step, argv in {steps!r}:
 print(json.dumps(report))
 """
 
-# hashlib loads OpenSSL; fractions loads decimal.
+# hashlib loads OpenSSL; fractions loads decimal; argparse loads gettext
+# (with locale).
 HEAVY = ["dataclasses", "hashlib", "_hashlib", "fractions", "decimal"]
+PARSER = ["argparse", "gettext", "locale"]
 
 WATCHED = [
     *HEAVY,
+    *PARSER,
     "csv",
     *(f"scensched.{name}" for name in (
         "balance", "generators", "oracle", "dp_minmax", "dp_minavg", "dp_config",
@@ -65,10 +68,17 @@ WATCHED = [
 def test_cli_process_imports_only_what_its_command_runs(tmp_path):
     instance = tmp_path / "inst.json"
     instance.write_text(json.dumps({"m": 2, "weights": [3, 2, 1], "scenarios": [[0, 1], [1, 2]]}))
-    io_args = ["-i", str(instance), "-o", str(tmp_path / "out.json")]
+    unit = tmp_path / "unit.json"
+    unit.write_text(json.dumps({"m": 2, "weights": [1] * 4, "scenarios": [[0, 1, 2, 3]]}))
+    schedule = tmp_path / "sched.json"
+    schedule.write_text(json.dumps({"assignment": [0, 0, 0, 1]}))
+    out = ["-o", str(tmp_path / "out.json")]
+    io_args = ["-i", str(instance), *out]
     steps = [
         ("minavg", ["solve", "--algo", "dp", "--objective", "minavg", *io_args]),
         ("minmax", ["solve", "--algo", "dp", "--objective", "minmax", *io_args]),
+        ("coloring", ["generate", "coloring", "--vertices", "3", "--edges", "0-1,1-2", *out]),
+        ("equalize", ["balance", "equalize", "-i", str(unit), "-s", str(schedule), *out]),
         ("fptas", ["solve", "--algo", "fptas", "--epsilon", "1/2", *io_args]),
     ]
     code = IMPORT_PROBE.format(watched=WATCHED, steps=steps)
@@ -78,7 +88,7 @@ def test_cli_process_imports_only_what_its_command_runs(tmp_path):
                           text=True, timeout=60, check=True)
     report = json.loads(proc.stdout)
     assert report["import"] == []
-    assert report["codes"] == [0, 0, 0]
+    assert report["codes"] == [0] * len(steps)
     assert "scensched.dp_minavg" in report["minavg"]
     assert "scensched.approx" in report["minavg"]
     for name in ("scensched.dp_minmax", "scensched.oracle", "scensched.balance", *HEAVY):
@@ -86,8 +96,16 @@ def test_cli_process_imports_only_what_its_command_runs(tmp_path):
     assert "scensched.dp_minmax" in report["minmax"]
     for name in ("scensched.oracle", "scensched.balance", *HEAVY):
         assert name not in report["minmax"]
+    # neither command builds a Fraction
+    assert "scensched.generators" in report["coloring"]
+    assert "scensched.oracle" in report["equalize"]
+    for step in ("coloring", "equalize"):
+        assert "fractions" not in report[step] and "decimal" not in report[step]
     # fptas parses its epsilon as a Fraction: the probe sees the module load
     assert "fractions" in report["fptas"]
+    for step, _ in steps:
+        for name in PARSER:
+            assert name not in report[step]
 
 
 def test_every_public_name_is_the_defining_modules_object():
