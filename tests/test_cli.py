@@ -296,6 +296,23 @@ def test_guard_override_lifts_guards(monkeypatch):
     assert cli._guards()["max_states"] > DEFAULT_GUARDS["max_states"]
 
 
+@pytest.mark.parametrize("argv", [
+    *(["--algo", "dp", "--objective", kind.value] for kind in ObjectiveKind),
+    ["--algo", "config", "--objective", "minmax"],
+    ["--algo", "config", "--objective", "minavg"],
+    ["--algo", "fptas", "--epsilon", "1/2"],
+], ids=" ".join)
+def test_dp_state_guard_exits_3(tmp_path, monkeypatch, argv, capsys):
+    # every job alone in its scenario: each placement costs the same, so the
+    # bound prunes nothing and the third layer holds four states
+    path = _write_instance(tmp_path, make_instance(3, [1, 1, 1], [[0], [1], [2]]))
+    monkeypatch.setattr(cli, "_guards", lambda: {**DEFAULT_GUARDS, "max_states": 2})
+    assert main(["solve", *argv, "-i", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "guard exceeded: count-matrix state layer grew past 2 states at job 3\n"
+
+
 def _sample(flag):
     """(argv tokens, parsed value) of one value for ``flag``, off its default
     where the flag allows another value."""

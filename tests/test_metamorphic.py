@@ -1,4 +1,5 @@
-"""Metamorphic checks of the exact solvers against the brute-force oracle.
+"""Metamorphic checks of the exact solvers, and of the FPTAS's 1+eps bound,
+against the brute-force oracle.
 
 Relabelling the jobs or adding jobs outside every scenario leaves every
 objective value unchanged; scaling all weights by c scales it by c.  Ties
@@ -6,12 +7,12 @@ between equal weights and empty count-matrix columns are where a wrong lower
 bound would prune an optimum, so the instances draw both often.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scensched.dp_config import solve_config
 from scensched.dp_minavg import solve_minavg, solve_regret_sum
-from scensched.dp_minmax import solve_pseudo
+from scensched.dp_minmax import fptas, solve_pseudo
 from scensched.model import ObjectiveKind, evaluate, make_instance
 from scensched.oracle import brute_force
 
@@ -25,6 +26,10 @@ CONFIG = {
     kind: (lambda inst, kind=kind: solve_config(inst, kind))
     for kind in (ObjectiveKind.MINMAX, ObjectiveKind.MINAVG)
 }
+
+
+def _fptas_half(inst):
+    return fptas(inst, "1/2")
 
 
 @st.composite
@@ -68,6 +73,21 @@ def test_dp_is_invariant_under_relabelling_extra_jobs_and_scaling(cases, c):
         assert _solve(solver, kind, relabelled)[1] == value
         assert _solve(solver, kind, extended)[1] == value
         assert _solve(solver, kind, (m, [c * w for w in weights], scenarios))[1] == c * value
+
+
+@settings(max_examples=60, deadline=None)
+@given(transformed(unit=False))
+def test_fptas_reports_its_schedule_cost_within_three_halves(cases):
+    # at these sizes rho = W*eps/(m*n^2) exceeds 1 only when m = n = 1, so the
+    # draw is also scaled by 1000, where rounding shrinks every nonzero weight
+    base = cases[0]
+    m, weights, scenarios = base
+    assume(any(weights))  # fptas rejects an all-zero weight vector
+    best = brute_force(make_instance(*base), ObjectiveKind.MINMAX).best_value
+    for data in cases:
+        assert 2 * _solve(_fptas_half, ObjectiveKind.MINMAX, data)[1] <= 3 * best
+    scaled = (m, [1000 * w for w in weights], scenarios)
+    assert 2 * _solve(_fptas_half, ObjectiveKind.MINMAX, scaled)[1] <= 3 * 1000 * best
 
 
 @settings(max_examples=60, deadline=None)
