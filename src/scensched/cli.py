@@ -23,6 +23,17 @@ that use them.  ``fractions`` (with ``decimal``) loads only where a Fraction is
 built: ``solve --algo fptas``, ``verify``, ``bench``, ``generate random``
 and ``probe``.  No command loads ``hashlib``: the instance digest uses the
 interpreter's built-in SHA-256.
+
+``run`` is the process entry, of ``python -m scensched.cli`` and of the
+``scensched`` console script alike.  It calls ``main``, takes a
+``SystemExit`` from the parser (0 for -h, 2 for a malformed line) as the
+exit code, flushes stdout and stderr, and ends the process with
+``os._exit``, so the interpreter's teardown (module and object cleanup)
+never runs.  That skips nothing the program needs: the package registers no
+``atexit`` hook, and every file it writes is closed by ``with`` before
+``main`` returns.  A flush that fails (a full disk, a closed pipe) and
+stdout closed at start are reported as ``error: ...`` with exit 2.  ``main``
+returns the exit code and is what tests call in-process.
 """
 
 from __future__ import annotations
@@ -151,6 +162,8 @@ def _write(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
             fh.write(text)
+    elif sys.stdout is None:  # the process started with stdout closed
+        raise OSError("standard output is closed")
     else:
         sys.stdout.write(text)
 
@@ -613,7 +626,7 @@ def _parse(argv: list[str]):
     if not argv:
         _fail(None, "the following arguments are required: command")
     if argv[0] in _HELP:
-        sys.stdout.write(_help(None))
+        _write(_help(None), None)
         raise SystemExit(EXIT_OK)
     name, rest = argv[0], argv[1:]
     if name not in COMMANDS:
@@ -627,7 +640,7 @@ def _parse(argv: list[str]):
         token = rest[pos]
         pos += 1
         if token in _HELP:
-            sys.stdout.write(_help(name))
+            _write(_help(name), None)
             raise SystemExit(EXIT_OK)
         if not token.startswith("-"):
             if cmd.positional is None or cmd.positional.dest in values:
@@ -663,8 +676,8 @@ def _parse(argv: list[str]):
 
 
 def main(argv=None) -> int:
-    handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
         return handler(args)
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
@@ -674,5 +687,24 @@ def main(argv=None) -> int:
         return EXIT_CONTRACT
 
 
+def run() -> NoReturn:
+    """The process entry: runs ``main``, flushes stdout and stderr, and ends
+    the process at once with ``os._exit``, skipping interpreter teardown."""
+    try:
+        code = main()
+    except SystemExit as exc:  # -h (0) or a malformed command line (2)
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # started with the stream closed
+            continue
+        try:
+            stream.flush()
+        except OSError as exc:  # a full disk or a closed pipe, reported as main does
+            code = EXIT_CONTRACT
+            if stream is sys.stdout and sys.stderr is not None:
+                sys.stderr.write(f"error: {exc}\n")
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -34,6 +34,14 @@ vectors above ub, each kept vector has the same least link, and the optimum,
 at most ub, keeps its witness.  The ``max_states`` guard counts the vectors
 that survive.
 
+The walk starts with a root check.  At the empty count matrix lb is the
+vector of scenario optima opt_k, so max_d(fold(opt)_d - opts_d) bounds every
+schedule from below: max_k opt_k for min-max, the sum of the opt_k for the
+sum, 0 for max-regret.  When ub equals this root bound the greedy schedule is
+optimal, and it is returned without walking any layer.  The value is the
+walk's; the witness is the greedy assignment rather than the walk's least
+link, and the guard is not reached.
+
 Sum-regret needs no walk of its own: its minimizers coincide with the plain
 sum's, shifted by the constant sum of the standalone scenario optima.
 """
@@ -55,9 +63,10 @@ def _start(inst: Instance) -> tuple:
 
 
 def _bounds(inst: Instance) -> tuple:
-    """``(totals, lb)``: the derandomized greedy schedule's per-scenario
-    totals, whose objective value is the incumbent, and ``lb(state)``, per
-    scenario the least cost of its jobs not yet placed in ``state``.
+    """``(assign, totals, lb)``: the derandomized greedy assignment and its
+    per-scenario totals, whose objective value is the incumbent, and
+    ``lb(state)``, per scenario the least cost of its jobs not yet placed in
+    ``state``.
 
     Scenario k's remaining jobs are the heaviest first and each costs its
     weight times its rank, so the least cost gives each next job the
@@ -86,7 +95,7 @@ def _bounds(inst: Instance) -> tuple:
     def lb(state: tuple) -> tuple:
         return tuple(map(remaining, scenarios, zip(*state)))
 
-    return _greedy(inst)[1], lb
+    return (*_greedy(inst), lb)
 
 
 def _pareto(bucket: dict) -> dict:
@@ -115,6 +124,13 @@ def _replay(inst: Instance, chain: list) -> Schedule:
     return Schedule(tuple(assign))
 
 
+def _meets_root(ub: int, root: int) -> bool:
+    """Whether the incumbent ub equals the root bound, the objective of the
+    scenario optima, which no schedule beats: then the greedy schedule is
+    optimal and the layered walk does not run."""
+    return ub == root
+
+
 def _walk(inst: Instance, dims, opts: tuple, max_states: int) -> SolveResult:
     """The least max_d(C_d - opts_d) over all schedules, where scenario k's
     costs add into coordinate ``dims[k]`` of C, and a schedule attaining it."""
@@ -126,9 +142,11 @@ def _walk(inst: Instance, dims, opts: tuple, max_states: int) -> SolveResult:
             c[d] += x
         return c
 
-    w = inst.weights
-    totals, lb = _bounds(inst)
+    assign, totals, lb = _bounds(inst)
     ub = max(map(sub, fold(totals), opts))
+    if _meets_root(ub, max(map(sub, fold(lb(_start(inst))), opts))):
+        return SolveResult(value=ub, schedule=Schedule(assign))
+    w = inst.weights
     # layers[j]: canonical Y -> {C on Y's front: (previous Y, previous C, row)}.
     layers: list[dict] = [{_start(inst): {(0,) * D: None}}]
     for j, ks in enumerate(inst.job_scenarios):

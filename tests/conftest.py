@@ -1,6 +1,47 @@
-"""Shared seeded instance suites for the module tests and the acceptance run."""
+"""Shared seeded instance suites for the module tests and the acceptance run,
+and a switch that runs the exact solvers with and without their root check."""
 
+from collections import Counter
+from contextlib import contextmanager
+
+from scensched import dp_minavg
 from scensched.generators import gen_random
+
+
+@contextmanager
+def solver_paths(root_check=True):
+    """Tallies the paths the exact solvers take inside the block: "root" when
+    the greedy schedule meets the root bound and is returned at once, "walk"
+    when the layered walk runs.  With ``root_check=False`` the check never
+    passes, so every solve walks the layers."""
+    seen = Counter()
+    shipped = dp_minavg._meets_root
+
+    def spy(ub, root):
+        path = "root" if root_check and shipped(ub, root) else "walk"
+        seen[path] += 1
+        return path == "root"
+
+    dp_minavg._meets_root = spy
+    try:
+        yield seen
+    finally:
+        dp_minavg._meets_root = shipped
+
+
+def on_both_paths(check, reach_both=True):
+    """Runs ``check()`` with the root check and again without it, so that the
+    layered walk stays under test on inputs the greedy schedule already
+    solves.  With the check on, a suite must reach both paths (unless
+    ``reach_both`` is false, for a single drawn example); without it, every
+    solve must walk."""
+    for root_check in (True, False):
+        with solver_paths(root_check) as seen:
+            check()
+        if root_check and reach_both:
+            assert set(seen) == {"root", "walk"}, seen
+        if not root_check:
+            assert set(seen) == {"walk"}, seen
 
 
 def weighted_suite(count=300):

@@ -39,7 +39,7 @@ from scensched.oracle import (
 )
 from scensched.two_scenario import solve_two_scenarios
 
-from conftest import k2_unit_suite, two_scenario_suite, unit_suite, weighted_suite
+from conftest import k2_unit_suite, on_both_paths, two_scenario_suite, unit_suite, weighted_suite
 from test_balance import _minimal_cone_points_by_search
 
 
@@ -59,20 +59,25 @@ def test_criterion_1_two_scenario_ideality():
 
 
 def test_criterion_2_dp_exactness():
+    kinds = (ObjectiveKind.MINMAX, ObjectiveKind.MINAVG)
     weighted = weighted_suite(300)
-    for inst in weighted:
-        assert (
-            solve_pseudo(inst, ObjectiveKind.MINMAX).value
-            == brute_force(inst, ObjectiveKind.MINMAX).best_value
-        )
-        assert (
-            solve_minavg(inst).value
-            == brute_force(inst, ObjectiveKind.MINAVG).best_value
-        )
+    weighted_best = [[brute_force(inst, kind).best_value for kind in kinds] for inst in weighted]
     unit = unit_suite(300)
-    for inst in unit:
-        for kind in (ObjectiveKind.MINMAX, ObjectiveKind.MINAVG):
-            assert solve_config(inst, kind).value == brute_force(inst, kind).best_value
+    unit_best = [[brute_force(inst, kind).best_value for kind in kinds] for inst in unit]
+
+    def weighted_check():
+        for inst, values in zip(weighted, weighted_best):
+            assert [solve_pseudo(inst, ObjectiveKind.MINMAX).value,
+                    solve_minavg(inst).value] == values
+
+    def unit_check():
+        for inst, values in zip(unit, unit_best):
+            assert [solve_config(inst, kind).value for kind in kinds] == values
+
+    # each suite runs with the root check and again without it, so the
+    # layered walk is checked on every instance
+    on_both_paths(weighted_check)
+    on_both_paths(unit_check)
     _report(
         2,
         f"load/cost, count-matrix and configuration solvers equal the oracle on "
@@ -209,11 +214,14 @@ def test_criterion_8_regret_correspondence():
             elif reg == reg_best:
                 reg_argmin.add(sched.assignment)
         assert avg_argmin == reg_argmin
-    for inst in weighted_suite(60):
-        assert (
-            solve_pseudo(inst, ObjectiveKind.REGRET_MAX).value
-            == brute_force(inst, ObjectiveKind.REGRET_MAX).best_value
-        )
+    regret = weighted_suite(60)
+    regret_best = [brute_force(inst, ObjectiveKind.REGRET_MAX).best_value for inst in regret]
+
+    def regret_check():
+        for inst, value in zip(regret, regret_best):
+            assert solve_pseudo(inst, ObjectiveKind.REGRET_MAX).value == value
+
+    on_both_paths(regret_check)
     _report(8, f"sum-regret and sum argmin sets coincide on {len(suite)} instances; "
                "max-regret solver equals the oracle")
 

@@ -22,6 +22,18 @@ def five_unit(tmp_path):
 
 DEFAULT_GUARDS = {"guard_bits": 32.0, "max_states": 2_000_000, "max_k": 3}
 
+ROOT = Path(__file__).resolve().parents[1]
+PROCESS_ENV = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONPATH", "SCHED_GUARD_OVERRIDE")}
+PROCESS_ENV["PYTHONPATH"] = str(ROOT / "src")
+
+
+def _process(argv, **kwargs):
+    """Runs ``python -m scensched.cli`` on argv as a process of its own."""
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, "-m", "scensched.cli", *argv],
+                          env=PROCESS_ENV, text=True, timeout=60, **kwargs)
+
 
 def _write_instance(tmp_path, inst, name="i.json"):
     path = tmp_path / name
@@ -161,13 +173,8 @@ def test_balance_equalize_flags_nonoptimal_input_with_empty_stderr(tmp_path):
     inst_path = _write_instance(tmp_path, make_instance(2, [1] * 8, [list(range(8))]))
     sched_path = tmp_path / "s.json"
     sched_path.write_text(json.dumps({"assignment": [0] * 8}))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "scensched.cli", "balance", "equalize", "-i", str(inst_path),
-         "-s", str(sched_path), "--machines", "0", "1"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = _process(["balance", "equalize", "-i", str(inst_path), "-s", str(sched_path),
+                     "--machines", "0", "1"])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["report"]["likely_nonoptimal"] is True
 
@@ -303,9 +310,10 @@ def test_guard_override_lifts_guards(monkeypatch):
     ["--algo", "fptas", "--epsilon", "1/2"],
 ], ids=" ".join)
 def test_dp_state_guard_exits_3(tmp_path, monkeypatch, argv, capsys):
-    # every job alone in its scenario: each placement costs the same, so the
-    # bound prunes nothing and the third layer holds four states
-    path = _write_instance(tmp_path, make_instance(3, [1, 1, 1], [[0], [1], [2]]))
+    # the triangle gadget gen_coloring(triangle, 2): no schedule meets every
+    # scenario optimum, so the walk runs, and its third layer holds more than
+    # two states (fptas at 1/2 solves the instance unrounded)
+    path = _write_instance(tmp_path, make_instance(2, [1, 1, 1], [[0, 1], [1, 2], [0, 2]]))
     monkeypatch.setattr(cli, "_guards", lambda: {**DEFAULT_GUARDS, "max_states": 2})
     assert main(["solve", *argv, "-i", str(path)]) == 3
     out, err = capsys.readouterr()
@@ -410,3 +418,71 @@ def test_help_exits_0_and_names_every_flag(argv, capsys):
         assert {"-h", "--help", *(n for flag in cmd.flags for n in flag.names)} <= words
         if cmd.positional:
             assert {cmd.positional.dest, *cmd.positional.choices} <= words
+
+
+def _stable(text):
+    """Output text with the wall-clock field's value blanked."""
+    return re.sub(r'"time_ms": [0-9.e-]+', '"time_ms": 0', text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--algo", "dp", "--objective", "minavg", "-i", "INST"],
+    ["solve", "--algo", "fptas", "--epsilon", "1/2", "-i", "INST"],
+    ["verify", "--algo", "approx-minavg", "-i", "INST"],
+    ["generate", "random", "--n", "9", "--m", "3", "--K", "3", "--seed", "4"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_process_prints_what_main_prints(five_unit, argv, capsys):
+    argv = [str(five_unit) if a == "INST" else a for a in argv]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    proc = _process(argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert _stable(proc.stdout) == _stable(expected)
+
+
+def test_process_writes_the_output_file_whole(tmp_path):
+    # about 70 KB of JSON, many times a write buffer
+    argv = ["generate", "random", "--n", "3000", "--m", "3", "--K", "3", "--seed", "5"]
+    assert main([*argv, "-o", str(tmp_path / "a.json")]) == 0
+    proc = _process([*argv, "-o", str(tmp_path / "b.json")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert (tmp_path / "b.json").read_text() == (tmp_path / "a.json").read_text()
+
+
+@pytest.mark.parametrize("argv, code, err_end", [
+    (["solve", "--algo", "dp", "-i", "INST"], 0, ""),
+    (["solve", "--algo", "two-scenario", "--objective", "regret-max", "-i", "INST"], 2,
+     "error: two-scenario handles minmax, minavg, not regret-max\n"),
+    (["solve", "--algo", "dp", "--bogus", "1", "-i", "INST"], 2,
+     "scensched solve: error: unrecognized argument: --bogus\n"),
+    (["verify", "--algo", "approx-minavg", "-i", "WIDE"], 3,
+     "guard exceeded: oracle guard: n*log2(m) = 33.0 exceeds 32.0 (raise guard_bits to override)\n"),
+    (["-h"], 0, ""),
+], ids=["solve", "bad-pairing", "malformed-flag", "oracle-guard", "help"])
+def test_process_exit_code(k2_unit, tmp_path, argv, code, err_end):
+    wide = _write_instance(tmp_path, make_instance(2, [1] * 33, [list(range(33))]), "wide.json")
+    paths = {"INST": str(k2_unit), "WIDE": str(wide)}
+    proc = _process([paths.get(a, a) for a in argv])
+    assert proc.returncode == code
+    assert proc.stderr.endswith(err_end) and bool(proc.stderr) == bool(err_end)
+    assert bool(proc.stdout) == (code == 0)
+
+
+def test_process_with_stdout_closed_exits_2():
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m scensched.cli "$@" >&-', sys.executable,
+         "generate", "random", "--n", "4", "--m", "2", "--K", "2"],
+        env=PROCESS_ENV, stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (2, "error: standard output is closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_process_reports_a_failed_flush(k2_unit):
+    with open("/dev/full", "w") as full:
+        proc = _process(["solve", "--algo", "dp", "-i", str(k2_unit)], stdout=full)
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
+def test_console_script_is_the_process_entry():
+    assert 'scensched = "scensched.cli:run"' in (ROOT / "pyproject.toml").read_text()

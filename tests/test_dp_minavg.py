@@ -14,7 +14,7 @@ from scensched.model import (
 )
 from scensched.oracle import brute_force
 
-from conftest import two_scenario_suite, unit_suite, weighted_suite
+from conftest import on_both_paths, solver_paths, two_scenario_suite, unit_suite, weighted_suite
 
 
 def test_single_scenario_equals_round_robin_formula():
@@ -35,10 +35,16 @@ def test_all_scenarios_empty():
 
 
 def test_matches_oracle_on_suite():
-    for inst in weighted_suite(60):
-        res = solve_minavg(inst)
-        assert res.value == brute_force(inst, ObjectiveKind.MINAVG).best_value
-        assert evaluate(inst, res.schedule, ObjectiveKind.MINAVG).aggregate == res.value
+    suite = weighted_suite(60)
+    best = [brute_force(inst, ObjectiveKind.MINAVG).best_value for inst in suite]
+
+    def check():
+        for inst, value in zip(suite, best):
+            res = solve_minavg(inst)
+            assert res.value == value
+            assert evaluate(inst, res.schedule, ObjectiveKind.MINAVG).aggregate == res.value
+
+    on_both_paths(check)
 
 
 def test_agrees_with_config_solver_on_unit_weights():
@@ -53,33 +59,60 @@ def test_two_scenario_value_is_sum_of_ideals():
 
 
 def test_regret_sum_shift():
-    for inst in weighted_suite(20):
-        res = solve_regret_sum(inst)
-        assert res.value == solve_minavg(inst).value - sum(scenario_optima(inst))
-        assert res.value == brute_force(inst, ObjectiveKind.REGRET_SUM).best_value
+    suite = weighted_suite(20)
+    best = [brute_force(inst, ObjectiveKind.REGRET_SUM).best_value for inst in suite]
+
+    def check():
+        for inst, value in zip(suite, best):
+            res = solve_regret_sum(inst)
+            assert res.value == solve_minavg(inst).value - sum(scenario_optima(inst))
+            assert res.value == value
+
+    on_both_paths(check)
 
 
 def test_state_guard():
-    # every job alone in its scenario: each placement costs the same, so the
-    # bound prunes nothing and the third layer holds more than two states
-    inst = make_instance(3, [3, 2, 1], [[0], [1], [2]])
+    # the triangle gadget gen_coloring(triangle, 2) has no schedule at the
+    # root bound, so the walk runs and its third layer holds three count
+    # matrices
+    inst = make_instance(2, [1, 1, 1], [[0, 1], [1, 2], [0, 2]])
     with pytest.raises(GuardExceeded, match="at job 3"):
         solve_minavg(inst, max_states=2)
 
 
 def test_start_state_bounds_are_scenario_optima():
     for inst in weighted_suite() + unit_suite():
-        _, lb = _bounds(inst)
+        *_, lb = _bounds(inst)
         assert lb(_start(inst)) == scenario_optima(inst)
 
 
 def test_incumbent_is_the_greedy_schedule_and_bounds_every_objective():
     for inst in weighted_suite(60):
-        totals, _ = _bounds(inst)
-        greedy = evaluate(inst, minavg_derandomized(inst), ObjectiveKind.MINAVG)
-        assert totals == greedy.per_scenario
+        assign, totals, _ = _bounds(inst)
+        schedule = minavg_derandomized(inst)
+        assert assign == schedule.assignment
+        assert totals == evaluate(inst, schedule, ObjectiveKind.MINAVG).per_scenario
         regrets = [t - o for t, o in zip(totals, scenario_optima(inst))]
         assert sum(totals) >= solve_minavg(inst).value
         assert max(totals) >= solve_pseudo(inst, ObjectiveKind.MINMAX).value
         assert max(regrets) >= solve_pseudo(inst, ObjectiveKind.REGRET_MAX).value
         assert sum(regrets) >= solve_regret_sum(inst).value
+
+
+def test_root_check_returns_the_greedy_schedule():
+    solvers = {
+        ObjectiveKind.MINAVG: solve_minavg,
+        ObjectiveKind.MINMAX: lambda inst: solve_pseudo(inst, ObjectiveKind.MINMAX),
+        ObjectiveKind.REGRET_MAX: lambda inst: solve_pseudo(inst, ObjectiveKind.REGRET_MAX),
+    }
+    for kind, solve in solvers.items():
+        at_root = 0
+        for inst in weighted_suite(60):
+            with solver_paths() as seen:
+                res = solve(inst)
+            if "root" in seen:
+                at_root += 1
+                greedy = minavg_derandomized(inst)
+                assert res.schedule == greedy
+                assert res.value == evaluate(inst, greedy, kind).aggregate
+        assert at_root

@@ -16,7 +16,7 @@ from scensched.model import (
 )
 from scensched.oracle import brute_force
 
-from conftest import weighted_suite
+from conftest import on_both_paths, solver_paths, weighted_suite
 
 
 def test_five_unit_jobs():
@@ -31,11 +31,17 @@ def test_rejects_sum_objectives():
 
 
 def test_matches_oracle_on_suite():
-    for inst in weighted_suite(60):
-        res = solve_pseudo(inst, ObjectiveKind.MINMAX)
-        assert res.value == brute_force(inst, ObjectiveKind.MINMAX).best_value
-        # the reconstructed schedule achieves the reported value
-        assert evaluate(inst, res.schedule, ObjectiveKind.MINMAX).aggregate == res.value
+    suite = weighted_suite(60)
+    best = [brute_force(inst, ObjectiveKind.MINMAX).best_value for inst in suite]
+
+    def check():
+        for inst, value in zip(suite, best):
+            res = solve_pseudo(inst, ObjectiveKind.MINMAX)
+            assert res.value == value
+            # the returned schedule achieves the reported value
+            assert evaluate(inst, res.schedule, ObjectiveKind.MINMAX).aggregate == res.value
+
+    on_both_paths(check)
 
 
 def test_regret_max_single_scenario_is_zero():
@@ -45,15 +51,34 @@ def test_regret_max_single_scenario_is_zero():
 
 
 def test_regret_max_matches_oracle():
-    for inst in weighted_suite(30):
-        res = solve_pseudo(inst, ObjectiveKind.REGRET_MAX)
-        assert res.value == brute_force(inst, ObjectiveKind.REGRET_MAX).best_value
+    suite = weighted_suite(30)
+    best = [brute_force(inst, ObjectiveKind.REGRET_MAX).best_value for inst in suite]
+
+    def check():
+        for inst, value in zip(suite, best):
+            res = solve_pseudo(inst, ObjectiveKind.REGRET_MAX)
+            assert res.value == value
+            assert evaluate(inst, res.schedule, ObjectiveKind.REGRET_MAX).aggregate == value
+
+    on_both_paths(check)
 
 
 def test_state_guard():
-    inst = make_instance(3, [5, 4, 3, 2, 1, 1], [[0, 1, 2], [3, 4, 5], [0, 5]])
-    with pytest.raises(GuardExceeded):
-        solve_pseudo(inst, ObjectiveKind.MINMAX, max_states=2)
+    # the triangle gadget gen_coloring(triangle, 2) has no schedule at the
+    # root bound, so the walk runs and its third layer holds four cost vectors
+    inst = make_instance(2, [1, 1, 1], [[0, 1], [1, 2], [0, 2]])
+    for kind in (ObjectiveKind.MINMAX, ObjectiveKind.REGRET_MAX):
+        with pytest.raises(GuardExceeded, match="grew past 2 states at job 3"):
+            solve_pseudo(inst, kind, max_states=2)
+
+
+def test_state_guard_counts_front_vectors():
+    # the greedy misses the root bound (22 against 21), and the last layer
+    # holds five cost vectors on four count matrices
+    inst = make_instance(2, [1, 5, 6, 4], [[0, 1, 3], [0, 1], [0, 1, 2, 3]])
+    with pytest.raises(GuardExceeded, match="grew past 4 states at job 4"):
+        solve_pseudo(inst, ObjectiveKind.MINMAX, max_states=4)
+    assert solve_pseudo(inst, ObjectiveKind.MINMAX, max_states=5).value == 21
 
 
 def test_fptas_tiny_instance_exact():
@@ -79,13 +104,18 @@ def test_fptas_unit_weights_match_exact_solver():
 
 
 def test_fptas_guarantee_and_rounded_bound():
-    for inst in weighted_suite(40):
-        opt = brute_force(inst, ObjectiveKind.MINMAX).best_value
-        for eps in (Fraction(1, 2), Fraction(1, 10)):
-            res = fptas(inst, eps)
-            assert Fraction(res.value) <= (1 + eps) * opt
-            limit = Fraction(inst.m * inst.n * inst.n) / eps + 1
-            assert all(w <= limit for w in res.rounded.weights)
+    suite = weighted_suite(40)
+    best = [brute_force(inst, ObjectiveKind.MINMAX).best_value for inst in suite]
+
+    def check():
+        for inst, opt in zip(suite, best):
+            for eps in (Fraction(1, 2), Fraction(1, 10)):
+                res = fptas(inst, eps)
+                assert Fraction(res.value) <= (1 + eps) * opt
+                limit = Fraction(inst.m * inst.n * inst.n) / eps + 1
+                assert all(w <= limit for w in res.rounded.weights)
+
+    on_both_paths(check)
 
 
 def test_fptas_zero_weights_round_to_zero():
@@ -141,11 +171,14 @@ def test_many_machines_few_jobs_returns_at_once():
 def test_pruning_keeps_large_instances_small(n, seed, kind, aggregate):
     # Unpruned, the widest layer holds 346,000 cost vectors (n=30, min-max)
     # and 692,000 count matrices (n=40, sum); pruned, about 1,000 and 46.
+    # The greedy schedule meets the root bound on both, so the root check is
+    # off here: the walk runs.
     inst = gen_random(n, 3, 3, w_max=9, density=0.5, seed=seed)
-    if kind is ObjectiveKind.MINMAX:
-        res = solve_pseudo(inst, kind, max_states=10_000)
-    else:
-        res = solve_minavg(inst, max_states=10_000)
+    with solver_paths(root_check=False):
+        if kind is ObjectiveKind.MINMAX:
+            res = solve_pseudo(inst, kind, max_states=10_000)
+        else:
+            res = solve_minavg(inst, max_states=10_000)
     assert evaluate(inst, res.schedule, kind).aggregate == res.value
-    totals, _ = _bounds(inst)
+    _, totals, _ = _bounds(inst)
     assert aggregate(scenario_optima(inst)) <= res.value <= aggregate(totals)

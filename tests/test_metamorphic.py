@@ -4,7 +4,10 @@ against the brute-force oracle.
 Relabelling the jobs or adding jobs outside every scenario leaves every
 objective value unchanged; scaling all weights by c scales it by c.  Ties
 between equal weights and empty count-matrix columns are where a wrong lower
-bound would prune an optimum, so the instances draw both often.
+bound would prune an optimum, so the instances draw both often.  Each example
+runs with the solvers' root check and again without it, since the greedy
+schedule meets the root bound on most small draws and the layered walk would
+otherwise seldom run.
 """
 
 from hypothesis import assume, given, settings
@@ -15,6 +18,8 @@ from scensched.dp_minavg import solve_minavg, solve_regret_sum
 from scensched.dp_minmax import fptas, solve_pseudo
 from scensched.model import ObjectiveKind, evaluate, make_instance
 from scensched.oracle import brute_force
+
+from conftest import on_both_paths
 
 DP = {
     ObjectiveKind.MINMAX: lambda inst: solve_pseudo(inst, ObjectiveKind.MINMAX),
@@ -59,7 +64,7 @@ def _solve(solver, kind, data):
     inst = make_instance(*data)
     res = solver(inst)
     assert evaluate(inst, res.schedule, kind).aggregate == res.value
-    return inst, res.value
+    return res.value
 
 
 @settings(max_examples=80, deadline=None)
@@ -67,12 +72,17 @@ def _solve(solver, kind, data):
 def test_dp_is_invariant_under_relabelling_extra_jobs_and_scaling(cases, c):
     base, relabelled, extended = cases
     m, weights, scenarios = base
-    for kind, solver in DP.items():
-        inst, value = _solve(solver, kind, base)
-        assert value == brute_force(inst, kind).best_value
-        assert _solve(solver, kind, relabelled)[1] == value
-        assert _solve(solver, kind, extended)[1] == value
-        assert _solve(solver, kind, (m, [c * w for w in weights], scenarios))[1] == c * value
+    best = {kind: brute_force(make_instance(*base), kind).best_value for kind in DP}
+
+    def check():
+        for kind, solver in DP.items():
+            value = best[kind]
+            assert _solve(solver, kind, base) == value
+            assert _solve(solver, kind, relabelled) == value
+            assert _solve(solver, kind, extended) == value
+            assert _solve(solver, kind, (m, [c * w for w in weights], scenarios)) == c * value
+
+    on_both_paths(check, reach_both=False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -84,10 +94,14 @@ def test_fptas_reports_its_schedule_cost_within_three_halves(cases):
     m, weights, scenarios = base
     assume(any(weights))  # fptas rejects an all-zero weight vector
     best = brute_force(make_instance(*base), ObjectiveKind.MINMAX).best_value
-    for data in cases:
-        assert 2 * _solve(_fptas_half, ObjectiveKind.MINMAX, data)[1] <= 3 * best
     scaled = (m, [1000 * w for w in weights], scenarios)
-    assert 2 * _solve(_fptas_half, ObjectiveKind.MINMAX, scaled)[1] <= 3 * 1000 * best
+
+    def check():
+        for data in cases:
+            assert 2 * _solve(_fptas_half, ObjectiveKind.MINMAX, data) <= 3 * best
+        assert 2 * _solve(_fptas_half, ObjectiveKind.MINMAX, scaled) <= 3 * 1000 * best
+
+    on_both_paths(check, reach_both=False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,8 +109,13 @@ def test_fptas_reports_its_schedule_cost_within_three_halves(cases):
 def test_config_is_invariant_under_relabelling_and_extra_jobs(cases):
     # scaling leaves the unit-weight domain, so it has no counterpart here
     base, relabelled, extended = cases
-    for kind, solver in CONFIG.items():
-        inst, value = _solve(solver, kind, base)
-        assert value == brute_force(inst, kind).best_value
-        assert _solve(solver, kind, relabelled)[1] == value
-        assert _solve(solver, kind, extended)[1] == value
+    best = {kind: brute_force(make_instance(*base), kind).best_value for kind in CONFIG}
+
+    def check():
+        for kind, solver in CONFIG.items():
+            value = best[kind]
+            assert _solve(solver, kind, base) == value
+            assert _solve(solver, kind, relabelled) == value
+            assert _solve(solver, kind, extended) == value
+
+    on_both_paths(check, reach_both=False)
