@@ -11,7 +11,8 @@ its finitely many irreducible points (a Hilbert basis), and splitting a
 schedule into basis classes lets one reassign jobs so that every prefix stays
 nearly balanced while per-scenario machine counts -- and hence the
 unit-weight sum objective, which depends only on those counts -- are
-preserved.
+preserved.  ``equalize_two`` does this for one machine pair and returns the
+new schedule with an ``EqualizeReport``; ``equalize_all`` repeats it.
 
 The basis is computed by a completion procedure over the homogeneous system:
 grow candidate vectors breadth-first from the unit vectors, extend a
@@ -53,14 +54,6 @@ def profile_index(profile, K: int) -> int:
             raise ValueError(f"scenario {k} out of range for K={K}")
         idx |= 1 << (K - 1 - k)
     return idx
-
-
-def index_profile(idx: int, K: int) -> frozenset[int]:
-    return frozenset(k for k in range(K) if idx & (1 << (K - 1 - k)))
-
-
-def job_profile(inst: Instance, j: int) -> frozenset[int]:
-    return frozenset(inst.job_scenarios[j])
 
 
 def _scenario_columns(K: int) -> list[list[int]]:
@@ -288,7 +281,7 @@ def _check_pair(inst: Instance, i1: int, i2: int) -> None:
 def _pair_scan_disbalance(inst, assignment, i1, i2, aux=()):
     """Final/full per-scenario count differences restricted to a machine pair.
 
-    ``aux`` lists (scenario, side) singleton jobs appended after the real
+    ``aux`` yields (scenario, side) singleton jobs appended after the real
     jobs, side 0 meaning i1.  Returns (real_final, real_full, extended_final).
     """
     K = inst.K
@@ -316,8 +309,7 @@ def equalize_two(
     i2: int,
     *,
     basis: HilbertBasis | None = None,
-    with_report: bool = False,
-):
+) -> tuple[Schedule, EqualizeReport]:
     """Reassign the jobs of machines i1, i2 to bound their prefix imbalance.
 
     The pair sub-schedule is padded with per-scenario auxiliary singletons on
@@ -325,6 +317,7 @@ def equalize_two(
     point, decomposed over the Hilbert basis, and rebuilt by scanning jobs in
     canonical order (auxiliaries last): each job consumes the first open slot
     over basis classes, preferring the i1 side.  Auxiliaries are then dropped.
+    Returns the new schedule and its report.
 
     Preserves per-scenario counts outside the pair and never increases the
     pair's count imbalance, so on an optimal input (the intended use; the
@@ -342,94 +335,68 @@ def equalize_two(
     pair_jobs = [j for j in range(inst.n) if assignment[j] in (i1, i2)]
     x = [0] * P
     y = [0] * P
-    c1 = [0] * K
-    c2 = [0] * K
+    diff = [0] * K  # per scenario, the jobs on i1 minus the jobs on i2
     for j in pair_jobs:
-        idx = profile_index(inst.job_scenarios[j], K)
-        if assignment[j] == i1:
-            x[idx] += 1
-            for k in inst.job_scenarios[j]:
-                c1[k] += 1
-        else:
-            y[idx] += 1
-            for k in inst.job_scenarios[j]:
-                c2[k] += 1
-
-    d = [abs(a - b) for a, b in zip(c1, c2)]
-    aux: list[tuple[int, int]] = []
+        side, delta = (x, 1) if assignment[j] == i1 else (y, -1)
+        side[profile_index(inst.job_scenarios[j], K)] += 1
+        for k in inst.job_scenarios[j]:
+            diff[k] += delta
+    d = tuple(abs(v) for v in diff)  # also the auxiliaries per scenario
+    aux: list[int] = []  # the scenario of each auxiliary singleton
     for k in range(K):
-        if d[k]:
-            side = 0 if c1[k] < c2[k] else 1
-            sigma_k = 1 << (K - 1 - k)
-            (x if side == 0 else y)[sigma_k] += d[k]
-            aux.extend((k, side) for _ in range(d[k]))
+        (x if diff[k] < 0 else y)[1 << (K - 1 - k)] += d[k]
+        aux += [k] * d[k]
 
     point = LatticePoint(x=tuple(x), y=tuple(y))
     assert in_cone(point, K), "padded pair counts must balance per scenario"
     multiplicity = Counter(decompose(point, basis))
     classes = [
-        (b, [list(b.vector()) for _ in range(multiplicity[b])])
+        [list(b.vector()) for _ in range(multiplicity[b])]
         for b in basis.elements
         if multiplicity[b]
     ]
 
-    scan = [(profile_index(inst.job_scenarios[j], K), j) for j in pair_jobs]
-    scan.extend((1 << (K - 1 - k), None) for k, _ in aux)
+    scan = [profile_index(inst.job_scenarios[j], K) for j in pair_jobs]
+    scan += [1 << (K - 1 - k) for k in aux]
     sides: list[int] = []
-    for sigma_j, _ in scan:
-        placed = False
-        for _, copies in classes:
-            for copy in copies:
-                if copy[sigma_j] > 0:
-                    copy[sigma_j] -= 1
-                    sides.append(0)
-                    placed = True
-                elif copy[P + sigma_j] > 0:
-                    copy[P + sigma_j] -= 1
-                    sides.append(1)
-                    placed = True
-                if placed:
-                    break
-            if placed:
-                break
-        if not placed:
+    for sigma in scan:
+        copy = next(
+            (c for copies in classes for c in copies if c[sigma] or c[P + sigma]), None
+        )
+        if copy is None:
             raise RuntimeError("slot scan failed -- this falsifies the decomposition")
+        side = 0 if copy[sigma] else 1
+        copy[side * P + sigma] -= 1
+        sides.append(side)
         if __debug__:
-            for _, copies in classes:
+            for copies in classes:
                 for a, b in zip(copies, copies[1:]):
                     assert all(u <= v for u, v in zip(a, b)), (
                         "copies of one basis element must stay monotone"
                     )
     # every fully consumed copy accounts for one cone element, so the scan
     # must exhaust all slots exactly
-    assert all(not any(copy) for _, copies in classes for copy in copies)
+    assert all(not any(copy) for copies in classes for copy in copies)
 
     new_assignment = list(assignment)
-    for pos, j in enumerate(pair_jobs):
-        new_assignment[j] = i1 if sides[pos] == 0 else i2
+    for j, side in zip(pair_jobs, sides):
+        new_assignment[j] = i1 if side == 0 else i2
     result = Schedule(tuple(new_assignment))
 
-    if not with_report:
-        return result
-    pre_final, pre_full, _ = _pair_scan_disbalance(inst, assignment, i1, i2)
-    aux_sides = [(k, sides[len(pair_jobs) + t]) for t, (k, _) in enumerate(aux)]
+    _, pre_full, _ = _pair_scan_disbalance(inst, assignment, i1, i2)
     post_final, post_full, ext_final = _pair_scan_disbalance(
-        inst, result.assignment, i1, i2, aux_sides
+        inst, result.assignment, i1, i2, zip(aux, sides[len(pair_jobs):])
     )
-    aux_counts = [0] * K
-    for k, _ in aux:
-        aux_counts[k] += 1
-    report = EqualizeReport(
+    return result, EqualizeReport(
         machines=(i1, i2),
-        aux_jobs=tuple(aux_counts),
-        pre_final=pre_final,
+        aux_jobs=d,
+        pre_final=d,
         pre_full=pre_full,
         post_final=post_final,
         post_full=post_full,
         extended_final=ext_final,
         likely_nonoptimal=any(dk * dk > lemma_final_bound_sq(K) for dk in d),
     )
-    return result, report
 
 
 def _machine_scenario_counts(inst: Instance, assignment) -> list[list[int]]:
@@ -444,25 +411,24 @@ def equalize_all(
     inst: Instance,
     sched: Schedule,
     *,
-    threshold=None,
     max_iter: int = 10_000,
     basis: HilbertBasis | None = None,
 ) -> Schedule:
     """Drive pairwise equalization until every machine is near average load.
 
     While some machine's scenario count differs from the scenario average by
-    more than ``threshold`` (default 2*K*f with f the certified pairwise
-    bound, the sum of the basis elements' l1 norms), equalize that machine
-    against the currently lightest/heaviest one.  The summed deviation from
-    average strictly decreases each round -- checked at runtime, since a
-    violation would falsify the implementation -- which forces termination.
+    more than 2*K*f, with f the certified pairwise bound (the sum of the
+    basis elements' l1 norms), equalize that machine against the currently
+    lightest/heaviest one with :func:`equalize_two`, keeping its schedule
+    and dropping its report.  The summed deviation from average strictly
+    decreases each round -- checked at runtime, since a violation would
+    falsify the implementation -- which forces termination.
     """
     _require_unit_weights(inst)
     K = inst.K
     if basis is None:
         basis = hilbert_basis(K)
-    if threshold is None:
-        threshold = 2 * K * basis_l1_sum(basis)
+    threshold = 2 * K * basis_l1_sum(basis)
     m = inst.m
     sizes = [len(s) for s in inst.scenario_jobs]
 
@@ -495,7 +461,7 @@ def equalize_all(
             partner = min(range(m), key=lambda i2: (counts[i2][k], i2))
         else:
             partner = min(range(m), key=lambda i2: (-counts[i2][k], i2))
-        current = equalize_two(inst, current, i, partner, basis=basis)
+        current, _ = equalize_two(inst, current, i, partner, basis=basis)
         counts = _machine_scenario_counts(inst, current.assignment)
         new_pot = potential()
         if not new_pot < pot:
@@ -532,11 +498,10 @@ def conjecture_probe(
     seed: int,
     *,
     density: float = 0.5,
-    w_max: int = 1,
     guard_bits: float = 32.0,
 ) -> ProbeReport:
-    """Measure, over seeded random instances, the smallest full disbalance
-    achievable by *any* optimal schedule of the sum objective.
+    """Measure, over seeded unit-weight random instances, the smallest full
+    disbalance achievable by *any* optimal schedule of the sum objective.
 
     Trial t uses seed ``seed + t``.  Reports the per-trial minima, their
     maximum, and which trials attain it.  ``trials`` must be at least 1.
@@ -547,7 +512,7 @@ def conjecture_probe(
         raise ValueError(f"trials must be at least 1, got {trials}")
     per_trial = []
     for t in range(trials):
-        instance = gen_random(n, m, K, w_max=w_max, density=density, seed=seed + t)
+        instance = gen_random(n, m, K, w_max=1, density=density, seed=seed + t)
         optima = optimal_schedules(instance, ObjectiveKind.MINAVG, guard_bits=guard_bits)
         per_trial.append(min(disbalance(instance, s).full_f for s in optima))
     max_observed = max(per_trial)

@@ -329,19 +329,7 @@ def _cmd_probe(args) -> int:
         density=float(_rational(args.density)),
         guard_bits=guards["guard_bits"],
     )
-    _emit(
-        {
-            "n": report.n,
-            "m": report.m,
-            "K": report.K,
-            "trials": report.trials,
-            "seed": report.seed,
-            "per_trial": list(report.per_trial),
-            "max_observed": report.max_observed,
-            "achieving_trials": list(report.achieving_trials),
-        },
-        args.output,
-    )
+    _emit(report._asdict(), args.output)
     return EXIT_OK
 
 
@@ -356,19 +344,8 @@ def _cmd_balance(args) -> int:
     basis = bal.hilbert_basis(inst.K, max_k=guards["max_k"])
     if args.machines:
         i1, i2 = args.machines
-        result, rep = bal.equalize_two(
-            inst, sched, i1, i2, basis=basis, with_report=True
-        )
-        report = {
-            "machines": list(rep.machines),
-            "aux_jobs": list(rep.aux_jobs),
-            "pre_final": list(rep.pre_final),
-            "pre_full": list(rep.pre_full),
-            "post_final": list(rep.post_final),
-            "post_full": list(rep.post_full),
-            "extended_final": list(rep.extended_final),
-            "likely_nonoptimal": rep.likely_nonoptimal,
-        }
+        result, rep = bal.equalize_two(inst, sched, i1, i2, basis=basis)
+        report = rep._asdict()
     else:
         result = bal.equalize_all(inst, sched, basis=basis)
         report = {"mode": "all-machines"}
@@ -545,11 +522,7 @@ COMMANDS = {
         ),
         Flag(("action",), required=True, choices=("equalize",)),
     ),
-    "bench": Command(
-        _cmd_bench,
-        "run the benchmark suite to CSV",
-        (Flag(("--suite",), default="default", choices=("default",)), _OUTPUT),
-    ),
+    "bench": Command(_cmd_bench, "run the benchmark suite to CSV", (_OUTPUT,)),
 }
 
 _HELP = ("-h", "--help")

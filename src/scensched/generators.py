@@ -162,9 +162,17 @@ def gen_unsplittable(q: int, t: int, *, max_rows: int = 5000) -> ScenarioMatrix:
     append a ones column block, and pad with enough (ones | ones-minus-
     identity) copies to restore uniform column sums; the copy count that
     balances the columns is exactly the previous matrix's column sum.
+    A level that would have more than ``max_rows`` rows raises
+    GuardExceeded before it is built.
     """
     if q < 2 or t < 2:
         raise ValueError("need q >= 2 and t >= 2")
+
+    def guard(n_rows: int, level: int) -> None:
+        if n_rows > max_rows:
+            raise GuardExceeded(f"matrix would grow past {max_rows} rows at level {level}")
+
+    guard(q * q, 2)
     identity = [[1 if i == j else 0 for j in range(q)] for i in range(q)]
     ones = [[1] * q for _ in range(q)]
     hole = [[1 - identity[i][j] for j in range(q)] for i in range(q)]
@@ -176,13 +184,12 @@ def gen_unsplittable(q: int, t: int, *, max_rows: int = 5000) -> ScenarioMatrix:
     for level in range(3, t + 1):
         width = (level - 1) * q
         colsum = sum(r[0] for r in rows)
+        guard(len(rows) + colsum * q, level)
         complement = [[1 - v for v in r] for r in rows]
         new_rows = [r + [1] * q for r in complement]
         for _ in range(colsum):
             new_rows.extend([1] * width + hole[i] for i in range(q))
         rows = new_rows
-        if len(rows) > max_rows:
-            raise GuardExceeded(f"matrix grew past {max_rows} rows at level {level}")
 
     matrix = ScenarioMatrix(tuple(tuple(r) for r in rows))
     assert matrix.uniform_column_sum() is not None, "columns failed to balance"

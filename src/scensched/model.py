@@ -240,8 +240,9 @@ def _check_schedule(inst: Instance, sched: Schedule) -> None:
     if len(sched.assignment) != inst.n:
         raise ValueError("schedule length does not match instance")
     for i in sched.assignment:
-        if not 0 <= i < inst.m:
-            raise ValueError(f"machine index {i} out of range")
+        # type(), not isinstance(): a bool is not a machine
+        if type(i) is not int or not 0 <= i < inst.m:
+            raise ValueError(f"machine index {i!r} is not an integer in 0..{inst.m - 1}")
 
 
 def evaluate_scenario(inst: Instance, sched: Schedule, k: int) -> int:
@@ -287,13 +288,7 @@ def single_scenario_optimum(inst: Instance, k: int) -> int:
     return total
 
 
-def evaluate(
-    inst: Instance,
-    sched: Schedule,
-    kind: ObjectiveKind,
-    *,
-    scenario_opts: tuple[int, ...] | None = None,
-) -> CostVector:
+def evaluate(inst: Instance, sched: Schedule, kind: ObjectiveKind) -> CostVector:
     """Evaluate a schedule under the given objective kind."""
     _check_schedule(inst, sched)
     per = tuple(_scenario_cost(inst, sched.assignment, k) for k in range(inst.K))
@@ -302,8 +297,7 @@ def evaluate(
     elif kind is ObjectiveKind.MINAVG:
         agg = sum(per)
     else:
-        opts = scenario_opts if scenario_opts is not None else scenario_optima(inst)
-        regrets = [c - o for c, o in zip(per, opts)]
+        regrets = [c - o for c, o in zip(per, scenario_optima(inst))]
         agg = max(regrets) if kind is ObjectiveKind.REGRET_MAX else sum(regrets)
     return CostVector(kind=kind, per_scenario=per, aggregate=agg)
 

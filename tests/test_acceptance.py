@@ -182,7 +182,7 @@ def test_criterion_7_disbalance_theory():
             assert all(d * d <= cap_sq for d in disbalance(inst, sched).final_dk)
         best = optima[0]
         value = evaluate(inst, best, ObjectiveKind.MINAVG).aggregate
-        pair_out = equalize_two(inst, best, 0, 1, basis=bases[inst.K])
+        pair_out, _ = equalize_two(inst, best, 0, 1, basis=bases[inst.K])
         assert evaluate(inst, pair_out, ObjectiveKind.MINAVG).aggregate == value
         all_out = equalize_all(inst, best, basis=bases[inst.K])
         assert evaluate(inst, all_out, ObjectiveKind.MINAVG).aggregate == value

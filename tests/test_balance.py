@@ -236,7 +236,7 @@ def _minavg(inst, sched):
 def test_equalize_two_balanced_input_stays_balanced():
     inst = make_instance(2, [1] * 6, [[0, 1, 2, 3, 4, 5]])
     sched = Schedule((0, 1, 0, 1, 0, 1))
-    out, rep = equalize_two(inst, sched, 0, 1, with_report=True)
+    out, rep = equalize_two(inst, sched, 0, 1)
     assert rep.post_full == rep.pre_full == (1,)
     assert _minavg(inst, out) == _minavg(inst, sched)
 
@@ -245,16 +245,16 @@ def test_equalize_two_pathological_single_scenario():
     # optimal (equal final counts) but maximally lopsided prefixes
     inst = make_instance(2, [1] * 12, [list(range(12))])
     sched = Schedule((0,) * 6 + (1,) * 6)
-    out = equalize_two(inst, sched, 0, 1)
+    out, _ = equalize_two(inst, sched, 0, 1)
     assert _minavg(inst, out) == _minavg(inst, sched)
     assert disbalance(inst, out).full_f <= 2  # f(1) + sqrt(1) * 2^0
 
 
 def test_equalize_two_flags_likely_nonoptimal_input():
     inst = make_instance(2, [1] * 8, [list(range(8))])
-    _, rep = equalize_two(inst, Schedule((0,) * 8), 0, 1, with_report=True)
+    _, rep = equalize_two(inst, Schedule((0,) * 8), 0, 1)
     assert rep.pre_final == (8,) and rep.likely_nonoptimal
-    _, rep = equalize_two(inst, Schedule((0, 1) * 4), 0, 1, with_report=True)
+    _, rep = equalize_two(inst, Schedule((0, 1) * 4), 0, 1)
     assert not rep.likely_nonoptimal
 
 
@@ -278,7 +278,7 @@ def test_equalize_two_on_optimal_suite():
         value = _minavg(inst, best)
         for i1 in range(inst.m):
             for i2 in range(i1 + 1, inst.m):
-                out, rep = equalize_two(inst, best, i1, i2, with_report=True, basis=basis)
+                out, rep = equalize_two(inst, best, i1, i2, basis=basis)
                 assert _minavg(inst, out) == value  # optimality preserved
                 assert rep.extended_final == (0,) * inst.K
                 assert not rep.likely_nonoptimal
@@ -293,7 +293,7 @@ def test_equalize_two_three_scenarios():
     for seed in range(12):
         inst = gen_random(8, 2, 3, w_max=1, density=0.6, seed=8100 + seed)
         best = optimal_schedules(inst, ObjectiveKind.MINAVG)[0]
-        out, rep = equalize_two(inst, best, 0, 1, basis=basis, with_report=True)
+        out, rep = equalize_two(inst, best, 0, 1, basis=basis)
         assert _minavg(inst, out) == _minavg(inst, best)
         assert rep.extended_final == (0, 0, 0)
 

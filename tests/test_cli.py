@@ -118,6 +118,13 @@ def test_generate_unsplittable_matrix(tmp_path):
     assert doc["column_sums"] == [3, 3, 3, 3]
 
 
+def test_generate_unsplittable_past_the_row_guard_exits_3(capsys):
+    assert main(["generate", "unsplittable", "--q", "80", "--t", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("guard exceeded: ")
+
+
 def test_generate_coloring_and_solve(tmp_path):
     inst_path = tmp_path / "tri.json"
     assert main(["generate", "coloring", "--vertices", "3",
@@ -179,6 +186,19 @@ def test_balance_equalize_flags_nonoptimal_input_with_empty_stderr(tmp_path):
     assert json.loads(proc.stdout)["report"]["likely_nonoptimal"] is True
 
 
+@pytest.mark.parametrize("assignment", [[True, False, True], [0.5, 1, 0], ["0", 1, 0],
+                                        [None, 1, 0]],
+                         ids=["bools", "float", "string", "null"])
+def test_balance_rejects_a_schedule_of_non_machines(tmp_path, capsys, assignment):
+    inst_path = _write_instance(tmp_path, make_instance(2, [1] * 3, [[0, 1, 2]]))
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text(json.dumps({"assignment": assignment}))
+    assert main(["balance", "equalize", "-i", str(inst_path), "-s", str(sched_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
 def test_bench_default_suite(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(["bench", "-o", str(out)]) == 0
@@ -187,13 +207,6 @@ def test_bench_default_suite(tmp_path):
     assert header == ["instance", "n", "m", "K", "algo", "objective", "value",
                       "oracle_value", "ratio", "time_ms", "full_disbalance"]
     assert len(lines) > 10
-
-
-def test_bench_unknown_suite_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--suite", "nope"])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
 
 
 def _strip_volatile(doc):

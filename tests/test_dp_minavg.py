@@ -4,6 +4,7 @@ from scensched.approx import minavg_derandomized
 from scensched.dp_config import solve_config
 from scensched.dp_minavg import _bounds, _start, solve_minavg, solve_regret_sum
 from scensched.dp_minmax import solve_pseudo
+from scensched.generators import gen_random
 from scensched.model import (
     GuardExceeded,
     ObjectiveKind,
@@ -27,6 +28,15 @@ def test_small_example_matches_oracle():
     res = solve_minavg(inst)
     assert res.value == brute_force(inst, ObjectiveKind.MINAVG).best_value
     assert evaluate(inst, res.schedule, ObjectiveKind.MINAVG).aggregate == res.value
+
+
+def test_walk_keeps_the_least_link():
+    # two optima for each objective, (0, 0, 1) and (0, 1, 1); the walk keeps
+    # each vector's lexicographically least link, which replays to (0, 1, 1)
+    inst = gen_random(3, 2, 2, w_max=3, density=0.6, seed=2)
+    with solver_paths(root_check=False):
+        assert solve_minavg(inst).schedule.assignment == (0, 1, 1)
+        assert solve_pseudo(inst, ObjectiveKind.MINMAX).schedule.assignment == (0, 1, 1)
 
 
 def test_all_scenarios_empty():

@@ -130,6 +130,19 @@ def test_unsplittable_check_on_generated_matrices():
     assert is_unsplittable(gen_unsplittable(2, 3))
 
 
+def test_unsplittable_guard_runs_before_a_level_is_built():
+    with pytest.raises(GuardExceeded):
+        gen_unsplittable(80, 2)  # a base of 6400 rows
+    assert gen_unsplittable(70, 2).n_rows == 4900
+    with pytest.raises(GuardExceeded):
+        gen_unsplittable(30, 3)  # 900 rows, then 900 + 871 * 30
+    assert gen_unsplittable(2, 3, max_rows=10).n_rows == 10
+    with pytest.raises(GuardExceeded):
+        gen_unsplittable(2, 3, max_rows=9)
+    with pytest.raises(GuardExceeded):
+        gen_unsplittable(2, 2, max_rows=3)
+
+
 def test_unsplittable_check_counterexamples():
     all_ones = ScenarioMatrix(((1, 1), (1, 1)))
     assert not is_unsplittable(all_ones)

@@ -250,6 +250,44 @@ def test_json_round_trip():
     assert sched.assignment[0] == 0
 
 
+@pytest.mark.parametrize("assignment", [[True, False, True], [1, 0, False], [0.5, 1, 0],
+                                        [1.0, 0, 1], ["0", 1, 0], [None, 1, 0], [[0], 1, 0]],
+                         ids=["bools", "one-bool", "float", "integral-float", "string", "null",
+                              "list"])
+def test_schedule_loader_rejects_non_machines(assignment):
+    inst = make_instance(2, [1, 5, 3], [[0], [1, 2]])
+    with pytest.raises(ValueError, match="machine index"):
+        schedule_from_dict(inst, {"assignment": assignment})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+
+
+@given(st.fixed_dictionaries({}, optional={"m": _JSON, "weights": _JSON, "scenarios": _JSON})
+       | _JSON)
+def test_instance_loader_returns_or_raises_value_error(doc):
+    try:
+        instance_from_dict(doc)
+    except ValueError:
+        pass
+
+
+@given(st.fixed_dictionaries({"assignment": st.lists(_JSON, min_size=3, max_size=3)})
+       | st.fixed_dictionaries({"assignment": _JSON}) | _JSON)
+def test_schedule_loader_returns_machines_or_raises_value_error(doc):
+    inst = make_instance(2, [1, 5, 3], [[0], [1, 2]])
+    try:
+        sched = schedule_from_dict(inst, doc)
+    except ValueError:
+        return
+    assert all(type(i) is int and 0 <= i < 2 for i in sched.assignment)
+
+
 def test_instance_hash_is_sha256_of_the_canonical_document():
     for inst in weighted_suite() + unit_suite():
         payload = json.dumps(instance_to_dict(inst), sort_keys=True, separators=(",", ":"))

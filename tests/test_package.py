@@ -196,7 +196,7 @@ def _values():
     inst = _instance()
     result = solve_minavg(inst)
     unit = make_instance(2, [1] * 4, [[0, 1, 2, 3]])
-    _, report = equalize_two(unit, Schedule((0, 0, 1, 1)), 0, 1, with_report=True)
+    _, report = equalize_two(unit, Schedule((0, 0, 1, 1)), 0, 1)
     basis = hilbert_basis(1)
     return [
         inst,
