@@ -3,14 +3,13 @@
 With unit weights the count matrix of :mod:`.dp_minavg` fixes every
 per-scenario total, so the general exact solvers need no configuration
 state space of their own: each of their cost fronts holds a single vector.
-``solve_config`` keeps the unit-weight contract and hands the instance to
-the solver for its objective.
+``solve_config`` keeps the unit-weight contract and runs that walk for its
+objective.
 """
 
 from __future__ import annotations
 
-from .dp_minavg import DEFAULT_MAX_STATES, solve_minavg
-from .dp_minmax import solve_pseudo
+from .dp_minavg import DEFAULT_MAX_STATES, _walk
 from .model import Instance, ObjectiveKind, SolveResult
 
 
@@ -25,6 +24,4 @@ def solve_config(
         raise ValueError(f"configuration solver handles minmax and minavg, not {kind.value}")
     if any(w != 1 for w in inst.weights):
         raise ValueError("configuration solver requires unit weights")
-    if kind is ObjectiveKind.MINMAX:
-        return solve_pseudo(inst, kind, max_states=max_states)
-    return solve_minavg(inst, max_states=max_states)
+    return _walk(inst, kind, max_states)

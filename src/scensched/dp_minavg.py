@@ -1,5 +1,5 @@
-"""Exact solver for the scenario-sum objective, and the count-matrix walk that
-every exact DP in the package runs.
+"""Exact solver for the scenario-sum objectives, and the count-matrix walk
+that every exact DP in the package runs.
 
 After the first j jobs are placed, the m x K count matrix Y holds per
 machine and scenario the number of placed scenario jobs.  Placing job j on a
@@ -9,16 +9,20 @@ machines are interchangeable; a placement is tried once per distinct row,
 because identical rows lead to the same next state; and only min(m, n)
 machines are kept, because the rest stay empty.
 
-Every objective reads only the per-scenario totals and never decreases as a
-total grows.  The walk (``_walk``) adds scenario k's costs into coordinate
-``dims[k]`` of a cost vector C and minimizes max_d(C_d - opts_d): min-max is
-one coordinate per scenario with offsets 0, max-regret the same with the
-scenario optima as offsets, and the sum one coordinate with offset 0.  A
-state (Y, C) is useless when another state with the same Y has a
-componentwise smaller or equal C, so each Y keeps its Pareto front of C
-vectors (on one coordinate, the least total; with unit weights Y fixes C).
-Each vector keeps its lexicographically least link (previous Y, previous C,
-receiving row), and one optimal assignment is rebuilt by forward replay.
+Every objective is ``agg(C_k - offsets_k)`` over the per-scenario totals C
+(``model._objective``), and never decreases as a total grows.  The walk
+(``_walk``) adds scenario k's costs into coordinate ``dims[k]`` of a cost
+vector and minimizes max_d(C_d - opts_d).  When agg is max (min-max,
+max-regret) there is one coordinate per scenario and opts are the offsets.
+When agg is sum (the sum, sum-regret) one coordinate holds all scenarios and
+its offset is the sum of the offsets: a constant that shifts the incumbent,
+every bound and the final minimum alike, so sum-regret keeps the sum's
+states and least links and returns the sum's witness.  A state (Y, C) is
+useless when another state with the same Y has a componentwise smaller or
+equal C, so each Y keeps its Pareto front of C vectors (on one coordinate,
+the least total; with unit weights Y fixes C).  Each vector keeps its
+lexicographically least link (previous Y, previous C, receiving row), and
+one optimal assignment is rebuilt by forward replay.
 
 The walk is bound-and-prune.  One scenario alone is solved by round-robin in
 weight order; started from a state's column of counts, the same rule gives
@@ -37,13 +41,10 @@ that survive.
 The walk starts with a root check.  At the empty count matrix lb is the
 vector of scenario optima opt_k, so max_d(fold(opt)_d - opts_d) bounds every
 schedule from below: max_k opt_k for min-max, the sum of the opt_k for the
-sum, 0 for max-regret.  When ub equals this root bound the greedy schedule is
-optimal, and it is returned without walking any layer.  The value is the
+sum, 0 for both regrets.  When ub equals this root bound the greedy schedule
+is optimal, and it is returned without walking any layer.  The value is the
 walk's; the witness is the greedy assignment rather than the walk's least
 link, and the guard is not reached.
-
-Sum-regret needs no walk of its own: its minimizers coincide with the plain
-sum's, shifted by the constant sum of the standalone scenario optima.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from heapq import heapreplace
 from operator import add, le, sub
 
 from .approx import _greedy
-from .model import GuardExceeded, Instance, Schedule, SolveResult, scenario_optima
+from .model import GuardExceeded, Instance, ObjectiveKind, Schedule, SolveResult, _objective
 
 DEFAULT_MAX_STATES = 2_000_000
 
@@ -131,9 +132,15 @@ def _meets_root(ub: int, root: int) -> bool:
     return ub == root
 
 
-def _walk(inst: Instance, dims, opts: tuple, max_states: int) -> SolveResult:
-    """The least max_d(C_d - opts_d) over all schedules, where scenario k's
-    costs add into coordinate ``dims[k]`` of C, and a schedule attaining it."""
+def _walk(inst: Instance, kind: ObjectiveKind, max_states: int) -> SolveResult:
+    """The least objective value of ``kind`` over all schedules, and a
+    schedule attaining it: the least max_d(C_d - opts_d), where scenario k's
+    costs add into coordinate ``dims[k]`` of C."""
+    agg, offsets = _objective(inst, kind)
+    if agg is max:
+        dims, opts = range(inst.K), offsets
+    else:
+        dims, opts = (0,) * inst.K, (sum(offsets),)
     D = len(opts)
 
     def fold(per_scenario) -> list:
@@ -200,12 +207,10 @@ def _walk(inst: Instance, dims, opts: tuple, max_states: int) -> SolveResult:
 
 def solve_minavg(inst: Instance, *, max_states: int = DEFAULT_MAX_STATES) -> SolveResult:
     """Exact optimum of the scenario-sum objective."""
-    return _walk(inst, (0,) * inst.K, (0,), max_states)
+    return _walk(inst, ObjectiveKind.MINAVG, max_states)
 
 
 def solve_regret_sum(inst: Instance, *, max_states: int = DEFAULT_MAX_STATES) -> SolveResult:
-    """Sum-regret optimum: the scenario-sum optimum shifted by a constant."""
-    res = solve_minavg(inst, max_states=max_states)
-    return SolveResult(
-        value=res.value - sum(scenario_optima(inst)), schedule=res.schedule
-    )
+    """Exact optimum of the sum-regret objective, with the witness of
+    :func:`solve_minavg`: the two differ by a constant."""
+    return _walk(inst, ObjectiveKind.REGRET_SUM, max_states)

@@ -1,10 +1,10 @@
 """Exact pseudopolynomial solver for the min-max (and max-regret) objective,
 plus the rounding wrapper that turns it into an approximation scheme.
 
-Both objectives run the count-matrix walk of :mod:`.dp_minavg` with one cost
-coordinate per scenario, offset by 0 for min-max and by the scenario optima
-opt_k for max-regret, so the walk minimizes max_k(C_k - opt_k) over Pareto
-fronts of per-scenario totals.
+Both objectives enter the count-matrix walk of :mod:`.dp_minavg` directly.
+Their aggregate is max, so the walk keeps one cost coordinate per scenario,
+offset by 0 for min-max and by the scenario optima opt_k for max-regret, and
+minimizes max_k(C_k - offset_k) over Pareto fronts of per-scenario totals.
 
 The rounding wrapper scales weights by rho = W*eps/(m*n^2) and rounds up:
 the exact optimum of the rounded instance, evaluated under original weights,
@@ -18,14 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dp_minavg import DEFAULT_MAX_STATES, _walk
-from .model import (
-    Instance,
-    ObjectiveKind,
-    Schedule,
-    SolveResult,
-    evaluate,
-    scenario_optima,
-)
+from .model import Instance, ObjectiveKind, Schedule, SolveResult, evaluate
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -40,8 +33,7 @@ def solve_pseudo(
     """Exact optimum for MINMAX or REGRET_MAX over count-matrix cost fronts."""
     if kind not in (ObjectiveKind.MINMAX, ObjectiveKind.REGRET_MAX):
         raise ValueError(f"load/cost solver handles minmax and regret-max, not {kind.value}")
-    opts = scenario_optima(inst) if kind is ObjectiveKind.REGRET_MAX else (0,) * inst.K
-    return _walk(inst, range(inst.K), opts, max_states)
+    return _walk(inst, kind, max_states)
 
 
 class FptasResult(NamedTuple):

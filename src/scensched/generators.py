@@ -1,5 +1,9 @@
 """Instance constructions: graph-based gadgets, the three-way partition
 family, unsplittable scenario matrices, and seeded random instances.
+
+Counts, vertices, matrix entries and partition numbers must be ints, not
+bools or floats (checked with ``type(x) is int``, as :class:`.model.Instance`
+does); anything else raises ValueError rather than being coerced.
 """
 
 from __future__ import annotations
@@ -19,10 +23,14 @@ class Graph(_Frozen):
     __slots__ = _fields = ("n_vertices", "edges")
 
     def __init__(self, n_vertices: int, edges: tuple[tuple[int, int], ...]) -> None:
+        if type(n_vertices) is not int:
+            raise ValueError(f"vertex count {n_vertices!r} is not an integer")
         if n_vertices < 1:
             raise ValueError("graph needs at least one vertex")
         seen = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r},{v!r}) has an end that is not an integer")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
@@ -47,7 +55,7 @@ class ScenarioMatrix(_Frozen):
         for r in rows:
             if len(r) != width:
                 raise ValueError("ragged matrix")
-            if any(v not in (0, 1) for v in r):
+            if any(type(v) is not int or v not in (0, 1) for v in r):
                 raise ValueError("entries must be 0 or 1")
         object.__setattr__(self, "rows", rows)
 
@@ -109,9 +117,9 @@ def gen_partition3(a: list[int], m: int) -> Instance:
     jobs of weight Q_j in all three scenarios, so every scenario meets every
     block in exactly 2m jobs.
     """
-    if m < 2:
+    if type(m) is not int or m < 2:
         raise ValueError("need at least two machines")
-    if not a or any(not isinstance(v, int) or v < 1 for v in a):
+    if not a or any(type(v) is not int or v < 1 for v in a):
         raise ValueError("need a nonempty list of positive integers")
     n = len(a)
     q = partition3_block_weights(a, m)
@@ -165,6 +173,8 @@ def gen_unsplittable(q: int, t: int, *, max_rows: int = 5000) -> ScenarioMatrix:
     A level that would have more than ``max_rows`` rows raises
     GuardExceeded before it is built.
     """
+    if type(q) is not int or type(t) is not int:
+        raise ValueError("q and t must be integers")
     if q < 2 or t < 2:
         raise ValueError("need q >= 2 and t >= 2")
 
@@ -249,11 +259,13 @@ def gen_random(
     Draw order is pinned (all weights first, then memberships job-major), so
     equal parameters give identical instances.
     """
+    if any(type(x) is not int for x in (n, m, K, w_max)):
+        raise ValueError("n, m, K and w_max must be integers")
     if n < 1 or m < 1 or K < 1:
         raise ValueError("n, m, K must all be at least 1")
     if w_max < 1:
         raise ValueError("w_max must be at least 1")
-    if not 0 < density <= 1:
+    if type(density) is bool or not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
     rng = random.Random(seed)
     weights = [rng.randint(1, w_max) for _ in range(n)]

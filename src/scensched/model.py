@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
+from operator import sub
 from typing import NamedTuple
 
 # hashlib loads OpenSSL, which costs every CLI process a few ms and MB; the
@@ -288,18 +289,23 @@ def single_scenario_optimum(inst: Instance, k: int) -> int:
     return total
 
 
+def _objective(inst: Instance, kind: ObjectiveKind) -> tuple:
+    """``(agg, offsets)``: under ``kind`` the per-scenario totals C are worth
+    ``agg(C_k - offsets_k)``.  ``agg`` is max for the min-max kinds and sum
+    for the sum kinds; the offsets are the scenario optima for the regrets
+    and zeros otherwise."""
+    agg = max if kind in (ObjectiveKind.MINMAX, ObjectiveKind.REGRET_MAX) else sum
+    if kind in (ObjectiveKind.REGRET_MAX, ObjectiveKind.REGRET_SUM):
+        return agg, scenario_optima(inst)
+    return agg, (0,) * inst.K
+
+
 def evaluate(inst: Instance, sched: Schedule, kind: ObjectiveKind) -> CostVector:
     """Evaluate a schedule under the given objective kind."""
     _check_schedule(inst, sched)
     per = tuple(_scenario_cost(inst, sched.assignment, k) for k in range(inst.K))
-    if kind is ObjectiveKind.MINMAX:
-        agg = max(per)
-    elif kind is ObjectiveKind.MINAVG:
-        agg = sum(per)
-    else:
-        regrets = [c - o for c, o in zip(per, scenario_optima(inst))]
-        agg = max(regrets) if kind is ObjectiveKind.REGRET_MAX else sum(regrets)
-    return CostVector(kind=kind, per_scenario=per, aggregate=agg)
+    agg, offsets = _objective(inst, kind)
+    return CostVector(kind=kind, per_scenario=per, aggregate=agg(map(sub, per, offsets)))
 
 
 def disbalance(inst: Instance, sched: Schedule) -> DisbalanceReport:

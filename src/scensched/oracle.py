@@ -12,13 +12,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .model import (
-    GuardExceeded,
-    Instance,
-    ObjectiveKind,
-    Schedule,
-    scenario_optima,
-)
+from .model import GuardExceeded, Instance, ObjectiveKind, Schedule, _objective
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -63,23 +57,11 @@ def _search(inst: Instance, kind: ObjectiveKind, keep_all: bool):
     n, m, K = inst.n, inst.m, inst.K
     w = inst.weights
     job_scens = inst.job_scenarios
-    totals = [0] * K
+    agg, offsets = _objective(inst, kind)
+    # totals[k] is scenario k's cost less its offset, so a leaf is worth agg(totals)
+    totals = [-o for o in offsets]
     counts = [[0] * K for _ in range(m)]
     assign = [0] * n
-
-    if kind in (ObjectiveKind.REGRET_MAX, ObjectiveKind.REGRET_SUM):
-        opts = scenario_optima(inst)
-    else:
-        opts = None
-
-    if kind is ObjectiveKind.MINMAX:
-        aggregate = lambda: max(totals)
-    elif kind is ObjectiveKind.MINAVG:
-        aggregate = lambda: sum(totals)
-    elif kind is ObjectiveKind.REGRET_MAX:
-        aggregate = lambda: max(c - o for c, o in zip(totals, opts))
-    else:
-        aggregate = lambda: sum(totals) - sum(opts)
 
     best = None
     best_assign: tuple[int, ...] | None = None
@@ -89,7 +71,7 @@ def _search(inst: Instance, kind: ObjectiveKind, keep_all: bool):
     def rec(j: int, used: int):
         nonlocal best, best_assign, n_opt
         if j == n:
-            value = aggregate()
+            value = agg(totals)
             if best is None or value < best:
                 best = value
                 best_assign = tuple(assign)

@@ -75,7 +75,10 @@ def test_regret_sum_shift():
     def check():
         for inst, value in zip(suite, best):
             res = solve_regret_sum(inst)
-            assert res.value == solve_minavg(inst).value - sum(scenario_optima(inst))
+            plain = solve_minavg(inst)
+            # the offset sum(opt_k) is a constant, so the witness is the sum's
+            assert res.value == plain.value - sum(scenario_optima(inst))
+            assert res.schedule == plain.schedule
             assert res.value == value
 
     on_both_paths(check)
@@ -114,6 +117,7 @@ def test_root_check_returns_the_greedy_schedule():
         ObjectiveKind.MINAVG: solve_minavg,
         ObjectiveKind.MINMAX: lambda inst: solve_pseudo(inst, ObjectiveKind.MINMAX),
         ObjectiveKind.REGRET_MAX: lambda inst: solve_pseudo(inst, ObjectiveKind.REGRET_MAX),
+        ObjectiveKind.REGRET_SUM: solve_regret_sum,
     }
     for kind, solve in solvers.items():
         at_root = 0

@@ -189,3 +189,33 @@ def test_gen_random_validation():
         gen_random(1, 1, 1, density=0.0, seed=0)
     with pytest.raises(ValueError):
         gen_random(1, 1, 1, w_max=0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_partition3([True], 2),
+        lambda: gen_partition3([1, 2], 2.0),
+        lambda: Graph(True, ()),
+        lambda: Graph(3, ((0, True),)),
+        lambda: ScenarioMatrix(((True, 1.0),)),
+        lambda: ScenarioMatrix(((1, 0), (0, 1.0))),
+        lambda: gen_random(True, 2, 1),
+        lambda: gen_random(3.0, 2, 1),
+        lambda: gen_random(3, 2, 1, w_max=2.5),
+        lambda: gen_random(3, 2, 1, density=True),
+        lambda: gen_unsplittable(2.0, 2),
+        lambda: gen_unsplittable(2, 2.0),
+    ],
+    ids=[
+        "partition3-bool-number", "partition3-float-m", "graph-bool-vertices",
+        "graph-bool-edge-end", "matrix-bool-and-float", "matrix-float",
+        "random-bool-n", "random-float-n", "random-float-w-max", "random-bool-density",
+        "unsplittable-float-q", "unsplittable-float-t",
+    ],
+)
+def test_generators_reject_bools_and_floats(build):
+    # a bool or float is rejected, never coerced to an int
+    with pytest.raises(ValueError):
+        build()
+

@@ -1,5 +1,6 @@
-"""Metamorphic checks of the exact solvers, and of the FPTAS's 1+eps bound,
-against the brute-force oracle.
+"""Metamorphic checks of the exact solvers, of the two-scenario ideal
+schedule, and of the FPTAS's and the approximations' ratio bounds, against
+the brute-force oracle.
 
 Relabelling the jobs or adding jobs outside every scenario leaves every
 objective value unchanged; scaling all weights by c scales it by c.  Ties
@@ -13,11 +14,13 @@ otherwise seldom run.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scensched.approx import minavg_derandomized, minmax_all_on_one
 from scensched.dp_config import solve_config
 from scensched.dp_minavg import solve_minavg, solve_regret_sum
 from scensched.dp_minmax import fptas, solve_pseudo
-from scensched.model import ObjectiveKind, evaluate, make_instance
+from scensched.model import ObjectiveKind, evaluate, make_instance, scenario_optima
 from scensched.oracle import brute_force
+from scensched.two_scenario import solve_two_scenarios
 
 from conftest import on_both_paths
 
@@ -38,16 +41,16 @@ def _fptas_half(inst):
 
 
 @st.composite
-def transformed(draw, unit: bool):
-    """Input-order data (m, weights, scenarios) with n <= 6, its relabelling,
-    and the same data with one or two jobs added outside every scenario, so
-    that n <= 8."""
+def transformed(draw, unit: bool, K: tuple = (1, 3)):
+    """Input-order data (m, weights, scenarios) with n <= 6 and K in the
+    closed range ``K``, its relabelling, and the same data with one or two
+    jobs added outside every scenario, so that n <= 8."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 6))
     weight = st.just(1) if unit else st.integers(0, 4)
     weights = draw(st.lists(weight, min_size=n, max_size=n))
     scenarios = draw(st.lists(
-        st.lists(st.integers(0, n - 1), unique=True), min_size=1, max_size=3))
+        st.lists(st.integers(0, n - 1), unique=True), min_size=K[0], max_size=K[1]))
     perm = draw(st.permutations(range(n)))
     relabelled = [0] * n
     for j, w in enumerate(weights):
@@ -119,3 +122,42 @@ def test_config_is_invariant_under_relabelling_and_extra_jobs(cases):
             assert _solve(solver, kind, extended) == value
 
     on_both_paths(check, reach_both=False)
+
+
+def _with_scaled(cases, c):
+    """Each transformed draw with factor 1, then the base scaled by c with
+    factor c: every objective value is the base's times the factor."""
+    m, weights, scenarios = cases[0]
+    return [(data, 1) for data in cases] + [((m, [c * w for w in weights], scenarios), c)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(transformed(unit=False, K=(2, 2)), st.integers(2, 3))
+def test_two_scenario_schedule_is_ideal(cases, c):
+    # K = 2 always has a schedule meeting both standalone optima at once
+    base = scenario_optima(make_instance(*cases[0]))
+    for data, factor in _with_scaled(cases, c):
+        inst = make_instance(*data)
+        opts = tuple(factor * o for o in base)
+        assert scenario_optima(inst) == opts
+        per = evaluate(inst, solve_two_scenarios(inst), ObjectiveKind.MINMAX).per_scenario
+        assert per == opts
+        assert brute_force(inst, ObjectiveKind.MINMAX).best_value == max(opts)
+        assert brute_force(inst, ObjectiveKind.MINAVG).best_value == sum(opts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(transformed(unit=False), st.integers(2, 3))
+def test_approximations_stay_within_their_ratios(cases, c):
+    # the bounds are 3/2 - 1/(2m) for the sum and 2 for min-max on two
+    # machines, against the base's optima
+    m, weights, scenarios = cases[0]
+    avg = brute_force(make_instance(*cases[0]), ObjectiveKind.MINAVG).best_value
+    two = brute_force(make_instance(2, weights, scenarios), ObjectiveKind.MINMAX).best_value
+    for data, factor in _with_scaled(cases, c):
+        inst = make_instance(*data)
+        value = evaluate(inst, minavg_derandomized(inst), ObjectiveKind.MINAVG).aggregate
+        assert 2 * m * value <= (3 * m - 1) * factor * avg
+        inst = make_instance(2, *data[1:])
+        value = evaluate(inst, minmax_all_on_one(inst), ObjectiveKind.MINMAX).aggregate
+        assert value <= 2 * factor * two
