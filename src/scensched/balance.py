@@ -30,6 +30,8 @@ from collections import Counter
 from typing import NamedTuple
 
 from .model import (
+    GUARD_BITS,
+    MAX_K,
     GuardExceeded,
     Instance,
     ObjectiveKind,
@@ -37,8 +39,6 @@ from .model import (
     disbalance,
 )
 from .oracle import optimal_schedules
-
-DEFAULT_MAX_K = 3
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def basis_norm_cap(K: int) -> int:
     return (2 ** (2 ** (K + 1))) * math.factorial(K) ** 2
 
 
-def hilbert_basis(K: int, *, max_k: int = DEFAULT_MAX_K) -> HilbertBasis:
+def hilbert_basis(K: int, *, max_k: int = MAX_K) -> HilbertBasis:
     """All irreducible nonzero lattice points of the two-machine cone.
 
     For this homogeneous system a point is irreducible exactly when it is
@@ -498,7 +498,7 @@ def conjecture_probe(
     seed: int,
     *,
     density: float = 0.5,
-    guard_bits: float = 32.0,
+    guard_bits: float = GUARD_BITS,
 ) -> ProbeReport:
     """Measure, over seeded unit-weight random instances, the smallest full
     disbalance achievable by *any* optimal schedule of the sum objective.

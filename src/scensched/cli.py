@@ -3,10 +3,14 @@
 Machine-readable JSON/CSV only; value fields are deterministic for identical
 invocations (wall-clock fields are reported but excluded from that contract).
 Exit codes: 0 success, 1 verification failure, 2 contract violation,
-3 resource guard.  The size guards are the oracle's n*log2(m) <= 32, 2M
-states per layer for the exact DPs (dp, config, fptas) and K <= 3 for the
-Hilbert basis.  Setting SCHED_GUARD_OVERRIDE=1 lifts them (at your own risk:
-memory and runtime grow quickly past them).
+3 resource guard.  The size guards are ``model``'s: the oracle's
+n*log2(m) <= 32, 2M states per layer for the exact DPs (dp, config, fptas)
+and K <= 3 for the Hilbert basis.  Setting SCHED_GUARD_OVERRIDE=1 lifts
+exactly these three (to 1e9 bits, 10**9 states and K <= 6), at your own
+risk: memory and runtime grow quickly past them, and the Hilbert basis did
+not finish within 30 s at K = 4, so from there the override turns exit 3
+into a hang.  ``generate unsplittable``'s 5000-row guard and
+``equalize_all``'s 10 000 rounds stay in force.
 
 ``solve``, ``verify``, ``bench`` and the ``--algo`` choices all derive from
 one table of algorithms, ``ALGORITHMS``.  The command line is read from one
@@ -16,13 +20,16 @@ choices, number of values).  ``_parse`` walks it, and the ``-h`` text is
 rendered from it.  Flags match only by their exact names, as ``--flag
 value`` or ``--flag=value``.
 
-A process imports only what its command runs: no option-parsing library
-(nor ``gettext`` and ``locale``), each solver module on the first call of
-its runner, the generators, balance and oracle modules inside the handlers
-that use them.  ``fractions`` (with ``decimal``) loads only where a Fraction is
-built: ``solve --algo fptas``, ``verify``, ``bench``, ``generate random``
-and ``probe``.  No command loads ``hashlib``: the instance digest uses the
-interpreter's built-in SHA-256.
+Every solver, generator, balance and oracle call goes through the package
+root by its public name (``scensched.solve_pseudo(...)``), whose lazy lookup
+imports the defining module on first use and returns its current binding on
+every call.  So a process imports only what its command runs: no
+option-parsing library (nor ``gettext`` and ``locale``), and each library
+module only when a call needs it.  ``fractions`` (with ``decimal``) loads
+only where a Fraction is built: ``solve --algo fptas``, ``verify``,
+``bench``, ``generate random`` and ``probe``; ``csv`` only in ``bench``.
+No command loads ``hashlib``: the instance digest uses the interpreter's
+built-in SHA-256.
 
 ``run`` is the process entry, of ``python -m scensched.cli`` and of the
 ``scensched`` console script alike.  It calls ``main``, takes a
@@ -43,11 +50,15 @@ import json
 import os
 import sys
 import time
-from importlib import import_module
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn
 
+import scensched
+
 from .model import (
+    GUARD_BITS,
+    MAX_K,
+    MAX_STATES,
     GuardExceeded,
     Instance,
     ObjectiveKind,
@@ -83,19 +94,13 @@ def _fraction(*args) -> Fraction:
     return Fraction(*args)
 
 
-def _call(module: str, name: str, *args, **kwargs):
-    """Calls function ``name`` of submodule ``module``, importing the module
-    on first use and looking the name up on every call, so rebinding it in
-    its module reaches every call."""
-    return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
-
-
 class Algorithm(NamedTuple):
     """``runners`` maps each objective (the first is the default) to
     ``runner(inst, epsilon, max_states)``, returning a Schedule or a solver
-    result; it calls its solver through ``_call``.  ``bound(inst, epsilon)``
-    is the certified ratio; None marks an exact algorithm.  Instance
-    preconditions (K=2, m=2, unit weights) are the solvers' own checks."""
+    result; it calls its solver through the package root.  ``bound(inst,
+    epsilon)`` is the certified ratio; None marks an exact algorithm.
+    Instance preconditions (K=2, m=2, unit weights) are the solvers' own
+    checks."""
 
     runners: dict
     epsilon: bool = False
@@ -104,36 +109,30 @@ class Algorithm(NamedTuple):
 
 ALGORITHMS = {
     "two-scenario": Algorithm(dict.fromkeys(
-        (MINMAX, MINAVG),
-        lambda inst, eps, cap: _call("two_scenario", "solve_two_scenarios", inst),
+        (MINMAX, MINAVG), lambda inst, eps, cap: scensched.solve_two_scenarios(inst),
     )),
     "dp": Algorithm({
-        MINMAX: lambda inst, eps, cap: _call(
-            "dp_minmax", "solve_pseudo", inst, MINMAX, max_states=cap),
-        MINAVG: lambda inst, eps, cap: _call(
-            "dp_minavg", "solve_minavg", inst, max_states=cap),
-        REGRET_MAX: lambda inst, eps, cap: _call(
-            "dp_minmax", "solve_pseudo", inst, REGRET_MAX, max_states=cap),
-        REGRET_SUM: lambda inst, eps, cap: _call(
-            "dp_minavg", "solve_regret_sum", inst, max_states=cap),
+        MINMAX: lambda inst, eps, cap: scensched.solve_pseudo(inst, MINMAX, max_states=cap),
+        MINAVG: lambda inst, eps, cap: scensched.solve_minavg(inst, max_states=cap),
+        REGRET_MAX: lambda inst, eps, cap: scensched.solve_pseudo(
+            inst, REGRET_MAX, max_states=cap),
+        REGRET_SUM: lambda inst, eps, cap: scensched.solve_regret_sum(inst, max_states=cap),
     }),
     "fptas": Algorithm(
-        {MINMAX: lambda inst, eps, cap: _call("dp_minmax", "fptas", inst, eps, max_states=cap)},
+        {MINMAX: lambda inst, eps, cap: scensched.fptas(inst, eps, max_states=cap)},
         epsilon=True,
         bound=lambda inst, eps: 1 + eps,
     ),
     "config": Algorithm({
-        MINMAX: lambda inst, eps, cap: _call(
-            "dp_config", "solve_config", inst, MINMAX, max_states=cap),
-        MINAVG: lambda inst, eps, cap: _call(
-            "dp_config", "solve_config", inst, MINAVG, max_states=cap),
+        MINMAX: lambda inst, eps, cap: scensched.solve_config(inst, MINMAX, max_states=cap),
+        MINAVG: lambda inst, eps, cap: scensched.solve_config(inst, MINAVG, max_states=cap),
     }),
     "approx-minmax2": Algorithm(
-        {MINMAX: lambda inst, eps, cap: _call("approx", "minmax_all_on_one", inst)},
+        {MINMAX: lambda inst, eps, cap: scensched.minmax_all_on_one(inst)},
         bound=lambda inst, eps: _fraction(2),
     ),
     "approx-minavg": Algorithm(
-        {MINAVG: lambda inst, eps, cap: _call("approx", "minavg_derandomized", inst)},
+        {MINAVG: lambda inst, eps, cap: scensched.minavg_derandomized(inst)},
         bound=lambda inst, eps: _fraction(3, 2) - _fraction(1, 2 * inst.m),
     ),
 }
@@ -142,7 +141,7 @@ ALGORITHMS = {
 def _guards() -> dict:
     if os.environ.get("SCHED_GUARD_OVERRIDE") == "1":
         return {"guard_bits": 1e9, "max_states": 10**9, "max_k": 6}
-    return {"guard_bits": 32.0, "max_states": 2_000_000, "max_k": 3}
+    return {"guard_bits": GUARD_BITS, "max_states": MAX_STATES, "max_k": MAX_K}
 
 
 def _rational(text: str) -> Fraction:
@@ -190,9 +189,7 @@ def _run(inst: Instance, algo: str, kind: ObjectiveKind, epsilon, guards):
 
 def _check(inst, algo, kind, sched, value, epsilon, guards):
     """Compares a run with the oracle; returns (ratio, ok, detail)."""
-    from .oracle import brute_force
-
-    best = brute_force(inst, kind, guard_bits=guards["guard_bits"]).best_value
+    best = scensched.brute_force(inst, kind, guard_bits=guards["guard_bits"]).best_value
     ratio = _fraction(value, best) if best else _fraction(1)
     detail = {"oracle_value": best}
     bound = ALGORITHMS[algo].bound
@@ -279,23 +276,19 @@ def _parse_edges(spec: str) -> tuple[tuple[int, int], ...]:
 
 
 def _cmd_generate(args) -> int:
-    from . import generators as gen
-
     if args.family == "coloring":
-        g = gen.Graph(args.vertices, _parse_edges(args.edges))
-        doc = instance_to_dict(gen.gen_coloring(g, args.m))
+        g = scensched.Graph(args.vertices, _parse_edges(args.edges))
+        doc = instance_to_dict(scensched.gen_coloring(g, args.m))
     elif args.family == "maxcut":
-        g = gen.Graph(args.vertices, _parse_edges(args.edges))
-        doc = instance_to_dict(gen.gen_maxcut(g))
+        g = scensched.Graph(args.vertices, _parse_edges(args.edges))
+        doc = instance_to_dict(scensched.gen_maxcut(g))
     elif args.family == "partition3":
         numbers = [int(v) for v in args.a.split(",")]
-        doc = instance_to_dict(gen.gen_partition3(numbers, args.m))
+        doc = instance_to_dict(scensched.gen_partition3(numbers, args.m))
     elif args.family == "unsplittable":
-        matrix = gen.gen_unsplittable(args.q, args.t)
+        matrix = scensched.gen_unsplittable(args.q, args.t)
         if args.to_instance:
-            doc = instance_to_dict(
-                gen.matrix_to_instance(matrix, args.eps_denominator)
-            )
+            doc = instance_to_dict(scensched.matrix_to_instance(matrix, args.eps_denominator))
         else:
             doc = {
                 "rows": [list(r) for r in matrix.rows],
@@ -303,7 +296,7 @@ def _cmd_generate(args) -> int:
             }
     else:  # random
         doc = instance_to_dict(
-            gen.gen_random(
+            scensched.gen_random(
                 args.n,
                 args.m,
                 args.K,
@@ -317,10 +310,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    from . import balance as bal
-
     guards = _guards()
-    report = bal.conjecture_probe(
+    report = scensched.conjecture_probe(
         args.n,
         args.m,
         args.K,
@@ -334,20 +325,18 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    from . import balance as bal
-
     guards = _guards()
     inst = _load_instance(args.instance)
     with open(args.schedule) as fh:
         sched = schedule_from_dict(inst, json.load(fh))
     before = evaluate(inst, sched, ObjectiveKind.MINAVG).aggregate
-    basis = bal.hilbert_basis(inst.K, max_k=guards["max_k"])
+    basis = scensched.hilbert_basis(inst.K, max_k=guards["max_k"])
     if args.machines:
         i1, i2 = args.machines
-        result, rep = bal.equalize_two(inst, sched, i1, i2, basis=basis)
+        result, rep = scensched.equalize_two(inst, sched, i1, i2, basis=basis)
         report = rep._asdict()
     else:
-        result = bal.equalize_all(inst, sched, basis=basis)
+        result = scensched.equalize_all(inst, sched, basis=basis)
         report = {"mode": "all-machines"}
     after = evaluate(inst, result, ObjectiveKind.MINAVG).aggregate
     full = disbalance(inst, result)
@@ -365,44 +354,34 @@ def _cmd_balance(args) -> int:
 
 
 def _bench_items():
-    from . import generators as gen
-
-    triangle = gen.Graph(3, ((0, 1), (1, 2), (0, 2)))
-    path = gen.Graph(4, ((0, 1), (1, 2), (2, 3)))
+    triangle = scensched.Graph(3, ((0, 1), (1, 2), (0, 2)))
+    path = scensched.Graph(4, ((0, 1), (1, 2), (2, 3)))
     return [
-        ("coloring-triangle", gen.gen_coloring(triangle, 2)),
-        ("coloring-path", gen.gen_coloring(path, 2)),
-        ("maxcut-triangle", gen.gen_maxcut(triangle)),
-        ("random-a", gen.gen_random(7, 2, 3, w_max=9, density=0.5, seed=42)),
-        ("random-b", gen.gen_random(6, 3, 2, w_max=5, density=0.7, seed=43)),
-        ("unit-random", gen.gen_random(8, 3, 2, w_max=1, density=0.6, seed=44)),
-        ("unsplit-2-2", gen.matrix_to_instance(gen.gen_unsplittable(2, 2), 100)),
+        ("coloring-triangle", scensched.gen_coloring(triangle, 2)),
+        ("coloring-path", scensched.gen_coloring(path, 2)),
+        ("maxcut-triangle", scensched.gen_maxcut(triangle)),
+        ("random-a", scensched.gen_random(7, 2, 3, w_max=9, density=0.5, seed=42)),
+        ("random-b", scensched.gen_random(6, 3, 2, w_max=5, density=0.7, seed=43)),
+        ("unit-random", scensched.gen_random(8, 3, 2, w_max=1, density=0.6, seed=44)),
+        ("unsplit-2-2", scensched.matrix_to_instance(scensched.gen_unsplittable(2, 2), 100)),
     ]
+
+
+def _csv(rows) -> str:
+    """The rows as CSV text; ``csv`` loads only in the process that writes it."""
+    import csv
+
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
 
 
 def _cmd_bench(args) -> int:
     """Runs every (algorithm, objective) pair of the table on the suite, with
     epsilon 1/2 where it is needed, skipping instances a solver rejects."""
-    import csv
-
     guards = _guards()
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(
-        [
-            "instance",
-            "n",
-            "m",
-            "K",
-            "algo",
-            "objective",
-            "value",
-            "oracle_value",
-            "ratio",
-            "time_ms",
-            "full_disbalance",
-        ]
-    )
+    rows = [["instance", "n", "m", "K", "algo", "objective", "value", "oracle_value", "ratio",
+             "time_ms", "full_disbalance"]]
     failures = 0
     for name, inst in _bench_items():
         for algo, entry in ALGORITHMS.items():
@@ -414,22 +393,10 @@ def _cmd_bench(args) -> int:
                     continue
                 ratio, ok, detail = _check(inst, algo, kind, sched, value, epsilon, guards)
                 failures += not ok
-                writer.writerow(
-                    [
-                        name,
-                        inst.n,
-                        inst.m,
-                        inst.K,
-                        algo,
-                        kind.value,
-                        value,
-                        detail["oracle_value"],
-                        str(ratio),
-                        elapsed,
-                        disbalance(inst, sched).full_f,
-                    ]
-                )
-    _write(out.getvalue(), args.output)
+                rows.append([name, inst.n, inst.m, inst.K, algo, kind.value, value,
+                             detail["oracle_value"], str(ratio), elapsed,
+                             disbalance(inst, sched).full_f])
+    _write(_csv(rows), args.output)
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 

@@ -9,15 +9,15 @@ objective.
 
 from __future__ import annotations
 
-from .dp_minavg import DEFAULT_MAX_STATES, _walk
-from .model import Instance, ObjectiveKind, SolveResult
+from .dp_minavg import _walk
+from .model import MAX_STATES, Instance, ObjectiveKind, SolveResult
 
 
 def solve_config(
     inst: Instance,
     kind: ObjectiveKind = ObjectiveKind.MINMAX,
     *,
-    max_states: int = DEFAULT_MAX_STATES,
+    max_states: int = MAX_STATES,
 ) -> SolveResult:
     """Exact optimum (MINMAX or MINAVG) for a unit-weight instance."""
     if kind not in (ObjectiveKind.MINMAX, ObjectiveKind.MINAVG):

@@ -53,9 +53,9 @@ from heapq import heapreplace
 from operator import add, le, sub
 
 from .approx import _greedy
-from .model import GuardExceeded, Instance, ObjectiveKind, Schedule, SolveResult, _objective
-
-DEFAULT_MAX_STATES = 2_000_000
+from .model import (
+    MAX_STATES, GuardExceeded, Instance, ObjectiveKind, Schedule, SolveResult, _objective,
+)
 
 
 def _start(inst: Instance) -> tuple:
@@ -205,12 +205,12 @@ def _walk(inst: Instance, kind: ObjectiveKind, max_states: int) -> SolveResult:
     return SolveResult(value=value, schedule=_replay(inst, chain))
 
 
-def solve_minavg(inst: Instance, *, max_states: int = DEFAULT_MAX_STATES) -> SolveResult:
+def solve_minavg(inst: Instance, *, max_states: int = MAX_STATES) -> SolveResult:
     """Exact optimum of the scenario-sum objective."""
     return _walk(inst, ObjectiveKind.MINAVG, max_states)
 
 
-def solve_regret_sum(inst: Instance, *, max_states: int = DEFAULT_MAX_STATES) -> SolveResult:
+def solve_regret_sum(inst: Instance, *, max_states: int = MAX_STATES) -> SolveResult:
     """Exact optimum of the sum-regret objective, with the witness of
     :func:`solve_minavg`: the two differ by a constant."""
     return _walk(inst, ObjectiveKind.REGRET_SUM, max_states)

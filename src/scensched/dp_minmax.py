@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .dp_minavg import DEFAULT_MAX_STATES, _walk
-from .model import Instance, ObjectiveKind, Schedule, SolveResult, evaluate
+from .dp_minavg import _walk
+from .model import MAX_STATES, Instance, ObjectiveKind, Schedule, SolveResult, evaluate
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -28,7 +28,7 @@ def solve_pseudo(
     inst: Instance,
     kind: ObjectiveKind = ObjectiveKind.MINMAX,
     *,
-    max_states: int = DEFAULT_MAX_STATES,
+    max_states: int = MAX_STATES,
 ) -> SolveResult:
     """Exact optimum for MINMAX or REGRET_MAX over count-matrix cost fronts."""
     if kind not in (ObjectiveKind.MINMAX, ObjectiveKind.REGRET_MAX):
@@ -48,7 +48,7 @@ def fptas(
     inst: Instance,
     eps: Fraction | int | str,
     *,
-    max_states: int = DEFAULT_MAX_STATES,
+    max_states: int = MAX_STATES,
 ) -> FptasResult:
     """(1+eps)-approximation for MINMAX via weight rounding.
 

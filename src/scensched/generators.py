@@ -231,6 +231,8 @@ def matrix_to_instance(matrix: ScenarioMatrix, eps_denominator: int = 100) -> In
     jobs of weight D-1 in every scenario; this realizes "weight 1 - eps"
     extras with eps = 1/D in integer weights.
     """
+    if type(eps_denominator) is not int:
+        raise ValueError(f"eps denominator {eps_denominator!r} is not an integer")
     if eps_denominator < 2:
         raise ValueError("eps denominator must be at least 2")
     c = matrix.uniform_column_sum()

@@ -39,6 +39,13 @@ class GuardExceeded(RuntimeError):
     """A resource guard (instance size, DP state count, ...) was exceeded."""
 
 
+# The size guards that keep the NP-hard cases from running for minutes; the
+# CLI lifts them when SCHED_GUARD_OVERRIDE=1.
+GUARD_BITS = 32.0  # the oracle enumerates only while n*log2(m) <= GUARD_BITS
+MAX_STATES = 2_000_000  # cost vectors per layer of the count-matrix walk
+MAX_K = 3  # scenarios of a two-machine Hilbert basis
+
+
 class ObjectiveKind(str, Enum):
     """Aggregation of per-scenario total completion times.
 
@@ -205,6 +212,7 @@ def make_instance(m: int, weights: list[int], scenarios) -> Instance:
 
     Sorts jobs by non-increasing weight (stable, so ties keep input order),
     records the permutation in ``original_order`` and remaps the scenarios.
+    A scenario that lists a job twice is rejected, never merged.
     """
     n = len(weights)
     if n < 1:
@@ -212,18 +220,26 @@ def make_instance(m: int, weights: list[int], scenarios) -> Instance:
     order = sorted(range(n), key=lambda j: (-weights[j], j))
     pos = {orig: i for i, orig in enumerate(order)}
     remapped = []
+    sizes = []
     for s in scenarios:
-        members = set(s)
+        listed = list(s)
+        members = set(listed)
         for j in members:
             if type(j) is not int or not 0 <= j < n:
                 raise ValueError(f"scenario member {j!r} is not a job index in 0..{n - 1}")
         remapped.append(frozenset(pos[j] for j in members))
-    return Instance(
+        sizes.append(len(listed))
+    inst = Instance(
         m=m,
         weights=tuple(weights[o] for o in order),
         scenarios=tuple(remapped),
         original_order=tuple(order),
     )
+    # checked last, so that a bad m or weight is reported before a duplicate
+    for k, size in enumerate(sizes):
+        if size != len(remapped[k]):
+            raise ValueError(f"scenario {k} lists a job more than once")
+    return inst
 
 
 def from_processing_times(p: list[int], m: int, scenarios) -> Instance:
@@ -353,13 +369,9 @@ def instance_from_dict(data: dict) -> Instance:
     must not list a job twice."""
     try:
         scenarios = [list(s) for s in data["scenarios"]]
-        inst = make_instance(data["m"], list(data["weights"]), scenarios)
+        return make_instance(data["m"], list(data["weights"]), scenarios)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance document: {exc}") from exc
-    for k, members in enumerate(scenarios):
-        if len(members) != len(inst.scenarios[k]):
-            raise ValueError(f"scenario {k} lists a job more than once")
-    return inst
 
 
 def schedule_to_dict(inst: Instance, sched: Schedule) -> dict:

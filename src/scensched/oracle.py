@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .model import GuardExceeded, Instance, ObjectiveKind, Schedule, _objective
+from .model import GUARD_BITS, GuardExceeded, Instance, ObjectiveKind, Schedule, _objective
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -103,7 +103,7 @@ def _search(inst: Instance, kind: ObjectiveKind, keep_all: bool):
 
 
 def brute_force(
-    inst: Instance, kind: ObjectiveKind, *, guard_bits: float = 32.0
+    inst: Instance, kind: ObjectiveKind, *, guard_bits: float = GUARD_BITS
 ) -> OracleResult:
     """Exact optimum of the given objective by canonical enumeration.
 
@@ -118,7 +118,7 @@ def brute_force(
 
 
 def optimal_schedules(
-    inst: Instance, kind: ObjectiveKind, *, guard_bits: float = 32.0
+    inst: Instance, kind: ObjectiveKind, *, guard_bits: float = GUARD_BITS
 ) -> list[Schedule]:
     """All canonical optimal schedules, in enumeration order."""
     _check_guard(inst, guard_bits)

@@ -335,6 +335,17 @@ def test_equalize_all_iteration_cap():
         equalize_all(inst, Schedule((0,) * 120), max_iter=0)
 
 
+def test_equalize_all_pairs_a_light_machine_with_the_heaviest():
+    # machine 0 holds no job: the first violation is a light machine, so its
+    # partner is the heaviest one
+    inst = make_instance(2, [1] * 20, [range(20)])
+    result = equalize_all(inst, Schedule((1,) * 20))
+    assert sorted(result.assignment.count(i) for i in range(2)) == [10, 10]
+    threshold = 2 * inst.K * basis_l1_sum(hilbert_basis(inst.K))
+    for i in range(inst.m):
+        assert abs(inst.m * result.assignment.count(i) - inst.n) <= inst.m * threshold
+
+
 # ---------------------------------------------------------------------------
 # Final-disbalance bound for optimal schedules, and the probe
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ import pytest
 
 from scensched import cli
 from scensched.cli import main
-from scensched.model import ObjectiveKind, instance_to_dict, make_instance
+from scensched.balance import equalize_all
+from scensched.generators import Graph, gen_maxcut, gen_unsplittable, matrix_to_instance
+from scensched.model import ObjectiveKind, Schedule, instance_to_dict, make_instance
 
 
 @pytest.fixture
@@ -118,6 +120,24 @@ def test_generate_unsplittable_matrix(tmp_path):
     assert doc["column_sums"] == [3, 3, 3, 3]
 
 
+@pytest.mark.parametrize("denominator", [None, 7])
+def test_generate_unsplittable_to_instance(tmp_path, denominator):
+    out = tmp_path / "u.json"
+    flags = [] if denominator is None else ["--eps-denominator", str(denominator)]
+    assert main(["generate", "unsplittable", "--q", "2", "--t", "2", "--to-instance",
+                 *flags, "-o", str(out)]) == 0
+    inst = matrix_to_instance(gen_unsplittable(2, 2), denominator or 100)
+    assert json.loads(out.read_text()) == instance_to_dict(inst)
+
+
+def test_generate_maxcut(tmp_path):
+    out = tmp_path / "cut.json"
+    assert main(["generate", "maxcut", "--vertices", "4", "--edges", "0-1,1-2,2-3",
+                 "-o", str(out)]) == 0
+    expected = gen_maxcut(Graph(4, ((0, 1), (1, 2), (2, 3))))
+    assert json.loads(out.read_text()) == instance_to_dict(expected)
+
+
 def test_generate_unsplittable_past_the_row_guard_exits_3(capsys):
     assert main(["generate", "unsplittable", "--q", "80", "--t", "2"]) == 3
     captured = capsys.readouterr()
@@ -173,6 +193,22 @@ def test_balance_equalize_two(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["objective_before"] == doc["objective_after"]
     assert doc["report"]["likely_nonoptimal"] is False
+
+
+def test_balance_equalize_all_machines(tmp_path):
+    inst = make_instance(3, [1] * 24, [list(range(24))])
+    inst_path = _write_instance(tmp_path, inst)
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text(json.dumps({"assignment": [0] * 24}))
+    out = tmp_path / "bal.json"
+    assert main(["balance", "equalize", "-i", str(inst_path), "-s", str(sched_path),
+                 "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    expected = equalize_all(inst, Schedule((0,) * 24))
+    assert expected != Schedule((0,) * 24)
+    assert doc["schedule"] == {"assignment": list(expected.assignment)}
+    assert doc["report"] == {"mode": "all-machines"}
+    assert doc["objective_before"] > doc["objective_after"]
 
 
 def test_balance_equalize_flags_nonoptimal_input_with_empty_stderr(tmp_path):

@@ -206,12 +206,13 @@ def test_gen_random_validation():
         lambda: gen_random(3, 2, 1, density=True),
         lambda: gen_unsplittable(2.0, 2),
         lambda: gen_unsplittable(2, 2.0),
+        lambda: matrix_to_instance(gen_unsplittable(2, 2), 100.0),
     ],
     ids=[
         "partition3-bool-number", "partition3-float-m", "graph-bool-vertices",
         "graph-bool-edge-end", "matrix-bool-and-float", "matrix-float",
         "random-bool-n", "random-float-n", "random-float-w-max", "random-bool-density",
-        "unsplittable-float-q", "unsplittable-float-t",
+        "unsplittable-float-q", "unsplittable-float-t", "matrix-to-instance-float-denominator",
     ],
 )
 def test_generators_reject_bools_and_floats(build):

@@ -230,6 +230,16 @@ def test_loader_rejects_instead_of_coercing(doc):
         instance_from_dict(doc)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_instance(2, [1, 1], [[0, 0, 1]]),
+    lambda: from_processing_times([1, 1], 2, [[1], [0, 1, 1]]),
+    lambda: instance_from_dict({"m": 2, "weights": [1, 1], "scenarios": [[0, 0, 1]]}),
+], ids=["make_instance", "from_processing_times", "instance_from_dict"])
+def test_duplicate_scenario_members_rejected_by_every_entry(build):
+    with pytest.raises(ValueError, match=r"^scenario \d lists a job more than once$"):
+        build()
+
+
 def test_bool_weights_and_members_rejected_by_constructor():
     with pytest.raises(ValueError):
         make_instance(2, [True, 1], [[0]])

@@ -136,6 +136,34 @@ def test_package_root_sees_rebinding_of_a_submodule_name(monkeypatch):
     assert "solve_minavg" not in vars(scensched)
 
 
+_PAIR = make_instance(2, [2, 1], [[0, 1]])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Instance(1, (), (frozenset(),), ()), ValueError, "need at least one job"),
+    (lambda: evaluate(_PAIR, Schedule((0,)), ObjectiveKind.MINMAX), ValueError,
+     "schedule length does not match instance"),
+    (lambda: disbalance(_PAIR, Schedule((0, 1, 0))), ValueError,
+     "schedule length does not match instance"),
+    (lambda: scensched.single_scenario_optimum(_PAIR, 1), IndexError,
+     "scenario index 1 out of range"),
+    (lambda: Graph(0, ()), ValueError, "graph needs at least one vertex"),
+    (lambda: scensched.ScenarioMatrix(()), ValueError, "matrix needs at least one row"),
+    (lambda: scensched.ScenarioMatrix(((1, 0), (1,))), ValueError, "ragged matrix"),
+    (lambda: gen_unsplittable(1, 2), ValueError, "need q >= 2 and t >= 2"),
+    (lambda: fptas(make_instance(2, [0, 0], [[0, 1]]), Fraction(1, 2)), ValueError,
+     "largest weight must be positive"),
+    (lambda: scensched.profile_index({2}, 2), ValueError, "scenario 2 out of range for K=2"),
+    (lambda: hilbert_basis(0), ValueError, "K must be at least 1"),
+], ids=["instance-without-jobs", "evaluate-short-schedule", "disbalance-long-schedule",
+        "scenario-optimum-index", "graph-without-vertices", "empty-matrix", "ragged-matrix",
+        "unsplittable-q-1", "fptas-zero-weights", "profile-scenario-range", "hilbert-basis-k-0"])
+def test_contract_checks_raise_their_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_readme_quick_start_runs(capsys):
     text = (ROOT / "README.md").read_text()
     section = text.split("## Library quick start", 1)[1]
