@@ -20,13 +20,16 @@ candidate by a coordinate only when that reduces its defect against the
 system (scalar-product test), and discard anything dominated by an already
 found minimal solution.  The procedure returns exactly the minimal nonzero
 solutions; the classical norm bound for basis elements is asserted on the
-way out.
+way out.  The basis depends on K alone, so ``hilbert_basis`` computes it once
+per K and process and guards K itself (``model.MAX_K``); neither
+equalization takes a basis, both look it up by ``inst.K``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from operator import le
 from typing import NamedTuple
 
 from .model import (
@@ -104,22 +107,31 @@ def in_cone(point: LatticePoint, K: int) -> bool:
     return True
 
 
+# hilbert_basis's results by K; safe to share, since each is immutable and
+# depends on K alone
+_BASES: dict[int, HilbertBasis] = {}
+
+
 def basis_norm_cap(K: int) -> int:
     """Classical max-norm bound for basis elements of the cone."""
     return (2 ** (2 ** (K + 1))) * math.factorial(K) ** 2
 
 
-def hilbert_basis(K: int, *, max_k: int = MAX_K) -> HilbertBasis:
+def hilbert_basis(K: int) -> HilbertBasis:
     """All irreducible nonzero lattice points of the two-machine cone.
 
     For this homogeneous system a point is irreducible exactly when it is
     minimal under componentwise order among the nonzero points, so the
-    completion procedure below returns the full basis.
+    completion procedure below returns the full basis.  The basis depends on
+    K alone: it is computed once per K and process, and every later call
+    returns the same object.  K above ``model.MAX_K`` raises GuardExceeded.
     """
-    if K > max_k:
-        raise GuardExceeded(f"Hilbert basis guard: K={K} exceeds {max_k}")
+    if K > MAX_K:
+        raise GuardExceeded(f"Hilbert basis guard: K={K} exceeds {MAX_K}")
     if K < 1:
         raise ValueError("K must be at least 1")
+    if K in _BASES:
+        return _BASES[K]
     P = 1 << K
     dim = 2 * P
     cols = []
@@ -132,7 +144,7 @@ def hilbert_basis(K: int, *, max_k: int = MAX_K) -> HilbertBasis:
     minimal: list[tuple[int, ...]] = []
 
     def dominated(v) -> bool:
-        return any(all(b[c] <= v[c] for c in range(dim)) for b in minimal)
+        return any(all(map(le, b, v)) for b in minimal)
 
     frontier: dict[tuple[int, ...], tuple[int, ...]] = {}
     for i in range(dim):
@@ -164,7 +176,8 @@ def hilbert_basis(K: int, *, max_k: int = MAX_K) -> HilbertBasis:
         assert point.linf <= cap, "basis element exceeds the classical norm bound"
         points.append(point)
     points.sort(key=lambda p: p.vector())
-    return HilbertBasis(K=K, elements=tuple(points))
+    basis = _BASES[K] = HilbertBasis(K=K, elements=tuple(points))
+    return basis
 
 
 def decompose(point: LatticePoint, basis: HilbertBasis) -> list[LatticePoint]:
@@ -303,33 +316,28 @@ def _pair_scan_disbalance(inst, assignment, i1, i2, aux=()):
 
 
 def equalize_two(
-    inst: Instance,
-    sched: Schedule,
-    i1: int,
-    i2: int,
-    *,
-    basis: HilbertBasis | None = None,
+    inst: Instance, sched: Schedule, i1: int, i2: int
 ) -> tuple[Schedule, EqualizeReport]:
     """Reassign the jobs of machines i1, i2 to bound their prefix imbalance.
 
     The pair sub-schedule is padded with per-scenario auxiliary singletons on
     the deficit side until its final disbalance is zero, encoded as a cone
-    point, decomposed over the Hilbert basis, and rebuilt by scanning jobs in
-    canonical order (auxiliaries last): each job consumes the first open slot
-    over basis classes, preferring the i1 side.  Auxiliaries are then dropped.
-    Returns the new schedule and its report.
+    point, decomposed over the Hilbert basis ``hilbert_basis(inst.K)``, and
+    rebuilt by scanning jobs in canonical order (auxiliaries last): each job
+    consumes the first open slot over basis classes, preferring the i1 side.
+    Auxiliaries are then dropped.  Returns the new schedule and its report.
+    The basis's K guard fires before the pair and unit-weight checks.
 
     Preserves per-scenario counts outside the pair and never increases the
     pair's count imbalance, so on an optimal input (the intended use; the
     report's ``likely_nonoptimal`` flags inputs that cannot be optimal) the
     unit-weight sum objective is preserved exactly.
     """
+    basis = hilbert_basis(inst.K)  # its guard fires before the checks below
     _check_pair(inst, i1, i2)
     _require_unit_weights(inst)
     K = inst.K
     P = 1 << K
-    if basis is None:
-        basis = hilbert_basis(K)
     assignment = sched.assignment
 
     pair_jobs = [j for j in range(inst.n) if assignment[j] in (i1, i2)]
@@ -407,28 +415,21 @@ def _machine_scenario_counts(inst: Instance, assignment) -> list[list[int]]:
     return counts
 
 
-def equalize_all(
-    inst: Instance,
-    sched: Schedule,
-    *,
-    max_iter: int = 10_000,
-    basis: HilbertBasis | None = None,
-) -> Schedule:
+def equalize_all(inst: Instance, sched: Schedule, *, max_iter: int = 10_000) -> Schedule:
     """Drive pairwise equalization until every machine is near average load.
 
     While some machine's scenario count differs from the scenario average by
-    more than 2*K*f, with f the certified pairwise bound (the sum of the
-    basis elements' l1 norms), equalize that machine against the currently
-    lightest/heaviest one with :func:`equalize_two`, keeping its schedule
-    and dropping its report.  The summed deviation from average strictly
-    decreases each round -- checked at runtime, since a violation would
-    falsify the implementation -- which forces termination.
+    more than 2*K*f, with f the certified pairwise bound (the sum of the l1
+    norms of the elements of ``hilbert_basis(inst.K)``), equalize that
+    machine against the currently lightest/heaviest one with
+    :func:`equalize_two`, keeping its schedule and dropping its report.  The
+    summed deviation from average strictly decreases each round -- checked
+    at runtime, since a violation would falsify the implementation -- which
+    forces termination.
     """
-    _require_unit_weights(inst)
     K = inst.K
-    if basis is None:
-        basis = hilbert_basis(K)
-    threshold = 2 * K * basis_l1_sum(basis)
+    threshold = 2 * K * basis_l1_sum(hilbert_basis(K))  # K guard before the weight check
+    _require_unit_weights(inst)
     m = inst.m
     sizes = [len(s) for s in inst.scenario_jobs]
 
@@ -461,7 +462,7 @@ def equalize_all(
             partner = min(range(m), key=lambda i2: (counts[i2][k], i2))
         else:
             partner = min(range(m), key=lambda i2: (-counts[i2][k], i2))
-        current, _ = equalize_two(inst, current, i, partner, basis=basis)
+        current, _ = equalize_two(inst, current, i, partner)
         counts = _machine_scenario_counts(inst, current.assignment)
         new_pot = potential()
         if not new_pot < pot:

@@ -6,11 +6,11 @@ Exit codes: 0 success, 1 verification failure, 2 contract violation,
 3 resource guard.  The size guards are ``model``'s: the oracle's
 n*log2(m) <= 32, 2M states per layer for the exact DPs (dp, config, fptas)
 and K <= 3 for the Hilbert basis.  Setting SCHED_GUARD_OVERRIDE=1 lifts
-exactly these three (to 1e9 bits, 10**9 states and K <= 6), at your own
-risk: memory and runtime grow quickly past them, and the Hilbert basis did
-not finish within 30 s at K = 4, so from there the override turns exit 3
-into a hang.  ``generate unsplittable``'s 5000-row guard and
-``equalize_all``'s 10 000 rounds stay in force.
+exactly the oracle bits and the walk states (to 1e9 bits and 10**9
+states), at your own risk: memory and runtime grow quickly past them.
+K <= 3 for the Hilbert basis (checked in ``balance``), ``generate
+unsplittable``'s 5000-row guard and ``equalize_all``'s 10 000 rounds always
+hold.
 
 ``solve``, ``verify``, ``bench`` and the ``--algo`` choices all derive from
 one table of algorithms, ``ALGORITHMS``.  The command line is read from one
@@ -57,7 +57,6 @@ import scensched
 
 from .model import (
     GUARD_BITS,
-    MAX_K,
     MAX_STATES,
     GuardExceeded,
     Instance,
@@ -140,8 +139,8 @@ ALGORITHMS = {
 
 def _guards() -> dict:
     if os.environ.get("SCHED_GUARD_OVERRIDE") == "1":
-        return {"guard_bits": 1e9, "max_states": 10**9, "max_k": 6}
-    return {"guard_bits": GUARD_BITS, "max_states": MAX_STATES, "max_k": MAX_K}
+        return {"guard_bits": 1e9, "max_states": 10**9}
+    return {"guard_bits": GUARD_BITS, "max_states": MAX_STATES}
 
 
 def _rational(text: str) -> Fraction:
@@ -325,18 +324,16 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    guards = _guards()
     inst = _load_instance(args.instance)
     with open(args.schedule) as fh:
         sched = schedule_from_dict(inst, json.load(fh))
     before = evaluate(inst, sched, ObjectiveKind.MINAVG).aggregate
-    basis = scensched.hilbert_basis(inst.K, max_k=guards["max_k"])
     if args.machines:
         i1, i2 = args.machines
-        result, rep = scensched.equalize_two(inst, sched, i1, i2, basis=basis)
+        result, rep = scensched.equalize_two(inst, sched, i1, i2)
         report = rep._asdict()
     else:
-        result = scensched.equalize_all(inst, sched, basis=basis)
+        result = scensched.equalize_all(inst, sched)
         report = {"mode": "all-machines"}
     after = evaluate(inst, result, ObjectiveKind.MINAVG).aggregate
     full = disbalance(inst, result)

@@ -39,8 +39,9 @@ class GuardExceeded(RuntimeError):
     """A resource guard (instance size, DP state count, ...) was exceeded."""
 
 
-# The size guards that keep the NP-hard cases from running for minutes; the
-# CLI lifts them when SCHED_GUARD_OVERRIDE=1.
+# The size guards that keep the NP-hard cases from running for minutes.  The
+# CLI lifts the first two when SCHED_GUARD_OVERRIDE=1; MAX_K always holds,
+# since the Hilbert basis at K = 4 did not finish within 60 s.
 GUARD_BITS = 32.0  # the oracle enumerates only while n*log2(m) <= GUARD_BITS
 MAX_STATES = 2_000_000  # cost vectors per layer of the count-matrix walk
 MAX_K = 3  # scenarios of a two-machine Hilbert basis
@@ -223,11 +224,11 @@ def make_instance(m: int, weights: list[int], scenarios) -> Instance:
     sizes = []
     for s in scenarios:
         listed = list(s)
-        members = set(listed)
-        for j in members:
+        # in input order, so the first bad member is named whatever the hash seed
+        for j in listed:
             if type(j) is not int or not 0 <= j < n:
                 raise ValueError(f"scenario member {j!r} is not a job index in 0..{n - 1}")
-        remapped.append(frozenset(pos[j] for j in members))
+        remapped.append(frozenset(pos[j] for j in listed))
         sizes.append(len(listed))
     inst = Instance(
         m=m,

@@ -173,7 +173,6 @@ def test_criterion_7_disbalance_theory():
     basis2 = hilbert_basis(2)
     assert set(basis2.elements) == set(_minimal_cone_points_by_search(2, 4))
 
-    bases = {1: basis1, 2: basis2}
     suite = k2_unit_suite(300)
     for inst in suite:
         cap_sq = lemma_final_bound_sq(inst.K)
@@ -182,9 +181,9 @@ def test_criterion_7_disbalance_theory():
             assert all(d * d <= cap_sq for d in disbalance(inst, sched).final_dk)
         best = optima[0]
         value = evaluate(inst, best, ObjectiveKind.MINAVG).aggregate
-        pair_out, _ = equalize_two(inst, best, 0, 1, basis=bases[inst.K])
+        pair_out, _ = equalize_two(inst, best, 0, 1)
         assert evaluate(inst, pair_out, ObjectiveKind.MINAVG).aggregate == value
-        all_out = equalize_all(inst, best, basis=bases[inst.K])
+        all_out = equalize_all(inst, best)
         assert evaluate(inst, all_out, ObjectiveKind.MINAVG).aggregate == value
 
     # exercise the driver loop (and its strictly-decreasing-potential check)

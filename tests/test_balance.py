@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from scensched.balance import (
+    HilbertBasis,
     LatticePoint,
     basis_l1_sum,
     basis_norm_cap,
@@ -18,6 +19,7 @@ from scensched.balance import (
 )
 from scensched.generators import gen_random
 from scensched.model import (
+    MAX_K,
     GuardExceeded,
     ObjectiveKind,
     Schedule,
@@ -149,7 +151,9 @@ def test_basis_k3_covers_all_small_cone_points():
 def test_basis_guard():
     with pytest.raises(GuardExceeded):
         hilbert_basis(4)
-    hilbert_basis(1, max_k=1)
+    basis = hilbert_basis(MAX_K)
+    assert basis.K == MAX_K
+    assert hilbert_basis(MAX_K) is basis  # computed once per K
 
 
 def test_decompose_zero_and_doubles():
@@ -161,6 +165,18 @@ def test_decompose_zero_and_doubles():
         tuple(2 * v for v in b.x), tuple(2 * v for v in b.y)
     )
     assert sorted(decompose(doubled, basis), key=lambda e: e.vector()) == [b, b]
+
+
+def test_decompose_backtracks_past_a_dead_end():
+    # largest-first takes B = ((0, 2), (0, 2)), leaving ((1, 0), (0, 0)),
+    # which no element fits; backtracking drops B and finds A + E
+    A = LatticePoint((1, 1), (0, 1))
+    B = LatticePoint((0, 2), (0, 2))
+    E = LatticePoint((0, 1), (0, 1))
+    point = LatticePoint((1, 2), (0, 2))
+    assert decompose(point, HilbertBasis(1, (A, B, E))) == [A, E]
+    with pytest.raises(RuntimeError, match="no decomposition found"):
+        decompose(point, HilbertBasis(1, (A, B)))
 
 
 def test_decompose_rejects_points_outside_cone():
@@ -268,6 +284,16 @@ def test_equalize_two_machine_validation():
         equalize_two(make_instance(2, [2, 1], [[0, 1]]), Schedule((0, 1)), 0, 1)
 
 
+def test_equalize_checks_the_basis_guard_first():
+    # K = 4, weights 2: the K guard fires before the pair and weight checks
+    inst = make_instance(2, [2] * 4, [[0], [1], [2], [3]])
+    sched = Schedule((0,) * 4)
+    with pytest.raises(GuardExceeded, match="^Hilbert basis guard: K=4 exceeds 3$"):
+        equalize_two(inst, sched, 0, 0)
+    with pytest.raises(GuardExceeded, match="^Hilbert basis guard: K=4 exceeds 3$"):
+        equalize_all(inst, sched)
+
+
 def test_equalize_two_on_optimal_suite():
     bases = {1: hilbert_basis(1), 2: hilbert_basis(2)}
     for inst in k2_unit_suite(80):
@@ -278,7 +304,7 @@ def test_equalize_two_on_optimal_suite():
         value = _minavg(inst, best)
         for i1 in range(inst.m):
             for i2 in range(i1 + 1, inst.m):
-                out, rep = equalize_two(inst, best, i1, i2, basis=basis)
+                out, rep = equalize_two(inst, best, i1, i2)
                 assert _minavg(inst, out) == value  # optimality preserved
                 assert rep.extended_final == (0,) * inst.K
                 assert not rep.likely_nonoptimal
@@ -289,11 +315,10 @@ def test_equalize_two_on_optimal_suite():
 
 
 def test_equalize_two_three_scenarios():
-    basis = hilbert_basis(3)
     for seed in range(12):
         inst = gen_random(8, 2, 3, w_max=1, density=0.6, seed=8100 + seed)
         best = optimal_schedules(inst, ObjectiveKind.MINAVG)[0]
-        out, rep = equalize_two(inst, best, 0, 1, basis=basis)
+        out, rep = equalize_two(inst, best, 0, 1)
         assert _minavg(inst, out) == _minavg(inst, best)
         assert rep.extended_final == (0, 0, 0)
 
@@ -305,10 +330,9 @@ def test_equalize_all_balanced_input_is_fixed_point():
 
 
 def test_equalize_all_preserves_optimal_value_on_suite():
-    bases = {1: hilbert_basis(1), 2: hilbert_basis(2)}
     for inst in k2_unit_suite(60):
         best = optimal_schedules(inst, ObjectiveKind.MINAVG)[0]
-        out = equalize_all(inst, best, basis=bases[inst.K])
+        out = equalize_all(inst, best)
         assert _minavg(inst, out) == _minavg(inst, best)
 
 

@@ -10,7 +10,13 @@ import pytest
 from scensched import cli
 from scensched.cli import main
 from scensched.balance import equalize_all
-from scensched.generators import Graph, gen_maxcut, gen_unsplittable, matrix_to_instance
+from scensched.generators import (
+    Graph,
+    gen_coloring,
+    gen_maxcut,
+    gen_unsplittable,
+    matrix_to_instance,
+)
 from scensched.model import ObjectiveKind, Schedule, instance_to_dict, make_instance
 
 
@@ -22,7 +28,7 @@ def five_unit(tmp_path):
     return path
 
 
-DEFAULT_GUARDS = {"guard_bits": 32.0, "max_states": 2_000_000, "max_k": 3}
+DEFAULT_GUARDS = {"guard_bits": 32.0, "max_states": 2_000_000}
 
 ROOT = Path(__file__).resolve().parents[1]
 PROCESS_ENV = {k: v for k, v in os.environ.items()
@@ -32,9 +38,9 @@ PROCESS_ENV["PYTHONPATH"] = str(ROOT / "src")
 
 def _process(argv, **kwargs):
     """Runs ``python -m scensched.cli`` on argv as a process of its own."""
-    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
-    return subprocess.run([sys.executable, "-m", "scensched.cli", *argv],
-                          env=PROCESS_ENV, text=True, timeout=60, **kwargs)
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "env": PROCESS_ENV,
+              "timeout": 60, **kwargs}
+    return subprocess.run([sys.executable, "-m", "scensched.cli", *argv], text=True, **kwargs)
 
 
 def _write_instance(tmp_path, inst, name="i.json"):
@@ -138,6 +144,13 @@ def test_generate_maxcut(tmp_path):
     assert json.loads(out.read_text()) == instance_to_dict(expected)
 
 
+def test_generate_coloring_without_edges(capsys):
+    assert main(["generate", "coloring", "--vertices", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == instance_to_dict(gen_coloring(Graph(3, ()), 2))
+    assert doc["scenarios"] == [[]]
+
+
 def test_generate_unsplittable_past_the_row_guard_exits_3(capsys):
     assert main(["generate", "unsplittable", "--q", "80", "--t", "2"]) == 3
     captured = capsys.readouterr()
@@ -220,6 +233,32 @@ def test_balance_equalize_flags_nonoptimal_input_with_empty_stderr(tmp_path):
                      "--machines", "0", "1"])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["report"]["likely_nonoptimal"] is True
+
+
+@pytest.mark.parametrize("machines", [[], ["--machines", "0", "1"]], ids=["all", "pair"])
+def test_guard_override_keeps_the_hilbert_basis_guard(tmp_path, machines):
+    # a separate process with a timeout: the basis at K = 4 does not finish
+    inst = make_instance(2, [1] * 4, [[0], [1], [2], [3]])
+    inst_path = _write_instance(tmp_path, inst)
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text(json.dumps({"assignment": [0] * 4}))
+    proc = _process(["balance", "equalize", "-i", str(inst_path), "-s", str(sched_path),
+                     *machines], env={**PROCESS_ENV, "SCHED_GUARD_OVERRIDE": "1"}, timeout=20)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "guard exceeded: Hilbert basis guard: K=4 exceeds 3\n"
+
+
+def test_malformed_member_message_does_not_depend_on_the_hash_seed(tmp_path):
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps({"m": 2, "weights": [1, 1, 1, 1],
+                                "scenarios": [["0", "1", "2", "3"]]}))
+    errors = set()
+    for seed in range(4):
+        proc = _process(["solve", "--algo", "dp", "-i", str(path)],
+                        env={**PROCESS_ENV, "PYTHONHASHSEED": str(seed)})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        errors.add(proc.stderr)
+    assert errors == {"error: scenario member '0' is not a job index in 0..3\n"}
 
 
 @pytest.mark.parametrize("assignment", [[True, False, True], [0.5, 1, 0], ["0", 1, 0],

@@ -240,6 +240,14 @@ def test_duplicate_scenario_members_rejected_by_every_entry(build):
         build()
 
 
+def test_first_bad_member_is_named_in_input_order():
+    with pytest.raises(ValueError, match=r"^scenario member '0' is not a job index in 0\.\.3$"):
+        make_instance(2, [1, 1, 1, 1], [["0", "1", "2", "3"]])
+    # an unhashable member gets the same message, not a TypeError
+    with pytest.raises(ValueError, match=r"^scenario member \[0\] is not a job index"):
+        make_instance(2, [1], [[[0]]])
+
+
 def test_bool_weights_and_members_rejected_by_constructor():
     with pytest.raises(ValueError):
         make_instance(2, [True, 1], [[0]])

@@ -50,9 +50,15 @@ def _stirling_partitions_up_to(n, m):
 
 
 def test_canonical_enumeration_counts_set_partitions():
-    for n, m in ((4, 2), (5, 3), (6, 2), (6, 6), (3, 5)):
+    for n, m in ((4, 2), (5, 3), (6, 2), (6, 6), (3, 5), (6, 3), (7, 2), (5, 5), (4, 7)):
+        expected = _stirling_partitions_up_to(n, m)
         visited = sum(1 for _ in iter_canonical_assignments(n, m))
-        assert visited == _stirling_partitions_up_to(n, m)
+        assert visited == expected
+        # the oracle's own search: with zero weights every leaf it visits is optimal
+        zero = make_instance(m, [0] * n, [range(n)])
+        for kind in ObjectiveKind:
+            assert brute_force(zero, kind).optima_count == expected
+            assert len(optimal_schedules(zero, kind)) == expected
 
 
 def test_guard_rejects_large_instances():
