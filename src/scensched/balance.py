@@ -35,13 +35,14 @@ from typing import NamedTuple
 from .model import (
     GUARD_BITS,
     MAX_K,
+    MAX_ROUNDS,
     GuardExceeded,
     Instance,
     ObjectiveKind,
     Schedule,
     disbalance,
 )
-from .oracle import optimal_schedules
+from .oracle import _check_guard, optimal_schedules
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +416,7 @@ def _machine_scenario_counts(inst: Instance, assignment) -> list[list[int]]:
     return counts
 
 
-def equalize_all(inst: Instance, sched: Schedule, *, max_iter: int = 10_000) -> Schedule:
+def equalize_all(inst: Instance, sched: Schedule) -> Schedule:
     """Drive pairwise equalization until every machine is near average load.
 
     While some machine's scenario count differs from the scenario average by
@@ -425,7 +426,8 @@ def equalize_all(inst: Instance, sched: Schedule, *, max_iter: int = 10_000) -> 
     :func:`equalize_two`, keeping its schedule and dropping its report.  The
     summed deviation from average strictly decreases each round -- checked
     at runtime, since a violation would falsify the implementation -- which
-    forces termination.
+    forces termination.  More than ``model.MAX_ROUNDS`` rounds raise
+    GuardExceeded.
     """
     K = inst.K
     threshold = 2 * K * basis_l1_sum(hilbert_basis(K))  # K guard before the weight check
@@ -452,9 +454,9 @@ def equalize_all(inst: Instance, sched: Schedule, *, max_iter: int = 10_000) -> 
     pot = potential()
     iterations = 0
     while (viol := violation()) is not None:
-        if iterations >= max_iter:
+        if iterations >= MAX_ROUNDS:
             raise GuardExceeded(
-                f"equalization did not settle within {max_iter} rounds "
+                f"equalization did not settle within {MAX_ROUNDS} rounds "
                 f"(potential {pot}) -- this falsifies the implementation"
             )
         i, k = viol
@@ -506,11 +508,15 @@ def conjecture_probe(
 
     Trial t uses seed ``seed + t``.  Reports the per-trial minima, their
     maximum, and which trials attain it.  ``trials`` must be at least 1.
+    The arguments and the oracle guard are checked before the first trial
+    instance is built.
     """
-    from .generators import gen_random
+    from .generators import _check_random_args, gen_random
 
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_random_args(n, m, K, 1, density)
+    _check_guard(n, m, guard_bits)
     per_trial = []
     for t in range(trials):
         instance = gen_random(n, m, K, w_max=1, density=density, seed=seed + t)

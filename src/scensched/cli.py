@@ -3,14 +3,18 @@
 Machine-readable JSON/CSV only; value fields are deterministic for identical
 invocations (wall-clock fields are reported but excluded from that contract).
 Exit codes: 0 success, 1 verification failure, 2 contract violation,
-3 resource guard.  The size guards are ``model``'s: the oracle's
-n*log2(m) <= 32, 2M states per layer for the exact DPs (dp, config, fptas)
-and K <= 3 for the Hilbert basis.  Setting SCHED_GUARD_OVERRIDE=1 lifts
-exactly the oracle bits and the walk states (to 1e9 bits and 10**9
-states), at your own risk: memory and runtime grow quickly past them.
-K <= 3 for the Hilbert basis (checked in ``balance``), ``generate
-unsplittable``'s 5000-row guard and ``equalize_all``'s 10 000 rounds always
-hold.
+3 resource guard.  The six size limits are ``model`` constants: GUARD_BITS
+(the oracle's n*log2(m) <= 32), MAX_STATES (2M states per layer for the
+exact DPs: dp, config, fptas), MAX_K (K <= 3 for the Hilbert basis),
+MAX_ROWS (``generate unsplittable``'s 5000 rows), MAX_SUBSET_ROWS
+(``is_unsplittable``'s 20 rows) and MAX_ROUNDS (``equalize_all``'s 10 000
+rounds).  Setting SCHED_GUARD_OVERRIDE=1 lifts exactly the oracle bits and
+the walk states (to 1e9 bits and 10**9 states), at your own risk: memory
+and runtime grow quickly past them.  The other four always hold.
+``verify`` and ``probe`` check the oracle guard before they run anything:
+``verify`` after its pairing and --epsilon checks but before the
+algorithm, ``probe`` after its argument checks but before it builds a
+trial instance.
 
 ``solve``, ``verify``, ``bench`` and the ``--algo`` choices all derive from
 one table of algorithms, ``ALGORITHMS``.  The command line is read from one
@@ -170,25 +174,31 @@ def _emit(doc, path: str | None) -> None:
     _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", path)
 
 
-def _run(inst: Instance, algo: str, kind: ObjectiveKind, epsilon, guards):
-    """Returns (schedule, value, ms); ValueError on a pairing outside the
-    table or an instance the solver rejects."""
+def _runner(algo: str, kind: ObjectiveKind, epsilon) -> Callable:
+    """The table's runner of algo for kind; ValueError on a pairing outside
+    the table or an --epsilon the algorithm does not take."""
     entry = ALGORITHMS[algo]
     if kind not in entry.runners:
         handled = ", ".join(k.value for k in entry.runners)
         raise ValueError(f"{algo} handles {handled}, not {kind.value}")
     if entry.epsilon != (epsilon is not None):
         raise ValueError(f"{algo} {'requires' if entry.epsilon else 'takes no'} --epsilon")
+    return entry.runners[kind]
+
+
+def _run(inst: Instance, runner: Callable, kind: ObjectiveKind, epsilon, guards):
+    """Returns (schedule, value, ms); ValueError on an instance the solver
+    rejects."""
     start = time.perf_counter()
-    out = entry.runners[kind](inst, epsilon, guards["max_states"])
+    out = runner(inst, epsilon, guards["max_states"])
     if isinstance(out, Schedule):
         out = SolveResult(evaluate(inst, out, kind).aggregate, out)
     return out.schedule, out.value, round((time.perf_counter() - start) * 1000.0, 3)
 
 
-def _check(inst, algo, kind, sched, value, epsilon, guards):
-    """Compares a run with the oracle; returns (ratio, ok, detail)."""
-    best = scensched.brute_force(inst, kind, guard_bits=guards["guard_bits"]).best_value
+def _check(inst, algo, kind, sched, value, epsilon, best):
+    """Compares a run with the oracle value ``best``; returns (ratio, ok,
+    detail)."""
     ratio = _fraction(value, best) if best else _fraction(1)
     detail = {"oracle_value": best}
     bound = ALGORITHMS[algo].bound
@@ -242,16 +252,21 @@ def _record(inst, algo, kind, sched, value, epsilon, elapsed_ms) -> dict:
 def _cmd_solve(args) -> int:
     guards = _guards()
     inst, kind, epsilon = _request(args)
-    sched, value, elapsed = _run(inst, args.algo, kind, epsilon, guards)
+    runner = _runner(args.algo, kind, epsilon)
+    sched, value, elapsed = _run(inst, runner, kind, epsilon, guards)
     _emit(_record(inst, args.algo, kind, sched, value, epsilon, elapsed), args.output)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    """Checks the pairing, then takes the oracle value, whose guard fires
+    before the algorithm runs, then runs and compares."""
     guards = _guards()
     inst, kind, epsilon = _request(args)
-    sched, value, _ = _run(inst, args.algo, kind, epsilon, guards)
-    ratio, ok, detail = _check(inst, args.algo, kind, sched, value, epsilon, guards)
+    runner = _runner(args.algo, kind, epsilon)
+    best = scensched.brute_force(inst, kind, guard_bits=guards["guard_bits"]).best_value
+    sched, value, _ = _run(inst, runner, kind, epsilon, guards)
+    ratio, ok, detail = _check(inst, args.algo, kind, sched, value, epsilon, best)
     report = {
         "algorithm": args.algo,
         "objective": kind.value,
@@ -375,20 +390,24 @@ def _csv(rows) -> str:
 
 def _cmd_bench(args) -> int:
     """Runs every (algorithm, objective) pair of the table on the suite, with
-    epsilon 1/2 where it is needed, skipping instances a solver rejects."""
+    epsilon 1/2 where it is needed, skipping instances a solver rejects.  The
+    oracle runs once per instance and objective."""
     guards = _guards()
     rows = [["instance", "n", "m", "K", "algo", "objective", "value", "oracle_value", "ratio",
              "time_ms", "full_disbalance"]]
     failures = 0
     for name, inst in _bench_items():
+        oracle = {kind: scensched.brute_force(inst, kind, guard_bits=guards["guard_bits"])
+                  for kind in ObjectiveKind}
         for algo, entry in ALGORITHMS.items():
             epsilon = _fraction(1, 2) if entry.epsilon else None
-            for kind in entry.runners:
+            for kind, runner in entry.runners.items():
                 try:
-                    sched, value, elapsed = _run(inst, algo, kind, epsilon, guards)
+                    sched, value, elapsed = _run(inst, runner, kind, epsilon, guards)
                 except ValueError:
                     continue
-                ratio, ok, detail = _check(inst, algo, kind, sched, value, epsilon, guards)
+                best = oracle[kind].best_value
+                ratio, ok, detail = _check(inst, algo, kind, sched, value, epsilon, best)
                 failures += not ok
                 rows.append([name, inst.n, inst.m, inst.K, algo, kind.value, value,
                              detail["oracle_value"], str(ratio), elapsed,

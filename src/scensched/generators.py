@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
-from .model import GuardExceeded, Instance, _Frozen, make_instance
+from .model import MAX_ROWS, MAX_SUBSET_ROWS, GuardExceeded, Instance, _Frozen, make_instance
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -161,7 +161,7 @@ def partition3_tight_bound(a: list[int], m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def gen_unsplittable(q: int, t: int, *, max_rows: int = 5000) -> ScenarioMatrix:
+def gen_unsplittable(q: int, t: int) -> ScenarioMatrix:
     """The recursive unsplittable family: tq columns, uniform column sums,
     rows and column sums both monic degree-t polynomials in q.
 
@@ -170,7 +170,7 @@ def gen_unsplittable(q: int, t: int, *, max_rows: int = 5000) -> ScenarioMatrix:
     append a ones column block, and pad with enough (ones | ones-minus-
     identity) copies to restore uniform column sums; the copy count that
     balances the columns is exactly the previous matrix's column sum.
-    A level that would have more than ``max_rows`` rows raises
+    A level that would have more than ``model.MAX_ROWS`` rows raises
     GuardExceeded before it is built.
     """
     if type(q) is not int or type(t) is not int:
@@ -179,8 +179,8 @@ def gen_unsplittable(q: int, t: int, *, max_rows: int = 5000) -> ScenarioMatrix:
         raise ValueError("need q >= 2 and t >= 2")
 
     def guard(n_rows: int, level: int) -> None:
-        if n_rows > max_rows:
-            raise GuardExceeded(f"matrix would grow past {max_rows} rows at level {level}")
+        if n_rows > MAX_ROWS:
+            raise GuardExceeded(f"matrix would grow past {MAX_ROWS} rows at level {level}")
 
     guard(q * q, 2)
     identity = [[1 if i == j else 0 for j in range(q)] for i in range(q)]
@@ -206,11 +206,16 @@ def gen_unsplittable(q: int, t: int, *, max_rows: int = 5000) -> ScenarioMatrix:
     return matrix
 
 
-def is_unsplittable(matrix: ScenarioMatrix, *, max_rows: int = 20) -> bool:
-    """True iff no proper nonempty row subset has uniform column sums."""
+def is_unsplittable(matrix: ScenarioMatrix) -> bool:
+    """True iff no proper nonempty row subset has uniform column sums.
+
+    A matrix of more than ``model.MAX_SUBSET_ROWS`` rows raises GuardExceeded.
+    """
     r = matrix.n_rows
-    if r > max_rows:
-        raise GuardExceeded(f"{r} rows exceed the 2^rows subset-check guard of {max_rows}")
+    if r > MAX_SUBSET_ROWS:
+        raise GuardExceeded(
+            f"{r} rows exceed the 2^rows subset-check guard of {MAX_SUBSET_ROWS}"
+        )
     cols = matrix.n_cols
     for mask in range(1, (1 << r) - 1):
         sums = [0] * cols
@@ -253,14 +258,8 @@ def matrix_to_instance(matrix: ScenarioMatrix, eps_denominator: int = 100) -> In
 # ---------------------------------------------------------------------------
 
 
-def gen_random(
-    n: int, m: int, K: int, *, w_max: int = 9, density: float = 0.5, seed: int = 0
-) -> Instance:
-    """Random instance: weights uniform on 1..w_max, independent memberships.
-
-    Draw order is pinned (all weights first, then memberships job-major), so
-    equal parameters give identical instances.
-    """
+def _check_random_args(n, m, K, w_max, density) -> None:
+    """gen_random's argument checks; ValueError names the first one that fails."""
     if any(type(x) is not int for x in (n, m, K, w_max)):
         raise ValueError("n, m, K and w_max must be integers")
     if n < 1 or m < 1 or K < 1:
@@ -269,6 +268,17 @@ def gen_random(
         raise ValueError("w_max must be at least 1")
     if type(density) is bool or not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
+
+
+def gen_random(
+    n: int, m: int, K: int, *, w_max: int = 9, density: float = 0.5, seed: int = 0
+) -> Instance:
+    """Random instance: weights uniform on 1..w_max, independent memberships.
+
+    Draw order is pinned (all weights first, then memberships job-major), so
+    equal parameters give identical instances.
+    """
+    _check_random_args(n, m, K, w_max, density)
     rng = random.Random(seed)
     weights = [rng.randint(1, w_max) for _ in range(n)]
     members: list[list[int]] = [[] for _ in range(K)]

@@ -39,12 +39,18 @@ class GuardExceeded(RuntimeError):
     """A resource guard (instance size, DP state count, ...) was exceeded."""
 
 
-# The size guards that keep the NP-hard cases from running for minutes.  The
-# CLI lifts the first two when SCHED_GUARD_OVERRIDE=1; MAX_K always holds,
+# The size limits that keep the NP-hard cases from running for minutes, each
+# defined here and nowhere else.  The first two are the defaults of the
+# oracle's guard_bits and the exact solvers' max_states, which the CLI lifts
+# when SCHED_GUARD_OVERRIDE=1.  The other four always hold; their functions
+# read them at call time and take no keyword for them.  MAX_K stays at 3
 # since the Hilbert basis at K = 4 did not finish within 60 s.
 GUARD_BITS = 32.0  # the oracle enumerates only while n*log2(m) <= GUARD_BITS
 MAX_STATES = 2_000_000  # cost vectors per layer of the count-matrix walk
 MAX_K = 3  # scenarios of a two-machine Hilbert basis
+MAX_ROWS = 5000  # rows of a generated unsplittable matrix, checked before a level is built
+MAX_SUBSET_ROWS = 20  # rows that is_unsplittable checks by enumerating 2^rows subsets
+MAX_ROUNDS = 10_000  # rounds of equalize_all
 
 
 class ObjectiveKind(str, Enum):

@@ -24,10 +24,11 @@ class OracleResult(NamedTuple):
     optima_count: int
 
 
-def _check_guard(inst: Instance, guard_bits: float) -> None:
-    if inst.n * math.log2(inst.m) > guard_bits:
+def _check_guard(n: int, m: int, guard_bits: float) -> None:
+    """GuardExceeded unless n jobs on m machines keep n*log2(m) <= guard_bits."""
+    if n * math.log2(m) > guard_bits:
         raise GuardExceeded(
-            f"oracle guard: n*log2(m) = {inst.n * math.log2(inst.m):.1f} "
+            f"oracle guard: n*log2(m) = {n * math.log2(m):.1f} "
             f"exceeds {guard_bits} (raise guard_bits to override)"
         )
 
@@ -110,7 +111,7 @@ def brute_force(
     Returns the lexicographically first canonical optimal schedule and the
     number of canonical optima.  Guarded by ``n*log2(m) <= guard_bits``.
     """
-    _check_guard(inst, guard_bits)
+    _check_guard(inst.n, inst.m, guard_bits)
     best, best_assign, n_opt, _ = _search(inst, kind, keep_all=False)
     return OracleResult(
         best_value=best, best_schedule=Schedule(best_assign), optima_count=n_opt
@@ -121,7 +122,7 @@ def optimal_schedules(
     inst: Instance, kind: ObjectiveKind, *, guard_bits: float = GUARD_BITS
 ) -> list[Schedule]:
     """All canonical optimal schedules, in enumeration order."""
-    _check_guard(inst, guard_bits)
+    _check_guard(inst.n, inst.m, guard_bits)
     _, _, _, all_optima = _search(inst, kind, keep_all=True)
     return [Schedule(a) for a in all_optima]
 

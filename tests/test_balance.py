@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from scensched import balance, generators
 from scensched.balance import (
     HilbertBasis,
     LatticePoint,
@@ -125,6 +126,15 @@ def test_basis_elements_are_cone_members_and_irreducible():
             va, vb = a.vector(), b.vector()
             assert not all(u <= w for u, w in zip(va, vb))
             assert not all(w <= u for u, w in zip(va, vb))
+
+
+def test_in_cone_rejects_a_wrong_length_or_a_negative_entry():
+    K = 2
+    assert in_cone(LatticePoint((1, 0, 0, 0), (1, 0, 0, 0)), K)
+    assert not in_cone(LatticePoint((1, 0, 0), (1, 0, 0, 0)), K)
+    assert not in_cone(LatticePoint((1, 0, 0, 0), (1, 0, 0, 0, 0)), K)
+    # equal per-scenario sums on both sides, but one entry is negative
+    assert not in_cone(LatticePoint((0, 1, 1, -1), (0, 0, 0, 0)), K)
 
 
 def test_basis_k3_covers_all_small_cone_points():
@@ -353,10 +363,11 @@ def test_equalize_all_two_machines_single_pair_path():
     assert abs(out.assignment.count(0) - 20) <= 2 * basis_l1_sum(hilbert_basis(1))
 
 
-def test_equalize_all_iteration_cap():
+def test_equalize_all_iteration_cap(monkeypatch):
     inst = make_instance(4, [1] * 120, [list(range(120))])
+    monkeypatch.setattr(balance, "MAX_ROUNDS", 0)
     with pytest.raises(GuardExceeded):
-        equalize_all(inst, Schedule((0,) * 120), max_iter=0)
+        equalize_all(inst, Schedule((0,) * 120))
 
 
 def test_equalize_all_pairs_a_light_machine_with_the_heaviest():
@@ -393,6 +404,15 @@ def test_probe_single_scenario_bound_and_determinism():
 def test_probe_rejects_fewer_than_one_trial(trials):
     with pytest.raises(ValueError, match="trials must be at least 1"):
         conjecture_probe(6, 2, 1, trials=trials, seed=11)
+
+
+def test_probe_checks_the_oracle_guard_before_building_an_instance(monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("a trial instance was built before the oracle guard")
+
+    monkeypatch.setattr(generators, "gen_random", built)
+    with pytest.raises(GuardExceeded, match=r"oracle guard: n\*log2\(m\) = 1000000\.0"):
+        conjecture_probe(10**6, 2, 2, 1, 0)
 
 
 def test_probe_single_profile_instances():

@@ -118,6 +118,23 @@ def test_verify_two_scenario_reports_per_scenario_optima(tmp_path):
     assert report["per_scenario"] == report["per_scenario_optima"]
 
 
+def test_verify_checks_the_oracle_guard_before_the_solver_runs(tmp_path, monkeypatch, capsys):
+    # 33 jobs on two machines: n*log2(m) = 33 > 32, so verify must stop at the
+    # oracle guard without calling the solver
+    import scensched.dp_minmax
+
+    def solver_called(*args, **kwargs):
+        raise AssertionError("the solver ran before the oracle guard")
+
+    monkeypatch.setattr(scensched.dp_minmax, "solve_pseudo", solver_called)
+    path = _write_instance(tmp_path, make_instance(2, [1] * 33, [list(range(33))]))
+    assert main(["verify", "--algo", "dp", "--objective", "minmax", "-i", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("guard exceeded: oracle guard: n*log2(m) = 33.0 exceeds 32.0 "
+                   "(raise guard_bits to override)\n")
+
+
 def test_generate_unsplittable_matrix(tmp_path):
     out = tmp_path / "m.json"
     assert main(["generate", "unsplittable", "--q", "2", "--t", "2", "-o", str(out)]) == 0

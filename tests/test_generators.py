@@ -1,5 +1,6 @@
 import pytest
 
+from scensched import generators
 from scensched.generators import (
     Graph,
     ScenarioMatrix,
@@ -130,17 +131,20 @@ def test_unsplittable_check_on_generated_matrices():
     assert is_unsplittable(gen_unsplittable(2, 3))
 
 
-def test_unsplittable_guard_runs_before_a_level_is_built():
+def test_unsplittable_guard_runs_before_a_level_is_built(monkeypatch):
     with pytest.raises(GuardExceeded):
         gen_unsplittable(80, 2)  # a base of 6400 rows
     assert gen_unsplittable(70, 2).n_rows == 4900
     with pytest.raises(GuardExceeded):
         gen_unsplittable(30, 3)  # 900 rows, then 900 + 871 * 30
-    assert gen_unsplittable(2, 3, max_rows=10).n_rows == 10
+    monkeypatch.setattr(generators, "MAX_ROWS", 10)
+    assert gen_unsplittable(2, 3).n_rows == 10
+    monkeypatch.setattr(generators, "MAX_ROWS", 9)
     with pytest.raises(GuardExceeded):
-        gen_unsplittable(2, 3, max_rows=9)
+        gen_unsplittable(2, 3)
+    monkeypatch.setattr(generators, "MAX_ROWS", 3)
     with pytest.raises(GuardExceeded):
-        gen_unsplittable(2, 2, max_rows=3)
+        gen_unsplittable(2, 2)
 
 
 def test_unsplittable_check_counterexamples():

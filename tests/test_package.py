@@ -108,6 +108,10 @@ def test_cli_process_imports_only_what_its_command_runs(tmp_path):
             assert name not in report[step]
 
 
+def test_dir_lists_every_public_name():
+    assert set(scensched.__all__) <= set(dir(scensched))
+
+
 def test_every_public_name_is_the_defining_modules_object():
     assert len(scensched.__all__) == len(set(scensched.__all__))
     for name in scensched.__all__:
