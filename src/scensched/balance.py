@@ -14,27 +14,21 @@ unit-weight sum objective, which depends only on those counts -- are
 preserved.  ``equalize_two`` does this for one machine pair and returns the
 new schedule with an ``EqualizeReport``; ``equalize_all`` repeats it.
 
-The basis is computed by a completion procedure over the homogeneous system:
-grow candidate vectors breadth-first from the unit vectors, extend a
-candidate by a coordinate only when that reduces its defect against the
-system (scalar-product test), and discard anything dominated by an already
-found minimal solution.  The procedure returns exactly the minimal nonzero
-solutions; the classical norm bound for basis elements is asserted on the
-way out.  The basis depends on K alone, so ``hilbert_basis`` computes it once
-per K and process and guards K itself (``model.MAX_K``); neither
-equalization takes a basis, both look it up by ``inst.K``.
+The basis depends on K alone, so ``balance`` ships it as data: a literal
+table for K = 1, 2, 3, decoded once at import.  ``hilbert_basis`` looks it
+up and guards K itself (a K past the table raises GuardExceeded); neither
+equalization takes a basis, both look it up by ``inst.K``.  The completion
+procedure that the table must equal, element for element and in order,
+lives in ``tests/test_balance.py`` as its reference.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from operator import le
 from typing import NamedTuple
 
 from .model import (
     GUARD_BITS,
-    MAX_K,
     MAX_ROUNDS,
     GuardExceeded,
     Instance,
@@ -85,10 +79,6 @@ class LatticePoint(NamedTuple):
     def l1(self) -> int:
         return sum(self.x) + sum(self.y)
 
-    @property
-    def linf(self) -> int:
-        return max(self.vector())
-
 
 class HilbertBasis(NamedTuple):
     K: int
@@ -108,77 +98,45 @@ def in_cone(point: LatticePoint, K: int) -> bool:
     return True
 
 
-# hilbert_basis's results by K; safe to share, since each is immutable and
-# depends on K alone
-_BASES: dict[int, HilbertBasis] = {}
-
-
-def basis_norm_cap(K: int) -> int:
-    """Classical max-norm bound for basis elements of the cone."""
-    return (2 ** (2 ** (K + 1))) * math.factorial(K) ** 2
+# The Hilbert basis for each K, in ascending flat-vector order (the order
+# equalize_two's class scan takes).  One token per element, "x/y": the
+# profile indices sigma (one digit each, as sigma < 8) of its jobs on machine
+# 1 and on machine 2, each index listed once per job.
+_BASIS_TABLE = {
+    1: "/0 1/1 0/",
+    2: "/0 3/3 3/12 2/2 1/1 12/3 0/",
+    3: "/0 7/7 7/34 7/25 7/16 7/124 77/356 6/6 6/24 5/5 5/14 56/47 56/344 "
+    "4/4 47/56 3/3 3/12 36/27 36/225 35/17 35/116 356/77 34/7 34/25 "
+    "34/16 344/56 2/2 27/36 25/7 25/34 25/16 24/6 225/36 1/1 17/35 16/7 "
+    "16/34 16/25 14/5 12/3 124/7 116/35 0/",
+}
+_BASES = {
+    K: HilbertBasis(K, tuple(
+        LatticePoint(*(
+            tuple(side.count(str(sigma)) for sigma in range(1 << K))
+            for side in token.split("/")
+        ))
+        for token in text.split()
+    ))
+    for K, text in _BASIS_TABLE.items()
+}
 
 
 def hilbert_basis(K: int) -> HilbertBasis:
     """All irreducible nonzero lattice points of the two-machine cone.
 
-    For this homogeneous system a point is irreducible exactly when it is
-    minimal under componentwise order among the nonzero points, so the
-    completion procedure below returns the full basis.  The basis depends on
-    K alone: it is computed once per K and process, and every later call
-    returns the same object.  K above ``model.MAX_K`` raises GuardExceeded.
+    Read from the table above, so every call for one K returns the same
+    object.  A K that is not an int or is below 1 raises ValueError; a K
+    past the table (K >= 4) raises GuardExceeded.  The test-side completion
+    procedure in ``tests/test_balance.py`` is the reference it must equal.
     """
-    if K > MAX_K:
-        raise GuardExceeded(f"Hilbert basis guard: K={K} exceeds {MAX_K}")
+    if type(K) is not int:
+        raise ValueError("K must be an integer")
     if K < 1:
         raise ValueError("K must be at least 1")
-    if K in _BASES:
-        return _BASES[K]
-    P = 1 << K
-    dim = 2 * P
-    cols = []
-    for idx in range(P):
-        cols.append(tuple(1 if idx & (1 << (K - 1 - k)) else 0 for k in range(K)))
-    for idx in range(P):
-        cols.append(tuple(-c for c in cols[idx]))
-    zero_defect = (0,) * K
-
-    minimal: list[tuple[int, ...]] = []
-
-    def dominated(v) -> bool:
-        return any(all(map(le, b, v)) for b in minimal)
-
-    frontier: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for i in range(dim):
-        unit = tuple(1 if c == i else 0 for c in range(dim))
-        frontier[unit] = cols[i]
-
-    cap = basis_norm_cap(K)
-    while frontier:
-        for v in sorted(frontier):
-            if frontier[v] == zero_defect and not dominated(v):
-                minimal.append(v)
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for v, defect in frontier.items():
-            if defect == zero_defect:
-                continue
-            for i in range(dim):
-                # Extend only along coordinates that reduce the defect.
-                if sum(d * c for d, c in zip(defect, cols[i])) < 0:
-                    v2 = list(v)
-                    v2[i] += 1
-                    v2 = tuple(v2)
-                    if not dominated(v2):
-                        nxt[v2] = tuple(d + c for d, c in zip(defect, cols[i]))
-        frontier = nxt
-
-    points = []
-    for v in minimal:
-        point = LatticePoint(x=v[:P], y=v[P:])
-        assert point.linf <= cap, "basis element exceeds the classical norm bound"
-        points.append(point)
-    points.sort(key=lambda p: p.vector())
-    basis = _BASES[K] = HilbertBasis(K=K, elements=tuple(points))
-    return basis
+    if K not in _BASES:
+        raise GuardExceeded(f"Hilbert basis guard: K={K} exceeds {max(_BASES)}")
+    return _BASES[K]
 
 
 def decompose(point: LatticePoint, basis: HilbertBasis) -> list[LatticePoint]:

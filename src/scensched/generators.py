@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
-from .model import MAX_ROWS, MAX_SUBSET_ROWS, GuardExceeded, Instance, _Frozen, make_instance
+from .model import (
+    MAX_MEMBERSHIPS, MAX_ROWS, MAX_SUBSET_ROWS, GuardExceeded, Instance, _Frozen, make_instance,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -276,9 +278,15 @@ def gen_random(
     """Random instance: weights uniform on 1..w_max, independent memberships.
 
     Draw order is pinned (all weights first, then memberships job-major), so
-    equal parameters give identical instances.
+    equal parameters give identical instances.  More than
+    ``model.MAX_MEMBERSHIPS`` memberships to draw (n*K) raise GuardExceeded
+    before the first draw.
     """
     _check_random_args(n, m, K, w_max, density)
+    if n * K > MAX_MEMBERSHIPS:
+        raise GuardExceeded(
+            f"random instance guard: n*K = {n * K} memberships exceed {MAX_MEMBERSHIPS}"
+        )
     rng = random.Random(seed)
     weights = [rng.randint(1, w_max) for _ in range(n)]
     members: list[list[int]] = [[] for _ in range(K)]

@@ -43,11 +43,12 @@ class GuardExceeded(RuntimeError):
 # defined here and nowhere else.  The first two are the defaults of the
 # oracle's guard_bits and the exact solvers' max_states, which the CLI lifts
 # when SCHED_GUARD_OVERRIDE=1.  The other four always hold; their functions
-# read them at call time and take no keyword for them.  MAX_K stays at 3
-# since the Hilbert basis at K = 4 did not finish within 60 s.
+# read them at call time and take no keyword for them.  The Hilbert basis's
+# K limit is not here: it is the extent of balance's basis table (K <= 3),
+# since the completion procedure did not finish K = 4 within 60 s.
 GUARD_BITS = 32.0  # the oracle enumerates only while n*log2(m) <= GUARD_BITS
 MAX_STATES = 2_000_000  # cost vectors per layer of the count-matrix walk
-MAX_K = 3  # scenarios of a two-machine Hilbert basis
+MAX_MEMBERSHIPS = 100_000  # n*K of gen_random, checked before the first draw
 MAX_ROWS = 5000  # rows of a generated unsplittable matrix, checked before a level is built
 MAX_SUBSET_ROWS = 20  # rows that is_unsplittable checks by enumerating 2^rows subsets
 MAX_ROUNDS = 10_000  # rounds of equalize_all

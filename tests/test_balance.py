@@ -1,4 +1,6 @@
 import itertools
+import math
+from operator import le
 
 import pytest
 
@@ -7,7 +9,6 @@ from scensched.balance import (
     HilbertBasis,
     LatticePoint,
     basis_l1_sum,
-    basis_norm_cap,
     conjecture_probe,
     decompose,
     equalize_all,
@@ -20,7 +21,6 @@ from scensched.balance import (
 )
 from scensched.generators import gen_random
 from scensched.model import (
-    MAX_K,
     GuardExceeded,
     ObjectiveKind,
     Schedule,
@@ -48,6 +48,74 @@ def test_profile_index_is_lexicographic_bijection():
 # ---------------------------------------------------------------------------
 # Hilbert basis
 # ---------------------------------------------------------------------------
+
+
+def basis_norm_cap(K):
+    """Classical max-norm bound for basis elements of the cone."""
+    return (2 ** (2 ** (K + 1))) * math.factorial(K) ** 2
+
+
+def completion_basis(K):
+    """The Hilbert basis by a completion procedure: the reference the table
+    in ``balance`` must equal, elements and order.
+
+    Grow candidate vectors breadth-first from the unit vectors, extend a
+    candidate by a coordinate only when that reduces its defect against the
+    system Mx - My = 0 (scalar-product test), and discard anything dominated
+    by an already found minimal solution.  For this homogeneous system a
+    point is irreducible exactly when it is minimal under componentwise
+    order among the nonzero points, so this returns the full basis; the
+    classical norm bound is asserted on the way out.
+    """
+    P = 1 << K
+    dim = 2 * P
+    cols = []
+    for idx in range(P):
+        cols.append(tuple(1 if idx & (1 << (K - 1 - k)) else 0 for k in range(K)))
+    for idx in range(P):
+        cols.append(tuple(-c for c in cols[idx]))
+    zero_defect = (0,) * K
+
+    minimal = []
+
+    def dominated(v):
+        return any(all(map(le, b, v)) for b in minimal)
+
+    frontier = {}
+    for i in range(dim):
+        unit = tuple(1 if c == i else 0 for c in range(dim))
+        frontier[unit] = cols[i]
+
+    while frontier:
+        for v in sorted(frontier):
+            if frontier[v] == zero_defect and not dominated(v):
+                minimal.append(v)
+        nxt = {}
+        for v, defect in frontier.items():
+            if defect == zero_defect:
+                continue
+            for i in range(dim):
+                # Extend only along coordinates that reduce the defect.
+                if sum(d * c for d, c in zip(defect, cols[i])) < 0:
+                    v2 = list(v)
+                    v2[i] += 1
+                    v2 = tuple(v2)
+                    if not dominated(v2):
+                        nxt[v2] = tuple(d + c for d, c in zip(defect, cols[i]))
+        frontier = nxt
+
+    assert all(max(v) <= basis_norm_cap(K) for v in minimal), (
+        "basis element exceeds the classical norm bound"
+    )
+    points = sorted((LatticePoint(x=v[:P], y=v[P:]) for v in minimal), key=lambda p: p.vector())
+    return HilbertBasis(K=K, elements=tuple(points))
+
+
+def test_basis_table_equals_the_completion_procedure():
+    for K, size in ((1, 3), (2, 7), (3, 43)):
+        basis = hilbert_basis(K)
+        assert basis == completion_basis(K)  # the same elements in the same order
+        assert len(basis.elements) == size
 
 
 def test_basis_k1_is_exactly_three_elements():
@@ -120,7 +188,7 @@ def test_basis_elements_are_cone_members_and_irreducible():
         cap = basis_norm_cap(K)
         for b in basis.elements:
             assert in_cone(b, K)
-            assert 0 < b.linf <= cap
+            assert 0 < max(b.vector()) <= cap
         # an antichain: no element dominates another
         for a, b in itertools.combinations(basis.elements, 2):
             va, vb = a.vector(), b.vector()
@@ -159,11 +227,11 @@ def test_basis_k3_covers_all_small_cone_points():
 
 
 def test_basis_guard():
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="^Hilbert basis guard: K=4 exceeds 3$"):
         hilbert_basis(4)
-    basis = hilbert_basis(MAX_K)
-    assert basis.K == MAX_K
-    assert hilbert_basis(MAX_K) is basis  # computed once per K
+    basis = hilbert_basis(3)
+    assert basis.K == 3
+    assert hilbert_basis(3) is basis  # decoded once, at import
 
 
 def test_decompose_zero_and_doubles():
@@ -325,12 +393,19 @@ def test_equalize_two_on_optimal_suite():
 
 
 def test_equalize_two_three_scenarios():
+    # every optimum, not only the first, backs the likely_nonoptimal flag at K=3
+    cap_sq = lemma_final_bound_sq(3)
+    optima = 0
     for seed in range(12):
         inst = gen_random(8, 2, 3, w_max=1, density=0.6, seed=8100 + seed)
-        best = optimal_schedules(inst, ObjectiveKind.MINAVG)[0]
-        out, rep = equalize_two(inst, best, 0, 1)
-        assert _minavg(inst, out) == _minavg(inst, best)
-        assert rep.extended_final == (0, 0, 0)
+        for best in optimal_schedules(inst, ObjectiveKind.MINAVG):
+            out, rep = equalize_two(inst, best, 0, 1)
+            assert _minavg(inst, out) == _minavg(inst, best)
+            assert rep.extended_final == (0, 0, 0)
+            assert all(d * d <= cap_sq for d in disbalance(inst, best).final_dk)
+            assert not rep.likely_nonoptimal
+            optima += 1
+    assert optima == 309
 
 
 def test_equalize_all_balanced_input_is_fixed_point():

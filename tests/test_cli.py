@@ -175,6 +175,15 @@ def test_generate_unsplittable_past_the_row_guard_exits_3(capsys):
     assert captured.err.startswith("guard exceeded: ")
 
 
+def test_generate_random_past_the_membership_guard_exits_3(capsys):
+    assert main(["generate", "random", "--n", "500000", "--m", "2", "--K", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "guard exceeded: random instance guard: n*K = 1000000 memberships exceed 100000\n"
+    )
+
+
 def test_generate_coloring_and_solve(tmp_path):
     inst_path = tmp_path / "tri.json"
     assert main(["generate", "coloring", "--vertices", "3",

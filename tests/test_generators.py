@@ -195,6 +195,19 @@ def test_gen_random_validation():
         gen_random(1, 1, 1, w_max=0, seed=0)
 
 
+def test_gen_random_membership_guard_runs_before_the_first_draw(monkeypatch):
+    monkeypatch.setattr(generators, "random", None)  # any draw would fail
+    with pytest.raises(GuardExceeded, match=r"^random instance guard: n\*K = 1000000 "):
+        gen_random(500_000, 2, 2)
+    with pytest.raises(ValueError, match="density"):  # the argument checks come first
+        gen_random(500_000, 2, 2, density=0)
+    monkeypatch.undo()
+    monkeypatch.setattr(generators, "MAX_MEMBERSHIPS", 6)
+    assert gen_random(3, 2, 2).K == 2  # n*K = MAX_MEMBERSHIPS is admitted
+    with pytest.raises(GuardExceeded, match=r"n\*K = 7 memberships exceed 6$"):
+        gen_random(7, 2, 1)
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -159,9 +159,12 @@ _PAIR = make_instance(2, [2, 1], [[0, 1]])
      "largest weight must be positive"),
     (lambda: scensched.profile_index({2}, 2), ValueError, "scenario 2 out of range for K=2"),
     (lambda: hilbert_basis(0), ValueError, "K must be at least 1"),
+    (lambda: hilbert_basis(True), ValueError, "K must be an integer"),
+    (lambda: hilbert_basis(2.0), ValueError, "K must be an integer"),
 ], ids=["instance-without-jobs", "evaluate-short-schedule", "disbalance-long-schedule",
         "scenario-optimum-index", "graph-without-vertices", "empty-matrix", "ragged-matrix",
-        "unsplittable-q-1", "fptas-zero-weights", "profile-scenario-range", "hilbert-basis-k-0"])
+        "unsplittable-q-1", "fptas-zero-weights", "profile-scenario-range", "hilbert-basis-k-0",
+        "hilbert-basis-k-bool", "hilbert-basis-k-float"])
 def test_contract_checks_raise_their_message(call, error, message):
     with pytest.raises(error) as info:
         call()
