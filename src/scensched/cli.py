@@ -4,15 +4,16 @@ Machine-readable JSON/CSV only; value fields are deterministic for identical
 invocations (wall-clock fields are reported but excluded from that contract).
 Exit codes: 0 success, 1 verification failure, 2 contract violation,
 3 resource guard.  The six size limits are ``model`` constants: GUARD_BITS
-(the oracle's n*log2(m) <= 32), MAX_STATES (2M states per layer for the
-exact DPs: dp, config, fptas), MAX_MEMBERSHIPS (``generate random``'s
-n*K <= 100 000), MAX_ROWS (``generate unsplittable``'s 5000 rows),
-MAX_SUBSET_ROWS (``is_unsplittable``'s 20 rows) and MAX_ROUNDS
-(``equalize_all``'s 10 000 rounds).  The Hilbert basis's K <= 3 is the
-extent of ``balance``'s basis table.  Setting SCHED_GUARD_OVERRIDE=1 lifts
-exactly the oracle bits and the walk states (to 1e9 bits and 10**9
-states), at your own risk: memory and runtime grow quickly past them.  The
-other four limits and the K limit always hold.
+(the oracle's at most 2^21 canonical assignments: up to 22 jobs on 2
+machines, 14 on 3, 12 on 4 or 5, 11 on any larger number), MAX_STATES (2M
+states per layer for the exact DPs: dp, config, fptas), MAX_MEMBERSHIPS
+(``generate random``'s n*K <= 100 000), MAX_ROWS (``generate
+unsplittable``'s 5000 rows), MAX_SUBSET_ROWS (``is_unsplittable``'s 20
+rows) and MAX_ROUNDS (``equalize_all``'s 10 000 rounds).  The Hilbert
+basis's K <= 3 is the extent of ``balance``'s basis table.  Setting
+SCHED_GUARD_OVERRIDE=1 lifts exactly the oracle bits and the walk states
+(to 1e9 bits and 10**9 states), at your own risk: memory and runtime grow
+quickly past them.  The other four limits and the K limit always hold.
 ``verify`` and ``probe`` check the oracle guard before they run anything:
 ``verify`` after its pairing and --epsilon checks but before the
 algorithm, ``probe`` after its argument checks but before it builds a

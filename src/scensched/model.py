@@ -46,7 +46,7 @@ class GuardExceeded(RuntimeError):
 # read them at call time and take no keyword for them.  The Hilbert basis's
 # K limit is not here: it is the extent of balance's basis table (K <= 3),
 # since the completion procedure did not finish K = 4 within 60 s.
-GUARD_BITS = 32.0  # the oracle enumerates only while n*log2(m) <= GUARD_BITS
+GUARD_BITS = 21.0  # the oracle enumerates at most 2^GUARD_BITS canonical assignments
 MAX_STATES = 2_000_000  # cost vectors per layer of the count-matrix walk
 MAX_MEMBERSHIPS = 100_000  # n*K of gen_random, checked before the first draw
 MAX_ROWS = 5000  # rows of a generated unsplittable matrix, checked before a level is built

@@ -2,9 +2,23 @@
 
 The oracle enumerates machine assignments in canonical form (machine labels
 appear in first-use order), which visits each partition of the jobs into at
-most ``m`` unordered groups exactly once.  It is deliberately simple -- no
-bounding, no pruning -- and is trusted as the reference for every solver in
-the package.
+most ``m`` unordered groups exactly once.  It is trusted as the reference for
+every solver in the package and imports none of them.
+
+Its one prune enters a child only while agg_k(C_k + R_k) <= the incumbent,
+where C_k is scenario k's cost so far less its offset and R_k the weight of
+scenario k's jobs still to place.  This keeps every optimum:
+
+1. each job still to place costs at least its weight in each of its
+   scenarios (rank >= 1, weight >= 0), so C_k + R_k never exceeds scenario
+   k's final cost on a leaf below, and agg (max or sum) is monotone;
+2. the incumbent is the value of a schedule: the round robin j -> j mod m
+   until the first leaf is recorded, the best leaf after it;
+3. the test is not strict, so every leaf that ties the optimum is still
+   visited, in enumeration order.
+
+So the value, the first optimum, the number of optima and their list are
+those of the full enumeration.
 """
 
 from __future__ import annotations
@@ -12,7 +26,15 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .model import GUARD_BITS, GuardExceeded, Instance, ObjectiveKind, Schedule, _objective
+from .model import (
+    GUARD_BITS,
+    GuardExceeded,
+    Instance,
+    ObjectiveKind,
+    Schedule,
+    _objective,
+    _scenario_cost,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -25,12 +47,31 @@ class OracleResult(NamedTuple):
 
 
 def _check_guard(n: int, m: int, guard_bits: float) -> None:
-    """GuardExceeded unless n jobs on m machines keep n*log2(m) <= guard_bits."""
-    if n * math.log2(m) > guard_bits:
-        raise GuardExceeded(
-            f"oracle guard: n*log2(m) = {n * math.log2(m):.1f} "
-            f"exceeds {guard_bits} (raise guard_bits to override)"
-        )
+    """GuardExceeded unless the canonical enumeration of n jobs on m machines
+    has at most 2^guard_bits leaves.
+
+    The leaves number sum_{i <= min(n, m)} S(n, i) (Stirling numbers of the
+    second kind), at most m^n.  Past that bound the sum is counted one row
+    of S(r, .) at a time, r = 1..n; it never decreases from row to row, so
+    the count stops at the first row past the limit.  For m >= 2 row r sums
+    to at least 2^(r-1), so n > guard_bits + 1 is past it at once, and the
+    count takes at most guard_bits + 1 rows.
+    """
+    if n * math.log2(m) <= guard_bits:
+        return
+    if n - 1 <= guard_bits:
+        width = min(n, m)
+        row = [1] + [0] * width  # S(0, i)
+        for _ in range(n):
+            row = [0] + [i * row[i] + row[i - 1] for i in range(1, width + 1)]
+            if math.log2(sum(row)) > guard_bits:
+                break
+        else:
+            return
+    raise GuardExceeded(
+        f"oracle guard: more than 2^{guard_bits} canonical assignments for n={n}, m={m} "
+        "(raise guard_bits to override)"
+    )
 
 
 def iter_canonical_assignments(n: int, m: int):
@@ -59,48 +100,64 @@ def _search(inst: Instance, kind: ObjectiveKind, keep_all: bool):
     w = inst.weights
     job_scens = inst.job_scenarios
     agg, offsets = _objective(inst, kind)
-    # totals[k] is scenario k's cost less its offset, so a leaf is worth agg(totals)
-    totals = [-o for o in offsets]
+    # bound[k] is C_k + R_k of the module docstring, so a node's bound and a
+    # leaf's value are both agg(bound).  A job of weight w placed behind c
+    # scenario-k jobs on its machine adds w * (c + 1) to C_k and takes w from
+    # R_k: it adds w * c.
+    bound = [sum(w[j] for j in jobs) - o for jobs, o in zip(inst.scenario_jobs, offsets)]
     counts = [[0] * K for _ in range(m)]
     assign = [0] * n
+    # the round robin j -> j mod m is canonical; the best leaf replaces it
+    round_robin = [j % m for j in range(n)]
+    incumbent = agg([_scenario_cost(inst, round_robin, k) - o for k, o in enumerate(offsets)])
 
-    best = None
     best_assign: tuple[int, ...] | None = None
     n_opt = 0
     all_optima: list[tuple[int, ...]] = []
+    last = n - 1
 
     def rec(j: int, used: int):
-        nonlocal best, best_assign, n_opt
-        if j == n:
-            value = agg(totals)
-            if best is None or value < best:
-                best = value
-                best_assign = tuple(assign)
-                n_opt = 1
-                if keep_all:
-                    all_optima.clear()
-                    all_optima.append(best_assign)
-            elif value == best:
-                n_opt += 1
-                if keep_all:
-                    all_optima.append(tuple(assign))
-            return
+        nonlocal incumbent, best_assign, n_opt
         wj = w[j]
         ks = job_scens[j]
+        if j < last:
+            for i in range(min(used + 1, m)):
+                row = counts[i]
+                for k in ks:
+                    bound[k] += wj * row[k]
+                    row[k] += 1
+                if agg(bound) <= incumbent:
+                    assign[j] = i
+                    rec(j + 1, used + 1 if i == used else used)
+                for k in ks:
+                    row[k] -= 1
+                    bound[k] -= wj * row[k]
+            return
+        # the last job: each child is a leaf, evaluated here without a call
         for i in range(min(used + 1, m)):
             row = counts[i]
             for k in ks:
-                row[k] += 1
-                totals[k] += wj * row[k]
-            assign[j] = i
-            rec(j + 1, used + 1 if i == used else used)
+                bound[k] += wj * row[k]
+            value = agg(bound)
             for k in ks:
-                totals[k] -= wj * row[k]
-                row[k] -= 1
+                bound[k] -= wj * row[k]
+            if value > incumbent:
+                continue
+            assign[j] = i
+            if value < incumbent or not n_opt:  # the first leaf replaces the round robin
+                incumbent = value
+                best_assign = tuple(assign)
+                n_opt = 1
+                if keep_all:
+                    all_optima[:] = [best_assign]
+            else:
+                n_opt += 1
+                if keep_all:
+                    all_optima.append(tuple(assign))
 
     rec(0, 0)
-    assert best is not None and best_assign is not None
-    return best, best_assign, n_opt, all_optima
+    assert best_assign is not None
+    return incumbent, best_assign, n_opt, all_optima
 
 
 def brute_force(
@@ -109,7 +166,9 @@ def brute_force(
     """Exact optimum of the given objective by canonical enumeration.
 
     Returns the lexicographically first canonical optimal schedule and the
-    number of canonical optima.  Guarded by ``n*log2(m) <= guard_bits``.
+    number of canonical optima.  Guarded by the number of canonical
+    assignments, at most ``2**guard_bits`` (see ``_check_guard``); the prune
+    visits fewer, but the guard does not count on it.
     """
     _check_guard(inst.n, inst.m, guard_bits)
     best, best_assign, n_opt, _ = _search(inst, kind, keep_all=False)

@@ -486,7 +486,8 @@ def test_probe_checks_the_oracle_guard_before_building_an_instance(monkeypatch):
         raise AssertionError("a trial instance was built before the oracle guard")
 
     monkeypatch.setattr(generators, "gen_random", built)
-    with pytest.raises(GuardExceeded, match=r"oracle guard: n\*log2\(m\) = 1000000\.0"):
+    with pytest.raises(GuardExceeded, match=(
+            r"oracle guard: more than 2\^21\.0 canonical assignments for n=1000000, m=2")):
         conjecture_probe(10**6, 2, 2, 1, 0)
 
 

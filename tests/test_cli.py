@@ -28,7 +28,7 @@ def five_unit(tmp_path):
     return path
 
 
-DEFAULT_GUARDS = {"guard_bits": 32.0, "max_states": 2_000_000}
+DEFAULT_GUARDS = {"guard_bits": 21.0, "max_states": 2_000_000}
 
 ROOT = Path(__file__).resolve().parents[1]
 PROCESS_ENV = {k: v for k, v in os.environ.items()
@@ -119,8 +119,8 @@ def test_verify_two_scenario_reports_per_scenario_optima(tmp_path):
 
 
 def test_verify_checks_the_oracle_guard_before_the_solver_runs(tmp_path, monkeypatch, capsys):
-    # 33 jobs on two machines: n*log2(m) = 33 > 32, so verify must stop at the
-    # oracle guard without calling the solver
+    # 33 jobs on two machines: 2^32 canonical assignments > 2^21, so verify
+    # must stop at the oracle guard without calling the solver
     import scensched.dp_minmax
 
     def solver_called(*args, **kwargs):
@@ -131,8 +131,8 @@ def test_verify_checks_the_oracle_guard_before_the_solver_runs(tmp_path, monkeyp
     assert main(["verify", "--algo", "dp", "--objective", "minmax", "-i", str(path)]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("guard exceeded: oracle guard: n*log2(m) = 33.0 exceeds 32.0 "
-                   "(raise guard_bits to override)\n")
+    assert err == ("guard exceeded: oracle guard: more than 2^21.0 canonical assignments "
+                   "for n=33, m=2 (raise guard_bits to override)\n")
 
 
 def test_generate_unsplittable_matrix(tmp_path):
@@ -570,7 +570,8 @@ def test_process_writes_the_output_file_whole(tmp_path):
     (["solve", "--algo", "dp", "--bogus", "1", "-i", "INST"], 2,
      "scensched solve: error: unrecognized argument: --bogus\n"),
     (["verify", "--algo", "approx-minavg", "-i", "WIDE"], 3,
-     "guard exceeded: oracle guard: n*log2(m) = 33.0 exceeds 32.0 (raise guard_bits to override)\n"),
+     "guard exceeded: oracle guard: more than 2^21.0 canonical assignments for n=33, m=2 "
+     "(raise guard_bits to override)\n"),
     (["-h"], 0, ""),
 ], ids=["solve", "bad-pairing", "malformed-flag", "oracle-guard", "help"])
 def test_process_exit_code(k2_unit, tmp_path, argv, code, err_end):

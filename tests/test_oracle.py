@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scensched.generators import Graph, gen_coloring
 from scensched.model import (
+    GUARD_BITS,
     GuardExceeded,
     ObjectiveKind,
     Schedule,
@@ -12,6 +16,7 @@ from scensched.model import (
     single_scenario_optimum,
 )
 from scensched.oracle import (
+    _check_guard,
     brute_force,
     expected_uniform_cost,
     iter_canonical_assignments,
@@ -59,6 +64,87 @@ def test_canonical_enumeration_counts_set_partitions():
         for kind in ObjectiveKind:
             assert brute_force(zero, kind).optima_count == expected
             assert len(optimal_schedules(zero, kind)) == expected
+
+
+def _reference(inst, kind):
+    """The optimum and every canonical optimal schedule, in enumeration
+    order, from a plain enumeration: each canonical assignment is evaluated
+    by ``model.evaluate``, with no bound."""
+    best, optima = None, []
+    for assign in iter_canonical_assignments(inst.n, inst.m):
+        sched = Schedule(tuple(assign))
+        value = evaluate(inst, sched, kind).aggregate
+        if best is None or value < best:
+            best, optima = value, []
+        if value == best:
+            optima.append(sched)
+    return best, optima
+
+
+def _assert_matches_reference(inst):
+    for kind in ObjectiveKind:
+        best, optima = _reference(inst, kind)
+        res = brute_force(inst, kind)
+        assert (res.best_value, res.best_schedule, res.optima_count) == (
+            best, optima[0], len(optima)), (inst, kind)
+        assert optimal_schedules(inst, kind) == optima, (inst, kind)
+
+
+def _reference_suite(count=400):
+    """Every n 1-10 and m 1-4 (m > n included), K 1-4, all-zero weights and
+    w_max 1, 2, 9, and jobs in no scenario.  n stops at 7 on m = 3 and at 6
+    on m = 4, which keeps each enumeration under 520 leaves."""
+    suite = []
+    for s in range(count):
+        rng = random.Random(s)
+        m = 1 + s % 4
+        n = 1 + (s // 4) % (10, 10, 7, 6)[m - 1]
+        K = 1 + (s // 3) % 4
+        w_max = (0, 1, 2, 9)[(s // 5) % 4]
+        weights = [rng.randint(0, w_max) for _ in range(n)]
+        scenarios = [[j for j in range(n) if rng.random() < 0.5] for _ in range(K)]
+        suite.append(make_instance(m, weights, scenarios))
+    return suite
+
+
+def test_pruned_search_matches_plain_enumeration():
+    suite = _reference_suite()
+    assert {inst.n for inst in suite} == set(range(1, 11))
+    assert {inst.m for inst in suite} == {1, 2, 3, 4}
+    assert {inst.K for inst in suite} == {1, 2, 3, 4}
+    assert any(inst.m > inst.n for inst in suite)
+    assert {inst.max_weight for inst in suite} >= {0, 1, 2, 9}
+    assert any(() in inst.job_scenarios for inst in suite)
+    for inst in suite:
+        _assert_matches_reference(inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pruned_search_matches_plain_enumeration_drawn(data):
+    m = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 8 if m <= 2 else 6))
+    weights = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    scenarios = data.draw(st.lists(
+        st.lists(st.integers(0, n - 1), unique=True), min_size=1, max_size=4))
+    _assert_matches_reference(make_instance(m, weights, scenarios))
+
+
+def test_guard_counts_the_canonical_assignments():
+    for n in range(1, 16):
+        for m in range(1, 18):
+            for bits in (0.0, 4.0, 9.5, GUARD_BITS):
+                if _stirling_partitions_up_to(n, m) <= 2 ** bits:
+                    _check_guard(n, m, bits)
+                    continue
+                with pytest.raises(GuardExceeded, match=(
+                        rf"more than 2\^{bits} canonical assignments for n={n}, m={m} ")):
+                    _check_guard(n, m, bits)
+    # 2^21 leaves for 22 jobs on two machines, 52 for 5 jobs on 200
+    _check_guard(22, 2, GUARD_BITS)
+    _check_guard(5, 200, GUARD_BITS)
+    with pytest.raises(GuardExceeded):
+        _check_guard(23, 2, GUARD_BITS)
 
 
 def test_guard_rejects_large_instances():
