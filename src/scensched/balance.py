@@ -459,7 +459,6 @@ def conjecture_probe(
     seed: int,
     *,
     density: float = 0.5,
-    guard_bits: float = GUARD_BITS,
 ) -> ProbeReport:
     """Measure, over seeded unit-weight random instances, the smallest full
     disbalance achievable by *any* optimal schedule of the sum objective.
@@ -474,11 +473,11 @@ def conjecture_probe(
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     _check_random_args(n, m, K, 1, density)
-    _check_guard(n, m, guard_bits)
+    _check_guard(n, m, GUARD_BITS)
     per_trial = []
     for t in range(trials):
         instance = gen_random(n, m, K, w_max=1, density=density, seed=seed + t)
-        optima = optimal_schedules(instance, ObjectiveKind.MINAVG, guard_bits=guard_bits)
+        optima = optimal_schedules(instance, ObjectiveKind.MINAVG)
         per_trial.append(min(disbalance(instance, s).full_f for s in optima))
     max_observed = max(per_trial)
     achieving = tuple(t for t, v in enumerate(per_trial) if v == max_observed)

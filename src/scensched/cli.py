@@ -3,17 +3,20 @@
 Machine-readable JSON/CSV only; value fields are deterministic for identical
 invocations (wall-clock fields are reported but excluded from that contract).
 Exit codes: 0 success, 1 verification failure, 2 contract violation,
-3 resource guard.  The six size limits are ``model`` constants: GUARD_BITS
-(the oracle's at most 2^21 canonical assignments: up to 22 jobs on 2
-machines, 14 on 3, 12 on 4 or 5, 11 on any larger number), MAX_STATES (2M
-states per layer for the exact DPs: dp, config, fptas), MAX_MEMBERSHIPS
+3 resource guard.  The six size limits are ``model`` constants, each read
+by the function that enforces it: GUARD_BITS (the oracle's at most 2^21
+canonical assignments: up to 22 jobs on 2 machines, 14 on 3, 12 on 4 or 5,
+11 on any larger number), MAX_STATES (2M states per layer for the exact
+DPs: dp, config, fptas), MAX_MEMBERSHIPS
 (``generate random``'s n*K <= 100 000), MAX_ROWS (``generate
 unsplittable``'s 5000 rows), MAX_SUBSET_ROWS (``is_unsplittable``'s 20
 rows) and MAX_ROUNDS (``equalize_all``'s 10 000 rounds).  The Hilbert
 basis's K <= 3 is the extent of ``balance``'s basis table.  Setting
-SCHED_GUARD_OVERRIDE=1 lifts exactly the oracle bits and the walk states
-(to 1e9 bits and 10**9 states), at your own risk: memory and runtime grow
-quickly past them.  The other four limits and the K limit always hold.
+SCHED_GUARD_OVERRIDE=1, which ``model`` reads once at import, lifts exactly
+the oracle bits and the walk states (to 1e9 bits and 10**9 states), at your
+own risk: memory and runtime grow quickly past them.  The other four limits
+and the K limit always hold, and the CLI itself reads no environment
+variable.
 ``verify`` and ``probe`` check the oracle guard before they run anything:
 ``verify`` after its pairing and --epsilon checks but before the
 algorithm, ``probe`` after its argument checks but before it builds a
@@ -63,8 +66,6 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn
 import scensched
 
 from .model import (
-    GUARD_BITS,
-    MAX_STATES,
     GuardExceeded,
     Instance,
     ObjectiveKind,
@@ -102,7 +103,7 @@ def _fraction(*args) -> Fraction:
 
 class Algorithm(NamedTuple):
     """``runners`` maps each objective (the first is the default) to
-    ``runner(inst, epsilon, max_states)``, returning a Schedule or a solver
+    ``runner(inst, epsilon)``, returning a Schedule or a solver
     result; it calls its solver through the package root.  ``bound(inst,
     epsilon)`` is the certified ratio; None marks an exact algorithm.
     Instance preconditions (K=2, m=2, unit weights) are the solvers' own
@@ -115,39 +116,32 @@ class Algorithm(NamedTuple):
 
 ALGORITHMS = {
     "two-scenario": Algorithm(dict.fromkeys(
-        (MINMAX, MINAVG), lambda inst, eps, cap: scensched.solve_two_scenarios(inst),
+        (MINMAX, MINAVG), lambda inst, eps: scensched.solve_two_scenarios(inst),
     )),
     "dp": Algorithm({
-        MINMAX: lambda inst, eps, cap: scensched.solve_pseudo(inst, MINMAX, max_states=cap),
-        MINAVG: lambda inst, eps, cap: scensched.solve_minavg(inst, max_states=cap),
-        REGRET_MAX: lambda inst, eps, cap: scensched.solve_pseudo(
-            inst, REGRET_MAX, max_states=cap),
-        REGRET_SUM: lambda inst, eps, cap: scensched.solve_regret_sum(inst, max_states=cap),
+        MINMAX: lambda inst, eps: scensched.solve_pseudo(inst, MINMAX),
+        MINAVG: lambda inst, eps: scensched.solve_minavg(inst),
+        REGRET_MAX: lambda inst, eps: scensched.solve_pseudo(inst, REGRET_MAX),
+        REGRET_SUM: lambda inst, eps: scensched.solve_regret_sum(inst),
     }),
     "fptas": Algorithm(
-        {MINMAX: lambda inst, eps, cap: scensched.fptas(inst, eps, max_states=cap)},
+        {MINMAX: lambda inst, eps: scensched.fptas(inst, eps)},
         epsilon=True,
         bound=lambda inst, eps: 1 + eps,
     ),
     "config": Algorithm({
-        MINMAX: lambda inst, eps, cap: scensched.solve_config(inst, MINMAX, max_states=cap),
-        MINAVG: lambda inst, eps, cap: scensched.solve_config(inst, MINAVG, max_states=cap),
+        MINMAX: lambda inst, eps: scensched.solve_config(inst, MINMAX),
+        MINAVG: lambda inst, eps: scensched.solve_config(inst, MINAVG),
     }),
     "approx-minmax2": Algorithm(
-        {MINMAX: lambda inst, eps, cap: scensched.minmax_all_on_one(inst)},
+        {MINMAX: lambda inst, eps: scensched.minmax_all_on_one(inst)},
         bound=lambda inst, eps: _fraction(2),
     ),
     "approx-minavg": Algorithm(
-        {MINAVG: lambda inst, eps, cap: scensched.minavg_derandomized(inst)},
+        {MINAVG: lambda inst, eps: scensched.minavg_derandomized(inst)},
         bound=lambda inst, eps: _fraction(3, 2) - _fraction(1, 2 * inst.m),
     ),
 }
-
-
-def _guards() -> dict:
-    if os.environ.get("SCHED_GUARD_OVERRIDE") == "1":
-        return {"guard_bits": 1e9, "max_states": 10**9}
-    return {"guard_bits": GUARD_BITS, "max_states": MAX_STATES}
 
 
 def _rational(text: str) -> Fraction:
@@ -189,11 +183,11 @@ def _runner(algo: str, kind: ObjectiveKind, epsilon) -> Callable:
     return entry.runners[kind]
 
 
-def _run(inst: Instance, runner: Callable, kind: ObjectiveKind, epsilon, guards):
+def _run(inst: Instance, runner: Callable, kind: ObjectiveKind, epsilon):
     """Returns (schedule, value, ms); ValueError on an instance the solver
     rejects."""
     start = time.perf_counter()
-    out = runner(inst, epsilon, guards["max_states"])
+    out = runner(inst, epsilon)
     if isinstance(out, Schedule):
         out = SolveResult(evaluate(inst, out, kind).aggregate, out)
     return out.schedule, out.value, round((time.perf_counter() - start) * 1000.0, 3)
@@ -253,10 +247,9 @@ def _record(inst, algo, kind, sched, value, epsilon, elapsed_ms) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    guards = _guards()
     inst, kind, epsilon = _request(args)
     runner = _runner(args.algo, kind, epsilon)
-    sched, value, elapsed = _run(inst, runner, kind, epsilon, guards)
+    sched, value, elapsed = _run(inst, runner, kind, epsilon)
     _emit(_record(inst, args.algo, kind, sched, value, epsilon, elapsed), args.output)
     return EXIT_OK
 
@@ -264,11 +257,10 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     """Checks the pairing, then takes the oracle value, whose guard fires
     before the algorithm runs, then runs and compares."""
-    guards = _guards()
     inst, kind, epsilon = _request(args)
     runner = _runner(args.algo, kind, epsilon)
-    best = scensched.brute_force(inst, kind, guard_bits=guards["guard_bits"]).best_value
-    sched, value, _ = _run(inst, runner, kind, epsilon, guards)
+    best = scensched.brute_force(inst, kind).best_value
+    sched, value, _ = _run(inst, runner, kind, epsilon)
     ratio, ok, detail = _check(inst, args.algo, kind, sched, value, epsilon, best)
     report = {
         "algorithm": args.algo,
@@ -327,7 +319,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    guards = _guards()
     report = scensched.conjecture_probe(
         args.n,
         args.m,
@@ -335,7 +326,6 @@ def _cmd_probe(args) -> int:
         args.trials,
         args.seed,
         density=float(_rational(args.density)),
-        guard_bits=guards["guard_bits"],
     )
     _emit(report._asdict(), args.output)
     return EXIT_OK
@@ -395,18 +385,16 @@ def _cmd_bench(args) -> int:
     """Runs every (algorithm, objective) pair of the table on the suite, with
     epsilon 1/2 where it is needed, skipping instances a solver rejects.  The
     oracle runs once per instance and objective."""
-    guards = _guards()
     rows = [["instance", "n", "m", "K", "algo", "objective", "value", "oracle_value", "ratio",
              "time_ms", "full_disbalance"]]
     failures = 0
     for name, inst in _bench_items():
-        oracle = {kind: scensched.brute_force(inst, kind, guard_bits=guards["guard_bits"])
-                  for kind in ObjectiveKind}
+        oracle = {kind: scensched.brute_force(inst, kind) for kind in ObjectiveKind}
         for algo, entry in ALGORITHMS.items():
             epsilon = _fraction(1, 2) if entry.epsilon else None
             for kind, runner in entry.runners.items():
                 try:
-                    sched, value, elapsed = _run(inst, runner, kind, epsilon, guards)
+                    sched, value, elapsed = _run(inst, runner, kind, epsilon)
                 except ValueError:
                     continue
                 best = oracle[kind].best_value

@@ -10,18 +10,13 @@ objective.
 from __future__ import annotations
 
 from .dp_minavg import _walk
-from .model import MAX_STATES, Instance, ObjectiveKind, SolveResult
+from .model import Instance, ObjectiveKind, SolveResult
 
 
-def solve_config(
-    inst: Instance,
-    kind: ObjectiveKind = ObjectiveKind.MINMAX,
-    *,
-    max_states: int = MAX_STATES,
-) -> SolveResult:
+def solve_config(inst: Instance, kind: ObjectiveKind = ObjectiveKind.MINMAX) -> SolveResult:
     """Exact optimum (MINMAX or MINAVG) for a unit-weight instance."""
     if kind not in (ObjectiveKind.MINMAX, ObjectiveKind.MINAVG):
         raise ValueError(f"configuration solver handles minmax and minavg, not {kind.value}")
     if any(w != 1 for w in inst.weights):
         raise ValueError("configuration solver requires unit weights")
-    return _walk(inst, kind, max_states)
+    return _walk(inst, kind)

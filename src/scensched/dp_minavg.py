@@ -35,8 +35,8 @@ the greedy schedule may itself be optimal.  A vector that survives has all
 its predecessors surviving, and a vector that dominated it would have
 survived too.  Each front is therefore the unpruned walk's front less the
 vectors above ub, each kept vector has the same least link, and the optimum,
-at most ub, keeps its witness.  The ``max_states`` guard counts the vectors
-that survive.
+at most ub, keeps its witness.  The ``model.MAX_STATES`` guard, read when
+the walk is called, counts the vectors that survive.
 
 The walk starts with a root check.  At the empty count matrix lb is the
 vector of scenario optima opt_k, so max_d(fold(opt)_d - opts_d) bounds every
@@ -132,7 +132,7 @@ def _meets_root(ub: int, root: int) -> bool:
     return ub == root
 
 
-def _walk(inst: Instance, kind: ObjectiveKind, max_states: int) -> SolveResult:
+def _walk(inst: Instance, kind: ObjectiveKind) -> SolveResult:
     """The least objective value of ``kind`` over all schedules, and a
     schedule attaining it: the least max_d(C_d - opts_d), where scenario k's
     costs add into coordinate ``dims[k]`` of C."""
@@ -186,8 +186,8 @@ def _walk(inst: Instance, kind: ObjectiveKind, max_states: int) -> SolveResult:
             bucket = {c: link for c, link in bucket.items() if all(map(le, c, room))}
             if bucket:
                 kept[state] = _pareto(bucket) if len(bucket) > 1 else bucket
-        if sum(map(len, kept.values())) > max_states:
-            raise GuardExceeded(f"count-matrix state layer grew past {max_states} states "
+        if sum(map(len, kept.values())) > MAX_STATES:
+            raise GuardExceeded(f"count-matrix state layer grew past {MAX_STATES} states "
                                 f"at job {j + 1}")
         layers.append(kept)
 
@@ -205,12 +205,12 @@ def _walk(inst: Instance, kind: ObjectiveKind, max_states: int) -> SolveResult:
     return SolveResult(value=value, schedule=_replay(inst, chain))
 
 
-def solve_minavg(inst: Instance, *, max_states: int = MAX_STATES) -> SolveResult:
+def solve_minavg(inst: Instance) -> SolveResult:
     """Exact optimum of the scenario-sum objective."""
-    return _walk(inst, ObjectiveKind.MINAVG, max_states)
+    return _walk(inst, ObjectiveKind.MINAVG)
 
 
-def solve_regret_sum(inst: Instance, *, max_states: int = MAX_STATES) -> SolveResult:
+def solve_regret_sum(inst: Instance) -> SolveResult:
     """Exact optimum of the sum-regret objective, with the witness of
     :func:`solve_minavg`: the two differ by a constant."""
-    return _walk(inst, ObjectiveKind.REGRET_SUM, max_states)
+    return _walk(inst, ObjectiveKind.REGRET_SUM)

@@ -18,22 +18,17 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dp_minavg import _walk
-from .model import MAX_STATES, Instance, ObjectiveKind, Schedule, SolveResult, evaluate
+from .model import Instance, ObjectiveKind, Schedule, SolveResult, evaluate
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def solve_pseudo(
-    inst: Instance,
-    kind: ObjectiveKind = ObjectiveKind.MINMAX,
-    *,
-    max_states: int = MAX_STATES,
-) -> SolveResult:
+def solve_pseudo(inst: Instance, kind: ObjectiveKind = ObjectiveKind.MINMAX) -> SolveResult:
     """Exact optimum for MINMAX or REGRET_MAX over count-matrix cost fronts."""
     if kind not in (ObjectiveKind.MINMAX, ObjectiveKind.REGRET_MAX):
         raise ValueError(f"load/cost solver handles minmax and regret-max, not {kind.value}")
-    return _walk(inst, kind, max_states)
+    return _walk(inst, kind)
 
 
 class FptasResult(NamedTuple):
@@ -44,12 +39,7 @@ class FptasResult(NamedTuple):
     rounded: Instance
 
 
-def fptas(
-    inst: Instance,
-    eps: Fraction | int | str,
-    *,
-    max_states: int = MAX_STATES,
-) -> FptasResult:
+def fptas(inst: Instance, eps: Fraction | int | str) -> FptasResult:
     """(1+eps)-approximation for MINMAX via weight rounding.
 
     Rounds each weight to ceil(w_j / rho) with rho = W*eps/(m*n^2), solves the
@@ -80,6 +70,6 @@ def fptas(
             scenarios=inst.scenarios,
             original_order=inst.original_order,
         )
-    result = solve_pseudo(rounded, ObjectiveKind.MINMAX, max_states=max_states)
+    result = solve_pseudo(rounded, ObjectiveKind.MINMAX)
     value = evaluate(inst, result.schedule, ObjectiveKind.MINMAX).aggregate
     return FptasResult(value=value, schedule=result.schedule, rounded=rounded)

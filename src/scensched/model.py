@@ -20,6 +20,7 @@ no checks (``Schedule``, ``CostVector``, ...) are ``typing.NamedTuple``s;
 from __future__ import annotations
 
 import json
+import os
 from enum import Enum
 from operator import sub
 from typing import NamedTuple
@@ -40,14 +41,18 @@ class GuardExceeded(RuntimeError):
 
 
 # The size limits that keep the NP-hard cases from running for minutes, each
-# defined here and nowhere else.  The first two are the defaults of the
-# oracle's guard_bits and the exact solvers' max_states, which the CLI lifts
-# when SCHED_GUARD_OVERRIDE=1.  The other four always hold; their functions
-# read them at call time and take no keyword for them.  The Hilbert basis's
-# K limit is not here: it is the extent of balance's basis table (K <= 3),
-# since the completion procedure did not finish K = 4 within 60 s.
-GUARD_BITS = 21.0  # the oracle enumerates at most 2^GUARD_BITS canonical assignments
-MAX_STATES = 2_000_000  # cost vectors per layer of the count-matrix walk
+# defined here and nowhere else.  Every function reads its limit when it is
+# called and takes no keyword for it, except the oracle's brute_force, whose
+# bit limit defaults to GUARD_BITS.  SCHED_GUARD_OVERRIDE=1, read once at
+# import, lifts the first two (to 1e9 bits and 10**9 states); the other four
+# always hold.  The Hilbert basis's K limit is not here: it is the extent of
+# balance's basis table (K <= 3), since the completion procedure did not
+# finish K = 4 within 60 s.
+_OVERRIDE = os.environ.get("SCHED_GUARD_OVERRIDE") == "1"
+# the oracle enumerates at most 2^GUARD_BITS canonical assignments, and the
+# count-matrix walk keeps at most MAX_STATES cost vectors per layer
+GUARD_BITS = 1e9 if _OVERRIDE else 21.0
+MAX_STATES = 10**9 if _OVERRIDE else 2_000_000
 MAX_MEMBERSHIPS = 100_000  # n*K of gen_random, checked before the first draw
 MAX_ROWS = 5000  # rows of a generated unsplittable matrix, checked before a level is built
 MAX_SUBSET_ROWS = 20  # rows that is_unsplittable checks by enumerating 2^rows subsets
@@ -283,13 +288,13 @@ def evaluate_scenario(inst: Instance, sched: Schedule, k: int) -> int:
 
 
 def _scenario_cost(inst: Instance, assignment, k: int) -> int:
-    counts = [0] * inst.m
+    counts: dict = {}  # only the machines that hold a job, so any m costs O(n)
     total = 0
     w = inst.weights
     for j in inst.scenario_jobs[k]:
         i = assignment[j]
-        counts[i] += 1
-        total += w[j] * counts[i]
+        counts[i] = c = counts.get(i, 0) + 1
+        total += w[j] * c
     return total
 
 
@@ -336,20 +341,30 @@ def disbalance(inst: Instance, sched: Schedule) -> DisbalanceReport:
     """Per-scenario final and full (prefix-maximal) machine-count spreads.
 
     The prefix order is the canonical job order.  Defined for all weights,
-    though the balance theory downstream is stated for unit weights.
+    though the balance theory downstream is stated for unit weights.  Each
+    scenario keeps a histogram of its machine counts, so the spread costs
+    O(1) per job whatever m is.
     """
     _check_schedule(inst, sched)
     final_dk = []
     full_fk = []
     for jobs_k in inst.scenario_jobs:
-        counts = [0] * inst.m
-        worst = 0
+        counts: dict = {}
+        hist = [inst.m] + [0] * len(jobs_k)  # hist[c]: machines holding c jobs
+        low = high = worst = 0
         for j in jobs_k:
-            counts[sched.assignment[j]] += 1
-            spread = max(counts) - min(counts)
-            if spread > worst:
-                worst = spread
-        final_dk.append(max(counts) - min(counts) if jobs_k else 0)
+            i = sched.assignment[j]
+            c = counts.get(i, 0)
+            counts[i] = c + 1
+            hist[c] -= 1
+            hist[c + 1] += 1
+            if c == high:
+                high += 1
+            if c == low and not hist[c]:
+                low += 1
+            if high - low > worst:
+                worst = high - low
+        final_dk.append(high - low)
         full_fk.append(worst)
     return DisbalanceReport(final_dk=tuple(final_dk), full_fk=tuple(full_fk))
 

@@ -105,7 +105,8 @@ def _search(inst: Instance, kind: ObjectiveKind, keep_all: bool):
     # scenario-k jobs on its machine adds w * (c + 1) to C_k and takes w from
     # R_k: it adds w * c.
     bound = [sum(w[j] for j in jobs) - o for jobs, o in zip(inst.scenario_jobs, offsets)]
-    counts = [[0] * K for _ in range(m)]
+    # canonical labels never pass min(m, n) - 1, so the rest need no row
+    counts = [[0] * K for _ in range(min(m, n))]
     assign = [0] * n
     # the round robin j -> j mod m is canonical; the best leaf replaces it
     round_robin = [j % m for j in range(n)]
@@ -177,11 +178,10 @@ def brute_force(
     )
 
 
-def optimal_schedules(
-    inst: Instance, kind: ObjectiveKind, *, guard_bits: float = GUARD_BITS
-) -> list[Schedule]:
-    """All canonical optimal schedules, in enumeration order."""
-    _check_guard(inst.n, inst.m, guard_bits)
+def optimal_schedules(inst: Instance, kind: ObjectiveKind) -> list[Schedule]:
+    """All canonical optimal schedules, in enumeration order, guarded like
+    :func:`brute_force` at its default."""
+    _check_guard(inst.n, inst.m, GUARD_BITS)
     _, _, _, all_optima = _search(inst, kind, keep_all=True)
     return [Schedule(a) for a in all_optima]
 

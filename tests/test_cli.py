@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from scensched import cli
+from scensched import cli, dp_minavg
 from scensched.cli import main
 from scensched.balance import equalize_all
 from scensched.generators import (
@@ -41,6 +41,15 @@ def _process(argv, **kwargs):
     kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "env": PROCESS_ENV,
               "timeout": 60, **kwargs}
     return subprocess.run([sys.executable, "-m", "scensched.cli", *argv], text=True, **kwargs)
+
+
+def _limits(env):
+    """The oracle bits and walk states that a fresh process with env reads."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json; from scensched.model import GUARD_BITS, MAX_STATES; "
+         "print(json.dumps({'guard_bits': GUARD_BITS, 'max_states': MAX_STATES}))"],
+        stdout=subprocess.PIPE, env=env, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout)
 
 
 def _write_instance(tmp_path, inst, name="i.json"):
@@ -403,18 +412,64 @@ def test_fptas_without_epsilon_is_contract_error(five_unit, capsys):
 
 
 @pytest.mark.parametrize("value", ["0", "", "true", "yes"])
-def test_guard_override_needs_exactly_one(tmp_path, monkeypatch, value):
-    monkeypatch.setenv("SCHED_GUARD_OVERRIDE", value)
-    assert cli._guards() == DEFAULT_GUARDS
+def test_guard_override_needs_exactly_one(tmp_path, value):
+    # the override is read once, when model is imported: a process test
+    env = {**PROCESS_ENV, "SCHED_GUARD_OVERRIDE": value}
+    assert _limits(env) == DEFAULT_GUARDS
     wide = _write_instance(tmp_path, make_instance(2, [1] * 33, [list(range(33))]))
-    assert main(["verify", "--algo", "approx-minavg", "-i", str(wide)]) == 3
+    assert _process(["verify", "--algo", "approx-minavg", "-i", str(wide)], env=env).returncode == 3
 
 
-def test_guard_override_lifts_guards(monkeypatch):
-    monkeypatch.delenv("SCHED_GUARD_OVERRIDE", raising=False)
-    assert cli._guards() == DEFAULT_GUARDS
-    monkeypatch.setenv("SCHED_GUARD_OVERRIDE", "1")
-    assert cli._guards()["max_states"] > DEFAULT_GUARDS["max_states"]
+def test_guard_override_lifts_guards():
+    assert _limits(PROCESS_ENV) == DEFAULT_GUARDS
+    lifted = _limits({**PROCESS_ENV, "SCHED_GUARD_OVERRIDE": "1"})
+    assert lifted == {"guard_bits": 1e9, "max_states": 10**9}
+
+
+def test_guard_override_lifts_the_oracle_guard_end_to_end(tmp_path):
+    # 23 jobs on two machines: 2^22 canonical assignments, past 2^21
+    path = tmp_path / "n23.json"
+    gen = _process(["generate", "random", "--n", "23", "--m", "2", "--K", "2", "--seed", "0",
+                    "-o", str(path)])
+    assert gen.returncode == 0
+    argv = ["verify", "--algo", "dp", "-i", str(path)]
+    guarded = _process(argv)
+    assert (guarded.returncode, guarded.stdout) == (3, "")
+    assert guarded.stderr == ("guard exceeded: oracle guard: more than 2^21.0 canonical "
+                              "assignments for n=23, m=2 (raise guard_bits to override)\n")
+    lifted = _process(argv, env={**PROCESS_ENV, "SCHED_GUARD_OVERRIDE": "1"})
+    assert (lifted.returncode, lifted.stderr) == (0, "")
+    assert json.loads(lifted.stdout)["ok"] is True
+
+
+def _one_gib_of_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_huge_m_runs_like_a_thousand_machines(tmp_path):
+    # three jobs leave every machine past the third idle, so 10**20 machines
+    # give the values of 1000; the process is capped at 1 GiB and 10 s, since
+    # a list of per-machine counts would exhaust the memory
+    jobs = {"weights": [3, 2, 2], "scenarios": [[0, 1], [1, 2]]}
+    fields = ("value", "per_scenario", "assignment", "disbalance")
+    outputs = {}
+    for m in (1000, 10**20):
+        path = tmp_path / f"m{m}.json"
+        path.write_text(json.dumps({"m": m, **jobs}))
+        runs = [["solve", "--algo", "dp", "--objective", kind.value] for kind in ObjectiveKind]
+        runs += [["solve", "--algo", "approx-minavg"], ["verify", "--algo", "dp"]]
+        for argv in runs:
+            proc = _process([*argv, "-i", str(path)], timeout=10,
+                            preexec_fn=_one_gib_of_memory)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+            doc = json.loads(proc.stdout)
+            if argv[0] == "solve":
+                doc = {f: doc[f] for f in fields}
+            outputs.setdefault(" ".join(argv), []).append(doc)
+    for argv, (narrow, wide) in outputs.items():
+        assert wide == narrow, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -428,7 +483,7 @@ def test_dp_state_guard_exits_3(tmp_path, monkeypatch, argv, capsys):
     # scenario optimum, so the walk runs, and its third layer holds more than
     # two states (fptas at 1/2 solves the instance unrounded)
     path = _write_instance(tmp_path, make_instance(2, [1, 1, 1], [[0, 1], [1, 2], [0, 2]]))
-    monkeypatch.setattr(cli, "_guards", lambda: {**DEFAULT_GUARDS, "max_states": 2})
+    monkeypatch.setattr(dp_minavg, "MAX_STATES", 2)
     assert main(["solve", *argv, "-i", str(path)]) == 3
     out, err = capsys.readouterr()
     assert out == ""

@@ -1,6 +1,7 @@
 import pytest
 
 from scensched.approx import minavg_derandomized
+from scensched import dp_minavg
 from scensched.dp_config import solve_config
 from scensched.dp_minavg import _bounds, _start, solve_minavg, solve_regret_sum
 from scensched.dp_minmax import solve_pseudo
@@ -84,13 +85,14 @@ def test_regret_sum_shift():
     on_both_paths(check)
 
 
-def test_state_guard():
+def test_state_guard(monkeypatch):
     # the triangle gadget gen_coloring(triangle, 2) has no schedule at the
     # root bound, so the walk runs and its third layer holds three count
     # matrices
     inst = make_instance(2, [1, 1, 1], [[0, 1], [1, 2], [0, 2]])
+    monkeypatch.setattr(dp_minavg, "MAX_STATES", 2)
     with pytest.raises(GuardExceeded, match="at job 3"):
-        solve_minavg(inst, max_states=2)
+        solve_minavg(inst)
 
 
 def test_start_state_bounds_are_scenario_optima():

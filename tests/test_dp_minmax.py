@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from scensched import dp_minavg
 from scensched.dp_minavg import _bounds, solve_minavg
 from scensched.dp_minmax import fptas, solve_pseudo
 from scensched.generators import gen_random
@@ -63,22 +64,25 @@ def test_regret_max_matches_oracle():
     on_both_paths(check)
 
 
-def test_state_guard():
+def test_state_guard(monkeypatch):
     # the triangle gadget gen_coloring(triangle, 2) has no schedule at the
     # root bound, so the walk runs and its third layer holds four cost vectors
     inst = make_instance(2, [1, 1, 1], [[0, 1], [1, 2], [0, 2]])
+    monkeypatch.setattr(dp_minavg, "MAX_STATES", 2)
     for kind in (ObjectiveKind.MINMAX, ObjectiveKind.REGRET_MAX):
         with pytest.raises(GuardExceeded, match="grew past 2 states at job 3"):
-            solve_pseudo(inst, kind, max_states=2)
+            solve_pseudo(inst, kind)
 
 
-def test_state_guard_counts_front_vectors():
+def test_state_guard_counts_front_vectors(monkeypatch):
     # the greedy misses the root bound (22 against 21), and the last layer
     # holds five cost vectors on four count matrices
     inst = make_instance(2, [1, 5, 6, 4], [[0, 1, 3], [0, 1], [0, 1, 2, 3]])
+    monkeypatch.setattr(dp_minavg, "MAX_STATES", 4)
     with pytest.raises(GuardExceeded, match="grew past 4 states at job 4"):
-        solve_pseudo(inst, ObjectiveKind.MINMAX, max_states=4)
-    assert solve_pseudo(inst, ObjectiveKind.MINMAX, max_states=5).value == 21
+        solve_pseudo(inst, ObjectiveKind.MINMAX)
+    monkeypatch.setattr(dp_minavg, "MAX_STATES", 5)
+    assert solve_pseudo(inst, ObjectiveKind.MINMAX).value == 21
 
 
 def test_fptas_tiny_instance_exact():
@@ -168,17 +172,18 @@ def test_many_machines_few_jobs_returns_at_once():
     (30, 1, ObjectiveKind.MINMAX, max),
     (40, 0, ObjectiveKind.MINAVG, sum),
 ])
-def test_pruning_keeps_large_instances_small(n, seed, kind, aggregate):
+def test_pruning_keeps_large_instances_small(n, seed, kind, aggregate, monkeypatch):
     # Unpruned, the widest layer holds 346,000 cost vectors (n=30, min-max)
     # and 692,000 count matrices (n=40, sum); pruned, about 1,000 and 46.
     # The greedy schedule meets the root bound on both, so the root check is
     # off here: the walk runs.
     inst = gen_random(n, 3, 3, w_max=9, density=0.5, seed=seed)
+    monkeypatch.setattr(dp_minavg, "MAX_STATES", 10_000)
     with solver_paths(root_check=False):
         if kind is ObjectiveKind.MINMAX:
-            res = solve_pseudo(inst, kind, max_states=10_000)
+            res = solve_pseudo(inst, kind)
         else:
-            res = solve_minavg(inst, max_states=10_000)
+            res = solve_minavg(inst)
     assert evaluate(inst, res.schedule, kind).aggregate == res.value
     _, totals, _ = _bounds(inst)
     assert aggregate(scenario_optima(inst)) <= res.value <= aggregate(totals)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scensched.model import (
+    Instance,
     ObjectiveKind,
     Schedule,
     disbalance,
@@ -197,6 +198,39 @@ def test_disbalance_examples():
     assert stacked.final_d == 4 and stacked.full_f == 4
     halves = disbalance(inst, Schedule((0, 0, 1, 1)))
     assert halves.final_d == 0 and halves.full_f == 2
+
+
+@given(st.data())
+def test_disbalance_matches_its_definition(data):
+    # the spread of all m machine counts after each prefix, idle machines
+    # included, on m from 1 to past n
+    base = small_suite(10)[data.draw(st.integers(0, 9))]
+    m = data.draw(st.integers(1, 9))
+    inst = Instance(m, base.weights, base.scenarios, base.original_order)
+    assign = data.draw(st.lists(st.integers(0, m - 1), min_size=inst.n, max_size=inst.n))
+    final_dk, full_fk = [], []
+    for jobs_k in inst.scenario_jobs:
+        counts = [0] * m
+        spreads = [0]
+        for j in jobs_k:
+            counts[assign[j]] += 1
+            spreads.append(max(counts) - min(counts))
+        final_dk.append(spreads[-1])
+        full_fk.append(max(spreads))
+    rep = disbalance(inst, Schedule(tuple(assign)))
+    assert rep == (tuple(final_dk), tuple(full_fk))
+
+
+def test_costs_and_disbalance_skip_idle_machines():
+    # 3 jobs on 10**20 machines cost what they cost on 1000, without a list of
+    # 10**20 counts
+    jobs = ([3, 2, 2], [[0, 1], [1, 2]])
+    wide, narrow = make_instance(10**20, *jobs), make_instance(1000, *jobs)
+    for assign in ((0, 0, 0), (0, 1, 2), (2, 0, 2), (1, 1, 0)):
+        sched = Schedule(assign)
+        for kind in ObjectiveKind:
+            assert evaluate(wide, sched, kind) == evaluate(narrow, sched, kind)
+        assert disbalance(wide, sched) == disbalance(narrow, sched)
 
 
 def test_invalid_instances_rejected():
