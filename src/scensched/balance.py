@@ -34,9 +34,10 @@ from .model import (
     Instance,
     ObjectiveKind,
     Schedule,
+    _check_schedule,
     disbalance,
 )
-from .oracle import _check_guard, optimal_schedules
+from .oracle import _check_guard, _visit_optima
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +367,21 @@ def equalize_two(
     )
 
 
-def _machine_scenario_counts(inst: Instance, assignment) -> list[list[int]]:
-    counts = [[0] * inst.K for _ in range(inst.m)]
-    for j in range(inst.n):
-        for k in inst.job_scenarios[j]:
-            counts[assignment[j]][k] += 1
+def _machine_scenario_counts(inst: Instance, assignment) -> dict[int, list[int]]:
+    """Per-scenario job counts of the machines that hold a scenario job, and
+    of the lowest-index machine that holds none, if there is one.  Every
+    other machine shares that machine's all-zero row at a higher index, and
+    ``equalize_all`` breaks every tie by index, so it never needs their rows:
+    the counts cost O(n * K) whatever m is."""
+    K = inst.K
+    counts: dict[int, list[int]] = {}
+    for j, ks in enumerate(inst.job_scenarios):
+        if ks:
+            row = counts.setdefault(assignment[j], [0] * K)
+            for k in ks:
+                row[k] += 1
+    if len(counts) < inst.m:
+        counts[next(i for i in range(len(counts) + 1) if i not in counts)] = [0] * K
     return counts
 
 
@@ -390,6 +401,9 @@ def equalize_all(inst: Instance, sched: Schedule) -> Schedule:
     K = inst.K
     threshold = 2 * K * basis_l1_sum(hilbert_basis(K))  # K guard before the weight check
     _require_unit_weights(inst)
+    # counts are keyed by machine, so a label out of range would be counted
+    # as a machine of its own
+    _check_schedule(inst, sched)
     m = inst.m
     sizes = [len(s) for s in inst.scenario_jobs]
 
@@ -397,13 +411,14 @@ def equalize_all(inst: Instance, sched: Schedule) -> Schedule:
     counts = _machine_scenario_counts(inst, current.assignment)
 
     def potential() -> int:
-        # Scaled by m so it stays integral: sum |m*c_ik - |S_k||.
+        # Scaled by m so it stays integral: sum |m*c_ik - |S_k||.  Each
+        # machine missing from counts has an all-zero row, worth sum |S_k|.
         return sum(
-            abs(m * counts[i][k] - sizes[k]) for i in range(m) for k in range(K)
-        )
+            abs(m * row[k] - sizes[k]) for row in counts.values() for k in range(K)
+        ) + (m - len(counts)) * sum(sizes)
 
     def violation():
-        for i in range(m):
+        for i in sorted(counts):
             for k in range(K):
                 if abs(m * counts[i][k] - sizes[k]) > m * threshold:
                     return i, k
@@ -419,9 +434,9 @@ def equalize_all(inst: Instance, sched: Schedule) -> Schedule:
             )
         i, k = viol
         if m * counts[i][k] > sizes[k]:
-            partner = min(range(m), key=lambda i2: (counts[i2][k], i2))
+            partner = min(counts, key=lambda i2: (counts[i2][k], i2))
         else:
-            partner = min(range(m), key=lambda i2: (-counts[i2][k], i2))
+            partner = min(counts, key=lambda i2: (-counts[i2][k], i2))
         current, _ = equalize_two(inst, current, i, partner)
         counts = _machine_scenario_counts(inst, current.assignment)
         new_pot = potential()
@@ -451,6 +466,23 @@ class ProbeReport(NamedTuple):
     achieving_trials: tuple[int, ...]
 
 
+def _least_full_disbalance(inst: Instance) -> int:
+    """The least full disbalance over every canonical optimum of the sum
+    objective, folded as the oracle visits each optimum: no list of optima
+    is kept, so an instance whose leaves nearly all tie costs no memory."""
+    least = None
+
+    def fold(assign) -> None:
+        nonlocal least
+        full = disbalance(inst, Schedule(tuple(assign))).full_f
+        if least is None or full < least:
+            least = full
+
+    _visit_optima(inst, ObjectiveKind.MINAVG, fold)
+    assert least is not None  # every instance has an optimum
+    return least
+
+
 def conjecture_probe(
     n: int,
     m: int,
@@ -477,8 +509,7 @@ def conjecture_probe(
     per_trial = []
     for t in range(trials):
         instance = gen_random(n, m, K, w_max=1, density=density, seed=seed + t)
-        optima = optimal_schedules(instance, ObjectiveKind.MINAVG)
-        per_trial.append(min(disbalance(instance, s).full_f for s in optima))
+        per_trial.append(_least_full_disbalance(instance))
     max_observed = max(per_trial)
     achieving = tuple(t for t, v in enumerate(per_trial) if v == max_observed)
     return ProbeReport(

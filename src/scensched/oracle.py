@@ -5,20 +5,25 @@ appear in first-use order), which visits each partition of the jobs into at
 most ``m`` unordered groups exactly once.  It is trusted as the reference for
 every solver in the package and imports none of them.
 
-Its one prune enters a child only while agg_k(C_k + R_k) <= the incumbent,
-where C_k is scenario k's cost so far less its offset and R_k the weight of
-scenario k's jobs still to place.  This keeps every optimum:
+One search, ``_search(inst, kind, limit, visit)``, serves every caller.  It
+enters a child only while agg_k(C_k + R_k) < limit, where C_k is scenario
+k's cost so far less its offset and R_k the weight of scenario k's jobs
+still to place.  Each job still to place costs at least its weight in each
+of its scenarios (rank >= 1, weight >= 0), so C_k + R_k never exceeds
+scenario k's final cost on a leaf below, and agg (max or sum) is monotone:
+the prune drops no leaf whose value is below the limit.
 
-1. each job still to place costs at least its weight in each of its
-   scenarios (rank >= 1, weight >= 0), so C_k + R_k never exceeds scenario
-   k's final cost on a leaf below, and agg (max or sum) is monotone;
-2. the incumbent is the value of a schedule: the round robin j -> j mod m
-   until the first leaf is recorded, the best leaf after it;
-3. the test is not strict, so every leaf that ties the optimum is still
-   visited, in enumeration order.
+- ``brute_force`` starts the limit at the round robin's value + 1, and each
+  leaf below the limit becomes the answer and lowers the limit to its own
+  value.  The round robin j -> j mod m is a canonical leaf, so some leaf is
+  recorded; after that only strictly better leaves enter.  So the last leaf
+  recorded is the first canonical leaf that attains the optimum.
+- ``optimal_schedules`` (and ``balance.conjecture_probe``) take the optimum
+  from ``brute_force``, then run the search again with the limit fixed at
+  the optimum + 1, calling ``visit`` on every optimum in enumeration order.
 
-So the value, the first optimum, the number of optima and their list are
-those of the full enumeration.
+So the value, the first optimum and the list of optima are those of the
+full enumeration.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ if TYPE_CHECKING:
 class OracleResult(NamedTuple):
     best_value: int
     best_schedule: Schedule
-    optima_count: int
 
 
 def _check_guard(n: int, m: int, guard_bits: float) -> None:
@@ -95,7 +99,16 @@ def iter_canonical_assignments(n: int, m: int):
     yield from rec(0, 0)
 
 
-def _search(inst: Instance, kind: ObjectiveKind, keep_all: bool):
+def _search(inst: Instance, kind: ObjectiveKind, limit: int, visit=None):
+    """The canonical leaves whose value is below ``limit``, by the module
+    docstring's prune.
+
+    Without ``visit``, each such leaf lowers the limit to its own value, and
+    the result is (value, assignment) of the last one recorded, or
+    (limit, None) if there was none.  With ``visit``, the limit stays fixed
+    and ``visit(assign)`` runs on every such leaf in enumeration order;
+    ``assign`` is one list reused between calls.
+    """
     n, m, K = inst.n, inst.m, inst.K
     w = inst.weights
     job_scens = inst.job_scenarios
@@ -108,17 +121,11 @@ def _search(inst: Instance, kind: ObjectiveKind, keep_all: bool):
     # canonical labels never pass min(m, n) - 1, so the rest need no row
     counts = [[0] * K for _ in range(min(m, n))]
     assign = [0] * n
-    # the round robin j -> j mod m is canonical; the best leaf replaces it
-    round_robin = [j % m for j in range(n)]
-    incumbent = agg([_scenario_cost(inst, round_robin, k) - o for k, o in enumerate(offsets)])
-
     best_assign: tuple[int, ...] | None = None
-    n_opt = 0
-    all_optima: list[tuple[int, ...]] = []
     last = n - 1
 
     def rec(j: int, used: int):
-        nonlocal incumbent, best_assign, n_opt
+        nonlocal limit, best_assign
         wj = w[j]
         ks = job_scens[j]
         if j < last:
@@ -127,7 +134,7 @@ def _search(inst: Instance, kind: ObjectiveKind, keep_all: bool):
                 for k in ks:
                     bound[k] += wj * row[k]
                     row[k] += 1
-                if agg(bound) <= incumbent:
+                if agg(bound) < limit:
                     assign[j] = i
                     rec(j + 1, used + 1 if i == used else used)
                 for k in ks:
@@ -142,23 +149,17 @@ def _search(inst: Instance, kind: ObjectiveKind, keep_all: bool):
             value = agg(bound)
             for k in ks:
                 bound[k] -= wj * row[k]
-            if value > incumbent:
+            if value >= limit:
                 continue
             assign[j] = i
-            if value < incumbent or not n_opt:  # the first leaf replaces the round robin
-                incumbent = value
+            if visit is None:
+                limit = value
                 best_assign = tuple(assign)
-                n_opt = 1
-                if keep_all:
-                    all_optima[:] = [best_assign]
             else:
-                n_opt += 1
-                if keep_all:
-                    all_optima.append(tuple(assign))
+                visit(assign)
 
     rec(0, 0)
-    assert best_assign is not None
-    return incumbent, best_assign, n_opt, all_optima
+    return limit, best_assign
 
 
 def brute_force(
@@ -166,24 +167,34 @@ def brute_force(
 ) -> OracleResult:
     """Exact optimum of the given objective by canonical enumeration.
 
-    Returns the lexicographically first canonical optimal schedule and the
-    number of canonical optima.  Guarded by the number of canonical
-    assignments, at most ``2**guard_bits`` (see ``_check_guard``); the prune
-    visits fewer, but the guard does not count on it.
+    Returns the optimal value and the lexicographically first canonical
+    optimal schedule; ``optimal_schedules`` lists every optimum.  Guarded by
+    the number of canonical assignments, at most ``2**guard_bits`` (see
+    ``_check_guard``); the prune visits fewer, but the guard does not count
+    on it.
     """
     _check_guard(inst.n, inst.m, guard_bits)
-    best, best_assign, n_opt, _ = _search(inst, kind, keep_all=False)
-    return OracleResult(
-        best_value=best, best_schedule=Schedule(best_assign), optima_count=n_opt
-    )
+    agg, offsets = _objective(inst, kind)
+    round_robin = [j % inst.m for j in range(inst.n)]
+    limit = agg([_scenario_cost(inst, round_robin, k) - o for k, o in enumerate(offsets)]) + 1
+    best, best_assign = _search(inst, kind, limit)
+    assert best_assign is not None  # the round robin is below the limit
+    return OracleResult(best_value=best, best_schedule=Schedule(best_assign))
+
+
+def _visit_optima(inst: Instance, kind: ObjectiveKind, visit) -> None:
+    """``visit(assign)`` on every canonical optimum, in enumeration order,
+    guarded like :func:`brute_force` at its default; ``assign`` is one list
+    reused between calls, so nothing holds the optima at once."""
+    _search(inst, kind, brute_force(inst, kind).best_value + 1, visit)
 
 
 def optimal_schedules(inst: Instance, kind: ObjectiveKind) -> list[Schedule]:
     """All canonical optimal schedules, in enumeration order, guarded like
-    :func:`brute_force` at its default."""
-    _check_guard(inst.n, inst.m, GUARD_BITS)
-    _, _, _, all_optima = _search(inst, kind, keep_all=True)
-    return [Schedule(a) for a in all_optima]
+    :func:`brute_force` at its default.  The first is ``brute_force``'s."""
+    optima: list[Schedule] = []
+    _visit_optima(inst, kind, lambda assign: optima.append(Schedule(tuple(assign))))
+    return optima
 
 
 def expected_uniform_cost(inst: Instance) -> tuple[tuple[Fraction, ...], Fraction]:

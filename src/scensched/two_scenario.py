@@ -10,9 +10,16 @@ construction keeps the highest zero position of the two vectors aligned).
 When a vector becomes all ones it is reset to zero and the logical machine
 order is permuted so the other vector reads (1,...,1,0,...,0) again.
 
-The permutation is bookkeeping only -- placed jobs never move; the emitted
-schedule is in original machine labels.  Jobs in neither scenario go to the
-current logical machine 1 and cost nothing anywhere.
+Each vector's zeros are one run of logical machines, ``mu[k]..nu[k]``, so
+the pass keeps only those two ends: the vector is all ones when
+``mu[k] > nu[k]``.  The permutation is bookkeeping only -- placed jobs never
+move; the emitted schedule is in original machine labels.  Jobs in neither
+scenario go to the current logical machine 1 and cost nothing anywhere.
+
+Each job turns at most one entry of a vector to one, so a reset needs m <= n
+jobs; until the first one the permutation is the identity ``range(m)``, and
+only a reset builds it as a list.  So the pass takes O(n) time and memory
+whatever m is.
 """
 
 from __future__ import annotations
@@ -25,48 +32,38 @@ def solve_two_scenarios(inst: Instance) -> Schedule:
     if inst.K != 2:
         raise ValueError(f"two-scenario solver requires K=2, got K={inst.K}")
     m = inst.m
-    s = [[0] * m, [0] * m]  # relative loads over logical machines, 0 or 1
     mu = [0, 0]  # lowest zero entry per scenario (0-based)
     nu = [m - 1, m - 1]  # highest zero entry per scenario
-    perm = list(range(m))  # logical index -> physical machine label
+    perm = range(m)  # logical index -> physical machine label
     assign = [0] * inst.n
-
-    def reset(k: int) -> None:
-        # s[k] is all ones: clear it and renumber the machines so that the
-        # other vector becomes (1,...,1,0,...,0).  Its ones currently occupy
-        # the prefix [0, mu_o) and the suffix (nu_o, m); move both blocks to
-        # the front, preserving relative order within each block.
-        o = 1 - k
-        new_order = (
-            list(range(0, mu[o])) + list(range(nu[o] + 1, m)) + list(range(mu[o], nu[o] + 1))
-        )
-        perm[:] = [perm[l] for l in new_order]
-        ones = mu[o] + (m - 1 - nu[o])
-        s[o] = [1] * ones + [0] * (m - ones)
-        s[k] = [0] * m
-        mu[k], nu[k] = 0, m - 1
-        mu[o], nu[o] = ones, m - 1
 
     for j in range(inst.n):
         ks = inst.job_scenarios[j]
         if len(ks) == 2:
             assert nu[0] == nu[1], "aligned right ends lost -- reset rule violated"
             l = nu[0]
-            assert s[0][l] == 0 and s[1][l] == 0
-            s[0][l] = s[1][l] = 1
             nu[0] -= 1
             nu[1] -= 1
         elif len(ks) == 1:
             k = ks[0]
             l = mu[k]
-            assert s[k][l] == 0
-            s[k][l] = 1
             mu[k] += 1
         else:
             l = 0  # cost-neutral job; no state update
         assign[j] = perm[l]
         for k in (0, 1):
-            if all(s[k]):
-                reset(k)
+            if mu[k] > nu[k]:
+                # scenario k's vector is all ones: clear it and renumber the
+                # machines so that the other vector becomes (1,...,1,0,...,0).
+                # Its ones occupy the prefix [0, mu_o) and the suffix
+                # (nu_o, m); move both blocks to the front, preserving
+                # relative order within each block.
+                o = 1 - k
+                new_order = (
+                    *range(mu[o]), *range(nu[o] + 1, m), *range(mu[o], nu[o] + 1)
+                )
+                perm = [perm[i] for i in new_order]
+                mu[k], nu[k] = 0, m - 1
+                mu[o], nu[o] = mu[o] + (m - 1 - nu[o]), m - 1
 
     return Schedule(tuple(assign))

@@ -1,5 +1,8 @@
 import itertools
 import math
+import random
+import re
+import tracemalloc
 from operator import le
 
 import pytest
@@ -414,6 +417,13 @@ def test_equalize_all_balanced_input_is_fixed_point():
     assert equalize_all(inst, sched) == sched
 
 
+def test_equalize_all_rejects_a_machine_out_of_range():
+    inst = make_instance(2, [1] * 4, [[0, 1, 2, 3]])
+    for assignment in ((5, 5, 5, 5), (-1, -1, 0, 1), (0, 1, 0)):
+        with pytest.raises(ValueError, match="^(machine index|schedule length)"):
+            equalize_all(inst, Schedule(assignment))
+
+
 def test_equalize_all_preserves_optimal_value_on_suite():
     for inst in k2_unit_suite(60):
         best = optimal_schedules(inst, ObjectiveKind.MINAVG)[0]
@@ -454,6 +464,92 @@ def test_equalize_all_pairs_a_light_machine_with_the_heaviest():
     threshold = 2 * inst.K * basis_l1_sum(hilbert_basis(inst.K))
     for i in range(inst.m):
         assert abs(inst.m * result.assignment.count(i) - inst.n) <= inst.m * threshold
+
+
+def _reference_equalize_all(inst, sched):
+    """equalize_all with a count row for every one of the m machines and
+    scans over all of them: the reference the sparse counts must equal."""
+    K, m = inst.K, inst.m
+    threshold = 2 * K * basis_l1_sum(hilbert_basis(K))
+    if any(w != 1 for w in inst.weights):
+        raise ValueError("balance procedures require unit weights")
+    sizes = [len(s) for s in inst.scenario_jobs]
+
+    def machine_counts(assignment):
+        counts = [[0] * K for _ in range(m)]
+        for j in range(inst.n):
+            for k in inst.job_scenarios[j]:
+                counts[assignment[j]][k] += 1
+        return counts
+
+    def potential():
+        return sum(abs(m * counts[i][k] - sizes[k]) for i in range(m) for k in range(K))
+
+    def violation():
+        for i in range(m):
+            for k in range(K):
+                if abs(m * counts[i][k] - sizes[k]) > m * threshold:
+                    return i, k
+        return None
+
+    current = sched
+    counts = machine_counts(current.assignment)
+    pot = potential()
+    iterations = 0
+    while (viol := violation()) is not None:
+        if iterations >= balance.MAX_ROUNDS:
+            raise GuardExceeded(
+                f"equalization did not settle within {balance.MAX_ROUNDS} rounds "
+                f"(potential {pot}) -- this falsifies the implementation"
+            )
+        i, k = viol
+        if m * counts[i][k] > sizes[k]:
+            partner = min(range(m), key=lambda i2: (counts[i2][k], i2))
+        else:
+            partner = min(range(m), key=lambda i2: (-counts[i2][k], i2))
+        current, _ = equalize_two(inst, current, i, partner)
+        counts = machine_counts(current.assignment)
+        new_pot = potential()
+        assert new_pot < pot
+        pot = new_pot
+        iterations += 1
+    return current
+
+
+def _equalize_sweep():
+    """(instance, schedule) pairs: unit weights, n 1-40, m 1-12, K 1-3, with
+    random, all-on-one and all-on-the-last-machine schedules, and n = 150 on
+    K = 2, whose piled-up schedules need rounds there too (K = 3 needs more
+    than 888 scenario jobs on one machine before its first round)."""
+    pairs = []
+    for i in range(240):
+        n, m, K = 1 + i % 40, 1 + i % 12, 1 + i % 3
+        inst = gen_random(n, m, K, w_max=1, density=(0.3, 0.6, 1.0)[i % 3], seed=9500 + i)
+        rng = random.Random(i)
+        pairs.append((inst, Schedule(tuple(rng.randrange(m) for _ in range(n)))))
+        pairs.append((inst, Schedule((0,) * n)))
+        pairs.append((inst, Schedule((m - 1,) * n)))
+    for m in (2, 3, 5):
+        inst = gen_random(150, m, 2, w_max=1, density=0.6, seed=9900 + m)
+        pairs.append((inst, Schedule((m - 1,) * 150)))
+    return pairs
+
+
+def test_equalize_all_matches_the_full_machine_scan(monkeypatch):
+    needs_rounds = []
+    for inst, sched in _equalize_sweep():
+        result = equalize_all(inst, sched)
+        assert result == _reference_equalize_all(inst, sched), (inst, sched)
+        if result != sched:
+            needs_rounds.append((inst, sched))
+    assert {inst.K for inst, _ in needs_rounds} == {1, 2}
+    # with no round allowed, the guard message reports the potential
+    monkeypatch.setattr(balance, "MAX_ROUNDS", 0)
+    for inst, sched in needs_rounds:
+        with pytest.raises(GuardExceeded) as expected:
+            _reference_equalize_all(inst, sched)
+        with pytest.raises(GuardExceeded, match=re.escape(str(expected.value))):
+            equalize_all(inst, sched)
 
 
 # ---------------------------------------------------------------------------
@@ -501,3 +597,17 @@ def test_probe_k2_stays_within_observed_constant():
     assert rep.max_observed <= basis_l1_sum(hilbert_basis(2))
     assert len(rep.per_trial) == 40
     assert all(rep.per_trial[t] == rep.max_observed for t in rep.achieving_trials)
+
+
+def test_probe_keeps_no_list_of_optima():
+    # one job in a hundred is in the scenario, so nearly all 2^13 canonical
+    # schedules of 14 jobs on two machines are optimal; the probe folds each
+    # one as it is visited, where a list of them peaked at 1.8 MB
+    tracemalloc.start()
+    try:
+        rep = conjecture_probe(14, 2, 1, 1, 0, density=1 / 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.per_trial == (0,)
+    assert peak < 256 * 1024

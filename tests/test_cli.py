@@ -459,7 +459,8 @@ def test_huge_m_runs_like_a_thousand_machines(tmp_path):
         path = tmp_path / f"m{m}.json"
         path.write_text(json.dumps({"m": m, **jobs}))
         runs = [["solve", "--algo", "dp", "--objective", kind.value] for kind in ObjectiveKind]
-        runs += [["solve", "--algo", "approx-minavg"], ["verify", "--algo", "dp"]]
+        runs += [["solve", "--algo", "approx-minavg"], ["solve", "--algo", "two-scenario"],
+                 ["verify", "--algo", "dp"]]
         for argv in runs:
             proc = _process([*argv, "-i", str(path)], timeout=10,
                             preexec_fn=_one_gib_of_memory)
@@ -467,9 +468,32 @@ def test_huge_m_runs_like_a_thousand_machines(tmp_path):
             doc = json.loads(proc.stdout)
             if argv[0] == "solve":
                 doc = {f: doc[f] for f in fields}
+            if argv[-1] == "two-scenario":
+                # it places the jobs of both scenarios from machine m - 1 down,
+                # so those labels are compared as counted from the end
+                doc["assignment"] = [a if a < 3 else a - m for a in doc["assignment"]]
             outputs.setdefault(" ".join(argv), []).append(doc)
     for argv, (narrow, wide) in outputs.items():
         assert wide == narrow, argv
+
+
+def test_huge_m_equalizes_like_a_thousand_machines(tmp_path):
+    # twelve unit jobs of one scenario piled on machine 0 pass the K=1
+    # threshold of 8, so equalize_all runs a round against the first idle
+    # machine; capped at 1 GiB and 10 s like the test above
+    schedule = tmp_path / "zero.json"
+    schedule.write_text(json.dumps({"assignment": [0] * 12}))
+    outputs = []
+    for m in (1000, 10**20):
+        path = tmp_path / f"m{m}.json"
+        path.write_text(json.dumps({"m": m, "weights": [1] * 12, "scenarios": [list(range(12))]}))
+        proc = _process(["balance", "equalize", "-i", str(path), "-s", str(schedule)],
+                        timeout=10, preexec_fn=_one_gib_of_memory)
+        assert (proc.returncode, proc.stderr) == (0, ""), m
+        outputs.append(json.loads(proc.stdout))
+    narrow, wide = outputs
+    assert wide == narrow
+    assert narrow["objective_after"] < narrow["objective_before"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@ import pytest
 
 from scensched.generators import gen_random
 from scensched.model import (
+    Schedule,
     evaluate_scenario,
     make_instance,
     single_scenario_optimum,
@@ -63,3 +64,59 @@ def test_single_machine():
 def test_ideal_on_seeded_suite():
     for inst in two_scenario_suite(60):
         _assert_ideal(inst, solve_two_scenarios(inst))
+
+
+def _reference(inst):
+    """The solver with both 0/1 load vectors held in full, m entries each:
+    the reference the interval form must give witness for witness."""
+    m = inst.m
+    s = [[0] * m, [0] * m]
+    mu = [0, 0]
+    nu = [m - 1, m - 1]
+    perm = list(range(m))
+    assign = [0] * inst.n
+
+    def reset(k):
+        o = 1 - k
+        new_order = (
+            list(range(0, mu[o])) + list(range(nu[o] + 1, m)) + list(range(mu[o], nu[o] + 1))
+        )
+        perm[:] = [perm[l] for l in new_order]
+        ones = mu[o] + (m - 1 - nu[o])
+        s[o] = [1] * ones + [0] * (m - ones)
+        s[k] = [0] * m
+        mu[k], nu[k] = 0, m - 1
+        mu[o], nu[o] = ones, m - 1
+
+    for j in range(inst.n):
+        ks = inst.job_scenarios[j]
+        if len(ks) == 2:
+            assert nu[0] == nu[1]
+            l = nu[0]
+            assert s[0][l] == 0 and s[1][l] == 0
+            s[0][l] = s[1][l] = 1
+            nu[0] -= 1
+            nu[1] -= 1
+        elif len(ks) == 1:
+            k = ks[0]
+            l = mu[k]
+            assert s[k][l] == 0
+            s[k][l] = 1
+            mu[k] += 1
+        else:
+            l = 0
+        assign[j] = perm[l]
+        for k in (0, 1):
+            if all(s[k]):
+                reset(k)
+    return Schedule(tuple(assign))
+
+
+def test_interval_form_matches_the_full_vectors():
+    # m from 1 to 12 against n up to 25, so most instances reset at least once
+    for i in range(600):
+        n, m = 1 + i % 25, 1 + i % 12
+        w_max = (1, 9)[i % 2]
+        density = (0.3, 0.5, 0.8)[i % 3]
+        inst = gen_random(n, m, 2, w_max=w_max, density=density, seed=9000 + i)
+        assert solve_two_scenarios(inst) == _reference(inst), inst
