@@ -188,10 +188,12 @@ def profile_round_robin(inst: Instance, sched: Schedule, i1: int, i2: int) -> Sc
     reassigned alternately (canonical order) to i1, i2.  The resulting final
     count difference between the pair is at most 2^(K-1) per scenario: each
     scenario sees at most 2^(K-1) profile classes, each contributing at most
-    one to the difference.
+    one to the difference.  The machines, the weights and the schedule are
+    checked as in :func:`equalize_two`.
     """
     _check_pair(inst, i1, i2)
     _require_unit_weights(inst)
+    _check_schedule(inst, sched)
     K = inst.K
     classes: dict[int, list[int]] = {}
     for j in range(inst.n):
@@ -244,35 +246,15 @@ def _require_unit_weights(inst: Instance) -> None:
 
 
 def _check_pair(inst: Instance, i1: int, i2: int) -> None:
+    # type(), not isinstance(), as in model._check_schedule: a bool is not a machine
+    for i in (i1, i2):
+        if type(i) is not int:
+            raise ValueError(f"machine {i!r} is not an integer")
     if i1 == i2:
         raise ValueError("need two distinct machines")
     for i in (i1, i2):
         if not 0 <= i < inst.m:
             raise ValueError(f"machine {i} out of range")
-
-
-def _pair_scan_disbalance(inst, assignment, i1, i2, aux=()):
-    """Final/full per-scenario count differences restricted to a machine pair.
-
-    ``aux`` yields (scenario, side) singleton jobs appended after the real
-    jobs, side 0 meaning i1.  Returns (real_final, real_full, extended_final).
-    """
-    K = inst.K
-    diff = [0] * K
-    full = [0] * K
-    for j in range(inst.n):
-        a = assignment[j]
-        if a == i1 or a == i2:
-            delta = 1 if a == i1 else -1
-            for k in inst.job_scenarios[j]:
-                diff[k] += delta
-                if abs(diff[k]) > full[k]:
-                    full[k] = abs(diff[k])
-    real_final = tuple(abs(v) for v in diff)
-    real_full = tuple(full)
-    for k, side in aux:
-        diff[k] += 1 if side == 0 else -1
-    return real_final, real_full, tuple(abs(v) for v in diff)
 
 
 def equalize_two(
@@ -285,8 +267,13 @@ def equalize_two(
     point, decomposed over the Hilbert basis ``hilbert_basis(inst.K)``, and
     rebuilt by scanning jobs in canonical order (auxiliaries last): each job
     consumes the first open slot over basis classes, preferring the i1 side.
-    Auxiliaries are then dropped.  Returns the new schedule and its report.
-    The basis's K guard fires before the pair and unit-weight checks.
+    Auxiliaries are then dropped.  Returns the new schedule and its report,
+    whose prefix differences are tracked in the same two passes that read
+    the pair and write its new assignment.
+
+    The basis's K guard fires first; then the machines must be two distinct
+    ints in range, the weights all 1, and the schedule one int machine in
+    range per job (``model._check_schedule``), else ValueError.
 
     Preserves per-scenario counts outside the pair and never increases the
     pair's count imbalance, so on an optimal input (the intended use; the
@@ -296,24 +283,34 @@ def equalize_two(
     basis = hilbert_basis(inst.K)  # its guard fires before the checks below
     _check_pair(inst, i1, i2)
     _require_unit_weights(inst)
+    _check_schedule(inst, sched)
     K = inst.K
     P = 1 << K
     assignment = sched.assignment
 
-    pair_jobs = [j for j in range(inst.n) if assignment[j] in (i1, i2)]
+    pair_jobs: list[int] = []
+    scan: list[int] = []  # the profile index of each pair job, then of each auxiliary
     x = [0] * P
     y = [0] * P
     diff = [0] * K  # per scenario, the jobs on i1 minus the jobs on i2
-    for j in pair_jobs:
-        side, delta = (x, 1) if assignment[j] == i1 else (y, -1)
-        side[profile_index(inst.job_scenarios[j], K)] += 1
+    pre_full = [0] * K  # per scenario, the largest |diff| over the prefixes
+    for j, a in enumerate(assignment):
+        if a != i1 and a != i2:
+            continue
+        sigma = profile_index(inst.job_scenarios[j], K)
+        pair_jobs.append(j)
+        scan.append(sigma)
+        side, delta = (x, 1) if a == i1 else (y, -1)
+        side[sigma] += 1
         for k in inst.job_scenarios[j]:
             diff[k] += delta
+            pre_full[k] = max(pre_full[k], abs(diff[k]))
     d = tuple(abs(v) for v in diff)  # also the auxiliaries per scenario
     aux: list[int] = []  # the scenario of each auxiliary singleton
     for k in range(K):
         (x if diff[k] < 0 else y)[1 << (K - 1 - k)] += d[k]
         aux += [k] * d[k]
+    scan += [1 << (K - 1 - k) for k in aux]
 
     point = LatticePoint(x=tuple(x), y=tuple(y))
     assert in_cone(point, K), "padded pair counts must balance per scenario"
@@ -324,8 +321,6 @@ def equalize_two(
         if multiplicity[b]
     ]
 
-    scan = [profile_index(inst.job_scenarios[j], K) for j in pair_jobs]
-    scan += [1 << (K - 1 - k) for k in aux]
     sides: list[int] = []
     for sigma in scan:
         copy = next(
@@ -346,23 +341,26 @@ def equalize_two(
     # must exhaust all slots exactly
     assert all(not any(copy) for copies in classes for copy in copies)
 
+    # the same prefix walk over the new pair, then the auxiliaries' sides
     new_assignment = list(assignment)
+    diff = [0] * K
+    post_full = [0] * K
     for j, side in zip(pair_jobs, sides):
-        new_assignment[j] = i1 if side == 0 else i2
-    result = Schedule(tuple(new_assignment))
-
-    _, pre_full, _ = _pair_scan_disbalance(inst, assignment, i1, i2)
-    post_final, post_full, ext_final = _pair_scan_disbalance(
-        inst, result.assignment, i1, i2, zip(aux, sides[len(pair_jobs):])
-    )
-    return result, EqualizeReport(
+        new_assignment[j], delta = (i1, 1) if side == 0 else (i2, -1)
+        for k in inst.job_scenarios[j]:
+            diff[k] += delta
+            post_full[k] = max(post_full[k], abs(diff[k]))
+    post_final = tuple(abs(v) for v in diff)
+    for k, side in zip(aux, sides[len(pair_jobs):]):
+        diff[k] += 1 if side == 0 else -1
+    return Schedule(tuple(new_assignment)), EqualizeReport(
         machines=(i1, i2),
         aux_jobs=d,
         pre_final=d,
-        pre_full=pre_full,
+        pre_full=tuple(pre_full),
         post_final=post_final,
-        post_full=post_full,
-        extended_final=ext_final,
+        post_full=tuple(post_full),
+        extended_final=tuple(abs(v) for v in diff),
         likely_nonoptimal=any(dk * dk > lemma_final_bound_sq(K) for dk in d),
     )
 
@@ -496,12 +494,15 @@ def conjecture_probe(
     disbalance achievable by *any* optimal schedule of the sum objective.
 
     Trial t uses seed ``seed + t``.  Reports the per-trial minima, their
-    maximum, and which trials attain it.  ``trials`` must be at least 1.
+    maximum, and which trials attain it.  ``trials`` must be an int of at
+    least 1.
     The arguments and the oracle guard are checked before the first trial
     instance is built.
     """
     from .generators import _check_random_args, gen_random
 
+    if type(trials) is not int:
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     _check_random_args(n, m, K, 1, density)

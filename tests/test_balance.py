@@ -321,6 +321,40 @@ def test_round_robin_rejects_same_machine():
         profile_round_robin(inst, Schedule((0,)), 1, 1)
 
 
+_PAIR_PROCEDURES = pytest.mark.parametrize(
+    "procedure", [equalize_two, profile_round_robin], ids=["equalize_two", "round_robin"]
+)
+
+
+@_PAIR_PROCEDURES
+@pytest.mark.parametrize("assignment, message", [
+    ((5, 5, 5, 5), "machine index 5 is not an integer in 0..1"),
+    ((-1, -1, 0, 1), "machine index -1 is not an integer in 0..1"),
+    ((0, 0), "schedule length does not match instance"),
+    ((0.0, 1, 0, 1), "machine index 0.0 is not an integer in 0..1"),
+], ids=["past-m", "negative", "short", "float"])
+def test_pair_procedures_reject_a_malformed_schedule(procedure, assignment, message):
+    # unchecked, a label off the machines passes through with an all-zero
+    # report, and a short schedule raises IndexError
+    inst = make_instance(2, [1] * 4, [[0, 1, 2, 3]])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        procedure(inst, Schedule(assignment), 0, 1)
+
+
+@_PAIR_PROCEDURES
+@pytest.mark.parametrize("i1, i2, message", [
+    (0.0, 1, "machine 0.0 is not an integer"),
+    (False, True, "machine False is not an integer"),
+    (0, 1.0, "machine 1.0 is not an integer"),
+], ids=["float", "bool", "second-float"])
+def test_pair_procedures_reject_a_machine_that_is_not_an_int(procedure, i1, i2, message):
+    # 0.0 and False pass a range check and would come back as labels in the
+    # schedule, (0.0, 1, 0.0, 1)
+    inst = make_instance(2, [1] * 4, [[0, 1, 2, 3]])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        procedure(inst, Schedule((0, 0, 0, 0)), i1, i2)
+
+
 # ---------------------------------------------------------------------------
 # Equalization
 # ---------------------------------------------------------------------------
@@ -363,6 +397,41 @@ def test_equalize_two_machine_validation():
         equalize_two(inst, Schedule((0,)), 0, 5)
     with pytest.raises(ValueError):
         equalize_two(make_instance(2, [2, 1], [[0, 1]]), Schedule((0, 1)), 0, 1)
+
+
+def _pair_scan_disbalance(inst, assignment, i1, i2):
+    """Final and full per-scenario count differences of a machine pair, from
+    a scan of all n jobs: the reference for equalize_two's report."""
+    diff = [0] * inst.K
+    full = [0] * inst.K
+    for j in range(inst.n):
+        a = assignment[j]
+        if a == i1 or a == i2:
+            delta = 1 if a == i1 else -1
+            for k in inst.job_scenarios[j]:
+                diff[k] += delta
+                full[k] = max(full[k], abs(diff[k]))
+    return tuple(abs(v) for v in diff), tuple(full)
+
+
+def test_equalize_two_report_matches_a_scan_of_both_schedules():
+    seen = set()
+    for s in range(200):
+        n, m, K = 3 + s % 12, 2 + s % 4, 1 + s % 3
+        inst = gen_random(n, m, K, w_max=1, density=0.6, seed=s)
+        rng = random.Random(s)
+        for sched in (Schedule(tuple(rng.randrange(m) for _ in range(n))), Schedule((0,) * n)):
+            for i1, i2 in itertools.permutations(range(m), 2):
+                out, rep = equalize_two(inst, sched, i1, i2)
+                pre = _pair_scan_disbalance(inst, sched.assignment, i1, i2)
+                post = _pair_scan_disbalance(inst, out.assignment, i1, i2)
+                assert (rep.pre_final, rep.pre_full) == pre, (s, sched, i1, i2)
+                assert (rep.post_final, rep.post_full) == post, (s, sched, i1, i2)
+                assert rep.aux_jobs == rep.pre_final
+                assert rep.extended_final == (0,) * K
+                seen.add((any(rep.post_final), rep.post_full != rep.pre_full))
+    # pairs that end balanced and not, with and without a new prefix peak
+    assert len(seen) == 4
 
 
 def test_equalize_checks_the_basis_guard_first():
@@ -575,6 +644,14 @@ def test_probe_single_scenario_bound_and_determinism():
 def test_probe_rejects_fewer_than_one_trial(trials):
     with pytest.raises(ValueError, match="trials must be at least 1"):
         conjecture_probe(6, 2, 1, trials=trials, seed=11)
+
+
+@pytest.mark.parametrize("trials", [2.0, True, "2"])
+def test_probe_rejects_trials_that_is_not_an_int(trials):
+    # 2.0 would pass the count check and raise TypeError from range()
+    message = f"trials must be an integer, got {trials!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        conjecture_probe(4, 2, 2, trials, 0)
 
 
 def test_probe_checks_the_oracle_guard_before_building_an_instance(monkeypatch):
