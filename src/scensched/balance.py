@@ -100,7 +100,7 @@ def in_cone(point: LatticePoint, K: int) -> bool:
 
 
 # The Hilbert basis for each K, in ascending flat-vector order (the order
-# equalize_two's class scan takes).  One token per element, "x/y": the
+# equalize_two's side sequences take).  One token per element, "x/y": the
 # profile indices sigma (one digit each, as sigma < 8) of its jobs on machine
 # 1 and on machine 2, each index listed once per job.
 _BASIS_TABLE = {
@@ -231,12 +231,13 @@ def lemma_final_bound_sq(K: int) -> int:
 
 
 def basis_l1_sum(basis: HilbertBasis) -> int:
-    """Certified pairwise full-disbalance bound after equalization.
-
-    Across the reassignment scan, at most one working copy per basis element
-    is partially consumed at any time, so every prefix imbalance is at most
-    the sum of the elements' l1 norms.
-    """
+    """The sum of the basis elements' l1 norms, the pairwise full-disbalance
+    bound that ``equalize_all``'s threshold is built on.  Not certified:
+    profiles walk their side sequences independently, so several copies of
+    one element can be open at once, one per profile.  On ``gen_random(160,
+    2, 2, w_max=1, density=0.5, seed=7)`` with a ``random.Random(7)``
+    schedule, ``equalize_two`` gives ``post_full`` (18, 9) against 14; no
+    optimum the tests sweep exceeds it."""
     return sum(b.l1 for b in basis.elements)
 
 
@@ -265,11 +266,12 @@ def equalize_two(
     The pair sub-schedule is padded with per-scenario auxiliary singletons on
     the deficit side until its final disbalance is zero, encoded as a cone
     point, decomposed over the Hilbert basis ``hilbert_basis(inst.K)``, and
-    rebuilt by scanning jobs in canonical order (auxiliaries last): each job
-    consumes the first open slot over basis classes, preferring the i1 side.
-    Auxiliaries are then dropped.  Returns the new schedule and its report,
-    whose prefix differences are tracked in the same two passes that read
-    the pair and write its new assignment.
+    rebuilt from one side sequence per profile sigma: each copy of each basis
+    element, in table order, gives x[sigma] slots on i1 then y[sigma] on i2,
+    and the t-th job of profile sigma in canonical order (auxiliaries last)
+    takes the t-th side.  Auxiliaries are then dropped.  Returns the new
+    schedule and its report, whose prefix differences are tracked in the
+    same two passes that read the pair and write its new assignment.
 
     The basis's K guard fires first; then the machines must be two distinct
     ints in range, the weights all 1, and the schedule one int machine in
@@ -315,31 +317,18 @@ def equalize_two(
     point = LatticePoint(x=tuple(x), y=tuple(y))
     assert in_cone(point, K), "padded pair counts must balance per scenario"
     multiplicity = Counter(decompose(point, basis))
-    classes = [
-        [list(b.vector()) for _ in range(multiplicity[b])]
-        for b in basis.elements
-        if multiplicity[b]
-    ]
-
-    sides: list[int] = []
-    for sigma in scan:
-        copy = next(
-            (c for copies in classes for c in copies if c[sigma] or c[P + sigma]), None
-        )
-        if copy is None:
-            raise RuntimeError("slot scan failed -- this falsifies the decomposition")
-        side = 0 if copy[sigma] else 1
-        copy[side * P + sigma] -= 1
-        sides.append(side)
-        if __debug__:
-            for copies in classes:
-                for a, b in zip(copies, copies[1:]):
-                    assert all(u <= v for u, v in zip(a, b)), (
-                        "copies of one basis element must stay monotone"
-                    )
-    # every fully consumed copy accounts for one cone element, so the scan
-    # must exhaust all slots exactly
-    assert all(not any(copy) for copies in classes for copy in copies)
+    # profile sigma's sides (0 on i1, 1 on i2), copy by copy: only sigma jobs
+    # fill a copy's sigma slots, so reading them in turn is the first-open-slot scan
+    sequences: list[list[int]] = [[] for _ in range(P)]
+    for b in basis.elements:
+        for sigma, seq in enumerate(sequences):
+            seq += ([0] * b.x[sigma] + [1] * b.y[sigma]) * multiplicity[b]
+    for sigma, seq in enumerate(sequences):
+        if len(seq) != x[sigma] + y[sigma]:
+            raise RuntimeError(f"profile {sigma} has {len(seq)} slots for "
+                               f"{x[sigma] + y[sigma]} jobs -- this falsifies the decomposition")
+    cursors = [iter(seq) for seq in sequences]
+    sides = [next(cursors[sigma]) for sigma in scan]
 
     # the same prefix walk over the new pair, then the auxiliaries' sides
     new_assignment = list(assignment)
@@ -387,14 +376,15 @@ def equalize_all(inst: Instance, sched: Schedule) -> Schedule:
     """Drive pairwise equalization until every machine is near average load.
 
     While some machine's scenario count differs from the scenario average by
-    more than 2*K*f, with f the certified pairwise bound (the sum of the l1
-    norms of the elements of ``hilbert_basis(inst.K)``), equalize that
+    more than 2*K*f, with f the uncertified pairwise bound
+    :func:`basis_l1_sum` of ``hilbert_basis(inst.K)``, equalize that
     machine against the currently lightest/heaviest one with
-    :func:`equalize_two`, keeping its schedule and dropping its report.  The
-    summed deviation from average strictly decreases each round -- checked
-    at runtime, since a violation would falsify the implementation -- which
-    forces termination.  More than ``model.MAX_ROUNDS`` rounds raise
-    GuardExceeded.
+    :func:`equalize_two`, keeping its schedule and dropping its report.  A
+    round must strictly lower the summed deviation from average (the
+    potential), which forces termination, but nothing proves it does: the
+    decomposition may pair every job of a machine with auxiliaries, so that
+    no job moves.  Such a round raises ValueError naming the pair and the
+    potential.  More than ``model.MAX_ROUNDS`` rounds raise GuardExceeded.
     """
     K = inst.K
     threshold = 2 * K * basis_l1_sum(hilbert_basis(K))  # K guard before the weight check
@@ -439,10 +429,9 @@ def equalize_all(inst: Instance, sched: Schedule) -> Schedule:
         counts = _machine_scenario_counts(inst, current.assignment)
         new_pot = potential()
         if not new_pot < pot:
-            raise AssertionError(
-                f"potential failed to decrease ({pot} -> {new_pot}) -- "
-                "this falsifies the implementation"
-            )
+            raise ValueError(f"equalizing machines {i} and {partner} left the potential at "
+                             f"{new_pot} (was {pot}): pairwise equalization cannot settle "
+                             "this schedule")
         pot = new_pot
         iterations += 1
     return current
@@ -495,9 +484,8 @@ def conjecture_probe(
 
     Trial t uses seed ``seed + t``.  Reports the per-trial minima, their
     maximum, and which trials attain it.  ``trials`` must be an int of at
-    least 1.
-    The arguments and the oracle guard are checked before the first trial
-    instance is built.
+    least 1 and ``seed`` an int, else ValueError.  The arguments and the
+    oracle guard are checked before the first trial instance is built.
     """
     from .generators import _check_random_args, gen_random
 
@@ -505,6 +493,8 @@ def conjecture_probe(
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     _check_random_args(n, m, K, 1, density)
     _check_guard(n, m, GUARD_BITS)
     per_trial = []

@@ -3,12 +3,14 @@ import math
 import random
 import re
 import tracemalloc
+from collections import Counter
 from operator import le
 
 import pytest
 
 from scensched import balance, generators
 from scensched.balance import (
+    EqualizeReport,
     HilbertBasis,
     LatticePoint,
     basis_l1_sum,
@@ -414,6 +416,89 @@ def _pair_scan_disbalance(inst, assignment, i1, i2):
     return tuple(abs(v) for v in diff), tuple(full)
 
 
+def _copy_scan_equalize_two(inst, sched, i1, i2):
+    """equalize_two by the copy-by-copy slot scan: the reference its side
+    sequences must equal.  Every copy of every basis element of the
+    decomposition is made, and each job of the pair in canonical order, then
+    each auxiliary, consumes the first open slot of its profile over the
+    copies, the i1 side first; copies of one element must stay monotone and
+    the scan must exhaust every slot."""
+    K, P = inst.K, 1 << inst.K
+    assignment = sched.assignment
+    pair_jobs = [j for j, a in enumerate(assignment) if a == i1 or a == i2]
+    diff = [0] * K
+    for j in pair_jobs:
+        for k in inst.job_scenarios[j]:
+            diff[k] += 1 if assignment[j] == i1 else -1
+    # (scenarios, on i2) per scan item: the pair jobs, then the auxiliary
+    # singletons, each on its scenario's deficit side
+    items = [(inst.job_scenarios[j], assignment[j] == i2) for j in pair_jobs]
+    items += [((k,), diff[k] > 0) for k in range(K) for _ in range(abs(diff[k]))]
+    x, y = [0] * P, [0] * P
+    for ks, on_i2 in items:
+        (y if on_i2 else x)[profile_index(ks, K)] += 1
+    basis = hilbert_basis(K)
+    multiplicity = Counter(decompose(LatticePoint(tuple(x), tuple(y)), basis))
+    classes = [[list(b.vector()) for _ in range(multiplicity[b])] for b in basis.elements]
+
+    sides = []
+    for ks, _ in items:
+        sigma = profile_index(ks, K)
+        found = next(
+            ((copies, t) for copies in classes for t, c in enumerate(copies)
+             if c[sigma] or c[P + sigma]),
+            None,
+        )
+        if found is None:
+            raise RuntimeError("slot scan failed -- this falsifies the decomposition")
+        copies, t = found
+        side = 0 if copies[t][sigma] else 1
+        copies[t][side * P + sigma] -= 1
+        sides.append(side)
+        # only copy t changed, and it shrank: its element's copies stay
+        # monotone while the copy before it stays below it
+        assert t == 0 or all(map(le, copies[t - 1], copies[t])), "copies must stay monotone"
+    assert all(not any(copy) for copies in classes for copy in copies)
+
+    new_assignment = list(assignment)
+    for j, side in zip(pair_jobs, sides):
+        new_assignment[j] = (i1, i2)[side]
+    extended = [0] * K
+    for (ks, _), side in zip(items, sides):
+        for k in ks:
+            extended[k] += 1 - 2 * side
+    out = Schedule(tuple(new_assignment))
+    pre_final, pre_full = _pair_scan_disbalance(inst, assignment, i1, i2)
+    post_final, post_full = _pair_scan_disbalance(inst, out.assignment, i1, i2)
+    return out, EqualizeReport(
+        machines=(i1, i2),
+        aux_jobs=pre_final,
+        pre_final=pre_final,
+        pre_full=pre_full,
+        post_final=post_final,
+        post_full=post_full,
+        extended_final=tuple(abs(v) for v in extended),
+        likely_nonoptimal=any(d * d > lemma_final_bound_sq(K) for d in pre_final),
+    )
+
+
+def test_equalize_two_raises_when_the_sequences_miss_the_counts(monkeypatch):
+    # a decomposition one element short leaves a profile's sequence too short
+    inst = make_instance(2, [1] * 6, [[0, 1, 2, 3, 4, 5]])
+    shipped = balance.decompose
+    monkeypatch.setattr(balance, "decompose", lambda *args: shipped(*args)[:-1])
+    with pytest.raises(RuntimeError, match="falsifies the decomposition$"):
+        equalize_two(inst, Schedule((0,) * 6), 0, 1)
+
+
+def test_basis_l1_sum_is_exceeded_off_optima():
+    inst = gen_random(160, 2, 2, w_max=1, density=0.5, seed=7)
+    rng = random.Random(7)
+    _, rep = equalize_two(inst, Schedule(tuple(rng.randrange(2) for _ in range(160))), 0, 1)
+    assert basis_l1_sum(hilbert_basis(2)) == 14
+    assert rep.post_full == (18, 9) and rep.likely_nonoptimal
+
+
 def test_equalize_two_report_matches_a_scan_of_both_schedules():
     seen = set()
     for s in range(200):
@@ -536,8 +621,9 @@ def test_equalize_all_pairs_a_light_machine_with_the_heaviest():
 
 
 def _reference_equalize_all(inst, sched):
-    """equalize_all with a count row for every one of the m machines and
-    scans over all of them: the reference the sparse counts must equal."""
+    """equalize_all with a count row for every one of the m machines, scans
+    over all of them and the copy-scan pair step: the reference the sparse
+    counts and the side sequences must equal."""
     K, m = inst.K, inst.m
     threshold = 2 * K * basis_l1_sum(hilbert_basis(K))
     if any(w != 1 for w in inst.weights):
@@ -576,7 +662,7 @@ def _reference_equalize_all(inst, sched):
             partner = min(range(m), key=lambda i2: (counts[i2][k], i2))
         else:
             partner = min(range(m), key=lambda i2: (-counts[i2][k], i2))
-        current, _ = equalize_two(inst, current, i, partner)
+        current, _ = _copy_scan_equalize_two(inst, current, i, partner)
         counts = machine_counts(current.assignment)
         new_pot = potential()
         assert new_pot < pot
@@ -604,11 +690,27 @@ def _equalize_sweep():
     return pairs
 
 
+def test_equalize_all_rejects_a_round_that_keeps_the_potential():
+    # round 2 pairs machines 0 and 2 at final differences (87, 87): the
+    # decomposition pairs each both-scenario job on machine 0 with two
+    # auxiliaries on machine 2, so no job moves
+    inst = gen_random(280, 5, 2, w_max=1, seed=13)
+    message = ("equalizing machines 0 and 2 left the potential at 1854 (was 1854): "
+               "pairwise equalization cannot settle this schedule")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        equalize_all(inst, Schedule((0,) * 280))
+
+
 def test_equalize_all_matches_the_full_machine_scan(monkeypatch):
     needs_rounds = []
     for inst, sched in _equalize_sweep():
         result = equalize_all(inst, sched)
         assert result == _reference_equalize_all(inst, sched), (inst, sched)
+        # both orders of the first two, and of the first and last, machines
+        m = inst.m
+        for i1, i2 in {(0, 1), (1, 0), (0, m - 1), (m - 1, 0)} if m > 1 else ():
+            expected = _copy_scan_equalize_two(inst, sched, i1, i2)
+            assert equalize_two(inst, sched, i1, i2) == expected, (inst, sched, i1, i2)
         if result != sched:
             needs_rounds.append((inst, sched))
     assert {inst.K for inst, _ in needs_rounds} == {1, 2}
@@ -627,11 +729,16 @@ def test_equalize_all_matches_the_full_machine_scan(monkeypatch):
 
 
 def test_every_optimal_schedule_meets_final_bound():
+    # and both equalizations equal the copy-scan references on every optimum
     for inst in k2_unit_suite(60):
         cap_sq = lemma_final_bound_sq(inst.K)
         for sched in optimal_schedules(inst, ObjectiveKind.MINAVG):
             rep = disbalance(inst, sched)
             assert all(d * d <= cap_sq for d in rep.final_dk)
+            for i1, i2 in itertools.permutations(range(inst.m), 2):
+                expected = _copy_scan_equalize_two(inst, sched, i1, i2)
+                assert equalize_two(inst, sched, i1, i2) == expected, (inst, sched, i1, i2)
+            assert equalize_all(inst, sched) == _reference_equalize_all(inst, sched)
 
 
 def test_probe_single_scenario_bound_and_determinism():
@@ -652,6 +759,12 @@ def test_probe_rejects_trials_that_is_not_an_int(trials):
     message = f"trials must be an integer, got {trials!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         conjecture_probe(4, 2, 2, trials, 0)
+    # "a" and None would raise TypeError from seed + t; 0.5 and True would
+    # come back as the report's seed
+    for seed in (trials, "a", None, 0.5, True):
+        message = f"seed must be an integer, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            conjecture_probe(4, 2, 2, 2, seed)
 
 
 def test_probe_checks_the_oracle_guard_before_building_an_instance(monkeypatch):

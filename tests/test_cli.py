@@ -270,6 +270,20 @@ def test_balance_equalize_flags_nonoptimal_input_with_empty_stderr(tmp_path):
     assert json.loads(proc.stdout)["report"]["likely_nonoptimal"] is True
 
 
+def test_balance_reports_an_equalization_that_cannot_settle(tmp_path):
+    # a separate process: the potential check was an AssertionError, a
+    # traceback and exit 1
+    inst_path = tmp_path / "i.json"
+    assert main(["generate", "random", "--n", "280", "--m", "5", "--K", "2", "--w-max", "1",
+                 "--seed", "13", "-o", str(inst_path)]) == 0
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text(json.dumps({"assignment": [0] * 280}))
+    proc = _process(["balance", "equalize", "-i", str(inst_path), "-s", str(sched_path)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: equalizing machines 0 and 2 left the potential at 1854 "
+                           "(was 1854): pairwise equalization cannot settle this schedule\n")
+
+
 @pytest.mark.parametrize("machines", [[], ["--machines", "0", "1"]], ids=["all", "pair"])
 def test_guard_override_keeps_the_hilbert_basis_guard(tmp_path, machines):
     # a separate process with a timeout: the basis at K = 4 does not finish
