@@ -17,12 +17,18 @@ max-regret) there is one coordinate per scenario and opts are the offsets.
 When agg is sum (the sum, sum-regret) one coordinate holds all scenarios and
 its offset is the sum of the offsets: a constant that shifts the incumbent,
 every bound and the final minimum alike, so sum-regret keeps the sum's
-states and least links and returns the sum's witness.  A state (Y, C) is
+states and paths and returns the sum's witness.  A state (Y, C) is
 useless when another state with the same Y has a componentwise smaller or
 equal C, so each Y keeps its Pareto front of C vectors (on one coordinate,
-the least total; with unit weights Y fixes C).  Each vector keeps its
-lexicographically least link (previous Y, previous C, receiving row), and
-one optimal assignment is rebuilt by forward replay.
+the least total; with unit weights Y fixes C).  Only the live layer is
+kept.  Each vector carries one int path, whose digit j in base min(m, n) is
+the sorted row that received job j, along its lexicographically least link
+(previous Y, previous C, receiving row).  States are read in sorted order,
+each front is sorted (``_pareto`` builds it so), and from one state two
+distinct rows lead to distinct next states (unless the job is in no
+scenario, when every row gives the same vector and row 0 comes first), so
+the first link found into a vector is its least.  The optimum's path is
+replayed forward into one optimal assignment.
 
 The walk is bound-and-prune.  One scenario alone is solved by round-robin in
 weight order; started from a state's column of counts, the same rule gives
@@ -34,17 +40,17 @@ when its bound is strictly greater than ub; a bound equal to ub stays, since
 the greedy schedule may itself be optimal.  A vector that survives has all
 its predecessors surviving, and a vector that dominated it would have
 survived too.  Each front is therefore the unpruned walk's front less the
-vectors above ub, each kept vector has the same least link, and the optimum,
-at most ub, keeps its witness.  The ``model.MAX_STATES`` guard, read when
-the walk is called, counts the vectors that survive.
+vectors above ub, each kept vector has the same least link and path, and
+the optimum, at most ub, keeps its witness.  The ``model.MAX_STATES``
+guard, read when the walk is called, counts the vectors that survive.
 
 The walk starts with a root check.  At the empty count matrix lb is the
 vector of scenario optima opt_k, so max_d(fold(opt)_d - opts_d) bounds every
 schedule from below: max_k opt_k for min-max, the sum of the opt_k for the
 sum, 0 for both regrets.  When ub equals this root bound the greedy schedule
 is optimal, and it is returned without walking any layer.  The value is the
-walk's; the witness is the greedy assignment rather than the walk's least
-link, and the guard is not reached.
+walk's; the witness is the greedy assignment rather than the walk's path,
+and the guard is not reached.
 """
 
 from __future__ import annotations
@@ -109,19 +115,23 @@ def _pareto(bucket: dict) -> dict:
     return {c: bucket[c] for c in front}
 
 
-def _replay(inst: Instance, chain: list) -> Schedule:
-    """Follow ``chain[j] = (count matrix before job j, receiving row)``,
-    putting each job on the lowest-index machine whose counts equal the row."""
+def _replay(inst: Instance, path: int, state: tuple) -> Schedule:
+    """Read ``path`` digit by digit in base min(m, n): digit j is the sorted
+    row that received job j.  Each job goes on the lowest-index machine
+    whose counts equal that row; the sorted rows must end at ``state``."""
+    base = min(inst.m, inst.n)
     machine_rows = list(_start(inst))
     assign = []
-    for ks, (prev, r) in zip(inst.job_scenarios, chain):
-        assert tuple(sorted(machine_rows)) == prev, "replay drifted off the stored chain"
-        i = machine_rows.index(prev[r])
-        counts = list(prev[r])
+    for ks in inst.job_scenarios:
+        path, r = divmod(path, base)
+        row = sorted(machine_rows)[r]
+        i = machine_rows.index(row)
+        counts = list(row)
         for k in ks:
             counts[k] += 1
         machine_rows[i] = tuple(counts)
         assign.append(i)
+    assert tuple(sorted(machine_rows)) == state, "replay ended off the walk's final state"
     return Schedule(tuple(assign))
 
 
@@ -154,12 +164,17 @@ def _walk(inst: Instance, kind: ObjectiveKind) -> SolveResult:
     if _meets_root(ub, max(map(sub, fold(lb(_start(inst))), opts))):
         return SolveResult(value=ub, schedule=Schedule(assign))
     w = inst.weights
-    # layers[j]: canonical Y -> {C on Y's front: (previous Y, previous C, row)}.
-    layers: list[dict] = [{_start(inst): {(0,) * D: None}}]
+    base = min(inst.m, inst.n)
+    # canonical Y -> {C on Y's front: path}; digit j of path, in that base, is
+    # the sorted row that received job j.  States and fronts are read in
+    # sorted order, so the first path into a vector is its least link.
+    layer: dict = {_start(inst): {(0,) * D: 0}}
     for j, ks in enumerate(inst.job_scenarios):
         wj = w[j]
+        place = base ** j
         nxt: dict = {}
-        for state, front in layers[-1].items():
+        for state in sorted(layer):
+            front = layer[state]
             rows = list(state)
             for r, row in enumerate(state):
                 if r and row == state[r - 1]:
@@ -173,36 +188,28 @@ def _walk(inst: Instance, kind: ObjectiveKind) -> SolveResult:
                 new_state = tuple(sorted(rows))
                 rows[r] = row
                 bucket = nxt.setdefault(new_state, {})
-                for c in front:
+                step = r * place
+                for c, path in front.items():
                     c2 = tuple(map(add, c, inc))
-                    link = (state, c, r)
-                    old = bucket.get(c2)
-                    if old is None or link < old:
-                        bucket[c2] = link
-        kept: dict = {}
+                    if c2 not in bucket:
+                        bucket[c2] = path + step
+        layer = {}
         for state, bucket in nxt.items():
             # C survives while C_d + lb_d - opts_d <= ub in every coordinate d
             room = [ub + o - b for o, b in zip(opts, fold(lb(state)))]
-            bucket = {c: link for c, link in bucket.items() if all(map(le, c, room))}
+            bucket = {c: path for c, path in bucket.items() if all(map(le, c, room))}
             if bucket:
-                kept[state] = _pareto(bucket) if len(bucket) > 1 else bucket
-        if sum(map(len, kept.values())) > MAX_STATES:
+                layer[state] = _pareto(bucket) if len(bucket) > 1 else bucket
+        if sum(map(len, layer.values())) > MAX_STATES:
             raise GuardExceeded(f"count-matrix state layer grew past {MAX_STATES} states "
                                 f"at job {j + 1}")
-        layers.append(kept)
 
     value, state, c = min(
         (max(map(sub, c, opts)), state, c)
-        for state, front in layers[-1].items()
+        for state, front in layer.items()
         for c in front
     )
-    chain = []
-    for layer in reversed(layers[1:]):
-        prev, c, r = layer[state][c]
-        chain.append((prev, r))
-        state = prev
-    chain.reverse()
-    return SolveResult(value=value, schedule=_replay(inst, chain))
+    return SolveResult(value=value, schedule=_replay(inst, layer[state][c], state))
 
 
 def solve_minavg(inst: Instance) -> SolveResult:

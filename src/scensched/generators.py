@@ -29,8 +29,13 @@ class Graph(_Frozen):
             raise ValueError(f"vertex count {n_vertices!r} is not an integer")
         if n_vertices < 1:
             raise ValueError("graph needs at least one vertex")
+        if type(edges) is not tuple:
+            raise ValueError(f"edges must be a tuple, got {type(edges).__name__}")
         seen = set()
-        for u, v in edges:
+        for edge in edges:
+            if type(edge) is not tuple or len(edge) != 2:
+                raise ValueError(f"edge {edge!r} is not a pair tuple")
+            u, v = edge
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge ({u!r},{v!r}) has an end that is not an integer")
             if u == v:
@@ -51,10 +56,14 @@ class ScenarioMatrix(_Frozen):
     __slots__ = _fields = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        if type(rows) is not tuple:
+            raise ValueError(f"rows must be a tuple, got {type(rows).__name__}")
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])
         for r in rows:
+            if type(r) is not tuple:
+                raise ValueError(f"row {r!r} is not a tuple")
             if len(r) != width:
                 raise ValueError("ragged matrix")
             if any(type(v) is not int or v not in (0, 1) for v in r):

@@ -140,10 +140,15 @@ class Instance(_Frozen):
         scenarios: tuple[frozenset[int], ...],
         original_order: tuple[int, ...],
     ) -> None:
-        n = len(weights)
         # type(), not isinstance(): a bool is an int, and no count or weight
         if type(m) is not int or m < 1:
             raise ValueError("m must be a positive integer")
+        # a list would be unhashable, and a listed scenario could repeat a job
+        for name, value in (("weights", weights), ("scenarios", scenarios),
+                            ("original_order", original_order)):
+            if type(value) is not tuple:
+                raise ValueError(f"{name} must be a tuple, got {type(value).__name__}")
+        n = len(weights)
         if n < 1:
             raise ValueError("need at least one job")
         if len(scenarios) < 1:
@@ -156,6 +161,8 @@ class Instance(_Frozen):
         if sorted(original_order) != list(range(n)):
             raise ValueError("original_order must be a permutation of 0..n-1")
         for k, s in enumerate(scenarios):
+            if type(s) is not frozenset:
+                raise ValueError(f"scenario {k} must be a frozenset, got {type(s).__name__}")
             if not all(type(j) is int and 0 <= j < n for j in s):
                 raise ValueError(f"scenario {k} contains an invalid job index")
         scenario_jobs = tuple(tuple(sorted(s)) for s in scenarios)

@@ -1,14 +1,18 @@
+import tracemalloc
+from operator import add, le, sub
+
 import pytest
 
 from scensched.approx import minavg_derandomized
 from scensched import dp_minavg
 from scensched.dp_config import solve_config
-from scensched.dp_minavg import _bounds, _start, solve_minavg, solve_regret_sum
+from scensched.dp_minavg import _bounds, _pareto, _start, _walk, solve_minavg, solve_regret_sum
 from scensched.dp_minmax import solve_pseudo
 from scensched.generators import gen_random
 from scensched.model import (
     GuardExceeded,
     ObjectiveKind,
+    _objective,
     evaluate,
     make_instance,
     scenario_optima,
@@ -132,3 +136,107 @@ def test_root_check_returns_the_greedy_schedule():
                 assert res.schedule == greedy
                 assert res.value == evaluate(inst, greedy, kind).aggregate
         assert at_root
+
+
+def _stored_layer_walk(inst, kind):
+    """Reference for ``_walk`` without its root check, storing every layer:
+    each vector keeps its lexicographically least link (previous Y,
+    previous C, row), the links are followed back from the optimum into a
+    chain, and the chain is replayed with a drift check at every job.
+    Returns ``(value, assignment)``."""
+    agg, offsets = _objective(inst, kind)
+    if agg is max:
+        dims, opts = range(inst.K), offsets
+    else:
+        dims, opts = (0,) * inst.K, (sum(offsets),)
+    D = len(opts)
+
+    def fold(per_scenario):
+        c = [0] * D
+        for d, x in zip(dims, per_scenario):
+            c[d] += x
+        return c
+
+    _, totals, lb = _bounds(inst)
+    ub = max(map(sub, fold(totals), opts))
+    layers = [{_start(inst): {(0,) * D: None}}]
+    for j, ks in enumerate(inst.job_scenarios):
+        nxt = {}
+        for state, front in layers[-1].items():
+            rows = list(state)
+            for r, row in enumerate(state):
+                if r and row == state[r - 1]:
+                    continue
+                inc = [0] * D
+                counts = list(row)
+                for k in ks:
+                    counts[k] += 1
+                    inc[dims[k]] += inst.weights[j] * counts[k]
+                rows[r] = tuple(counts)
+                new_state = tuple(sorted(rows))
+                rows[r] = row
+                bucket = nxt.setdefault(new_state, {})
+                for c in front:
+                    c2 = tuple(map(add, c, inc))
+                    link = (state, c, r)
+                    old = bucket.get(c2)
+                    if old is None or link < old:
+                        bucket[c2] = link
+        kept = {}
+        for state, bucket in nxt.items():
+            room = [ub + o - b for o, b in zip(opts, fold(lb(state)))]
+            bucket = {c: link for c, link in bucket.items() if all(map(le, c, room))}
+            if bucket:
+                kept[state] = _pareto(bucket) if len(bucket) > 1 else bucket
+        layers.append(kept)
+
+    value, state, c = min(
+        (max(map(sub, c, opts)), state, c) for state, front in layers[-1].items() for c in front
+    )
+    chain = []
+    for layer in reversed(layers[1:]):
+        prev, c, r = layer[state][c]
+        chain.append((prev, r))
+        state = prev
+    chain.reverse()
+    machine_rows = list(_start(inst))
+    assign = []
+    for ks, (prev, r) in zip(inst.job_scenarios, chain):
+        assert tuple(sorted(machine_rows)) == prev, "replay drifted off the stored chain"
+        i = machine_rows.index(prev[r])
+        counts = list(prev[r])
+        for k in ks:
+            counts[k] += 1
+        machine_rows[i] = tuple(counts)
+        assign.append(i)
+    return value, tuple(assign)
+
+
+def test_walk_equals_the_stored_layer_walk():
+    # the walk carries each vector's path forward; its witness is the one the
+    # stored layers' least links replay to
+    with solver_paths(root_check=False):
+        for inst in weighted_suite() + unit_suite():
+            for kind in ObjectiveKind:
+                res = _walk(inst, kind)
+                assert (res.value, res.schedule.assignment) == _stored_layer_walk(inst, kind)
+
+
+def test_walk_holds_one_layer_in_memory():
+    # the stored-layer walk holds all n + 1 layers of link tuples; the walk
+    # holds one layer of int paths, well under the reference's peak
+    cases = [
+        (gen_random(20, 3, 3, w_max=9, seed=0), ObjectiveKind.MINMAX),
+        (gen_random(20, 3, 3, w_max=1, seed=0), ObjectiveKind.MINAVG),
+    ]
+    for inst, kind in cases:
+        peaks = []
+        for walk in (_walk, _stored_layer_walk):
+            tracemalloc.start()
+            try:
+                with solver_paths(root_check=False):
+                    walk(inst, kind)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 4 * peaks[0] <= 3 * peaks[1], (kind, peaks)

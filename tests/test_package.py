@@ -151,9 +151,25 @@ _PAIR = make_instance(2, [2, 1], [[0, 1]])
      "schedule length does not match instance"),
     (lambda: scensched.single_scenario_optimum(_PAIR, 1), IndexError,
      "scenario index 1 out of range"),
+    (lambda: Instance(2, (1, 1), ([0, 0],), (0, 1)), ValueError,
+     "scenario 0 must be a frozenset, got list"),
+    (lambda: Instance(2, (1, 1), ({0},), (0, 1)), ValueError,
+     "scenario 0 must be a frozenset, got set"),
+    (lambda: Instance(2, [1, 1], (frozenset({0}),), (0, 1)), ValueError,
+     "weights must be a tuple, got list"),
+    (lambda: Instance(2, (1, 1), [frozenset({0})], (0, 1)), ValueError,
+     "scenarios must be a tuple, got list"),
+    (lambda: Instance(2, (1, 1), (frozenset({0}),), [0, 1]), ValueError,
+     "original_order must be a tuple, got list"),
     (lambda: Graph(0, ()), ValueError, "graph needs at least one vertex"),
+    (lambda: Graph(3, [(0, 1), (1, 2)]), ValueError, "edges must be a tuple, got list"),
+    (lambda: Graph(3, ((0, 1), [1, 2])), ValueError, "edge [1, 2] is not a pair tuple"),
+    (lambda: Graph(3, ((0, 1, 2),)), ValueError, "edge (0, 1, 2) is not a pair tuple"),
     (lambda: scensched.ScenarioMatrix(()), ValueError, "matrix needs at least one row"),
     (lambda: scensched.ScenarioMatrix(((1, 0), (1,))), ValueError, "ragged matrix"),
+    (lambda: scensched.ScenarioMatrix([[1, 0], [0, 1]]), ValueError,
+     "rows must be a tuple, got list"),
+    (lambda: scensched.ScenarioMatrix(((1, 0), [0, 1])), ValueError, "row [0, 1] is not a tuple"),
     (lambda: gen_unsplittable(1, 2), ValueError, "need q >= 2 and t >= 2"),
     (lambda: fptas(make_instance(2, [0, 0], [[0, 1]]), Fraction(1, 2)), ValueError,
      "largest weight must be positive"),
@@ -162,7 +178,10 @@ _PAIR = make_instance(2, [2, 1], [[0, 1]])
     (lambda: hilbert_basis(True), ValueError, "K must be an integer"),
     (lambda: hilbert_basis(2.0), ValueError, "K must be an integer"),
 ], ids=["instance-without-jobs", "evaluate-short-schedule", "disbalance-long-schedule",
-        "scenario-optimum-index", "graph-without-vertices", "empty-matrix", "ragged-matrix",
+        "scenario-optimum-index", "instance-list-scenario", "instance-set-scenario",
+        "instance-list-weights", "instance-list-scenarios", "instance-list-order",
+        "graph-without-vertices", "graph-list-edges", "graph-list-edge", "graph-triple-edge",
+        "empty-matrix", "ragged-matrix", "matrix-list-rows", "matrix-list-row",
         "unsplittable-q-1", "fptas-zero-weights", "profile-scenario-range", "hilbert-basis-k-0",
         "hilbert-basis-k-bool", "hilbert-basis-k-float"])
 def test_contract_checks_raise_their_message(call, error, message):
