@@ -143,7 +143,8 @@ class Instance(_Frozen):
         # type(), not isinstance(): a bool is an int, and no count or weight
         if type(m) is not int or m < 1:
             raise ValueError("m must be a positive integer")
-        # a list would be unhashable, and a listed scenario could repeat a job
+        # tuples and frozensets keep the instance hashable; a frozenset also
+        # keeps a scenario from listing a job twice
         for name, value in (("weights", weights), ("scenarios", scenarios),
                             ("original_order", original_order)):
             if type(value) is not tuple:
