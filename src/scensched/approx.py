@@ -40,20 +40,23 @@ def minavg_derandomized(inst: Instance) -> Schedule:
 def _greedy(inst: Instance) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The derandomized assignment and its per-scenario totals.
 
-    An empty machine scores 0, so no job goes past the first empty machine,
-    and job j past machine j: min(m, n) machines give the same assignment
-    as all m.
+    An empty machine scores 0, so no job goes past the first empty machine:
+    the scan keeps a count row for each machine used so far and for the
+    first unused one, opened when the row before it takes its first job
+    (the oracle's first-use rule).  It gives the same assignment as a scan
+    of all m machines, at a cost that grows with the machines used.
     """
     w = inst.weights
-    counts = [[0] * inst.K for _ in range(min(inst.m, inst.n))]
-    machines = range(len(counts))
+    counts = [[0] * inst.K]
     totals = [0] * inst.K
     assign = []
     for j, ks in enumerate(inst.job_scenarios):
-        best = min(machines, key=lambda i: sum(counts[i][k] for k in ks))
+        best = min(range(len(counts)), key=lambda i: sum(counts[i][k] for k in ks))
         row = counts[best]
         for k in ks:
             row[k] += 1
             totals[k] += w[j] * row[k]
+        if best == len(counts) - 1 and len(counts) < inst.m:
+            counts.append([0] * inst.K)
         assign.append(best)
     return tuple(assign), tuple(totals)

@@ -24,6 +24,7 @@ lives in ``tests/test_balance.py`` as its reference.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import NamedTuple
 
@@ -53,13 +54,6 @@ def profile_index(profile, K: int) -> int:
             raise ValueError(f"scenario {k} out of range for K={K}")
         idx |= 1 << (K - 1 - k)
     return idx
-
-
-def _scenario_columns(K: int) -> list[list[int]]:
-    """Per scenario k, the sigma indices of profiles containing k."""
-    return [
-        [idx for idx in range(1 << K) if idx & (1 << (K - 1 - k))] for k in range(K)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +87,9 @@ def in_cone(point: LatticePoint, K: int) -> bool:
         return False
     if any(v < 0 for v in point.vector()):
         return False
-    for cols in _scenario_columns(K):
-        if sum(point.x[c] for c in cols) != sum(point.y[c] for c in cols):
+    for k in range(K):
+        bit = 1 << (K - 1 - k)  # set in sigma exactly when profile sigma contains k
+        if sum(a - b for sigma, (a, b) in enumerate(zip(point.x, point.y)) if sigma & bit):
             return False
     return True
 
@@ -191,18 +186,14 @@ def profile_round_robin(inst: Instance, sched: Schedule, i1: int, i2: int) -> Sc
     one to the difference.  The machines, the weights and the schedule are
     checked as in :func:`equalize_two`.
     """
-    _check_pair(inst, i1, i2)
-    _require_unit_weights(inst)
-    _check_schedule(inst, sched)
-    K = inst.K
-    classes: dict[int, list[int]] = {}
-    for j in range(inst.n):
-        if sched.assignment[j] in (i1, i2):
-            classes.setdefault(profile_index(inst.job_scenarios[j], K), []).append(j)
+    _check_pair(inst, sched, i1, i2)
+    placed: Counter = Counter()  # per profile, its pair jobs seen so far
     new_assignment = list(sched.assignment)
-    for idx in sorted(classes):
-        for pos, j in enumerate(classes[idx]):
-            new_assignment[j] = i1 if pos % 2 == 0 else i2
+    for j, a in enumerate(sched.assignment):
+        if a == i1 or a == i2:
+            sigma = profile_index(inst.job_scenarios[j], inst.K)
+            new_assignment[j] = (i1, i2)[placed[sigma] % 2]
+            placed[sigma] += 1
     return Schedule(tuple(new_assignment))
 
 
@@ -246,7 +237,9 @@ def _require_unit_weights(inst: Instance) -> None:
         raise ValueError("balance procedures require unit weights")
 
 
-def _check_pair(inst: Instance, i1: int, i2: int) -> None:
+def _check_pair(inst: Instance, sched: Schedule, i1: int, i2: int) -> None:
+    """The input check of both pair procedures: two distinct int machines in
+    range, unit weights, and a valid schedule, in that order."""
     # type(), not isinstance(), as in model._check_schedule: a bool is not a machine
     for i in (i1, i2):
         if type(i) is not int:
@@ -256,6 +249,8 @@ def _check_pair(inst: Instance, i1: int, i2: int) -> None:
     for i in (i1, i2):
         if not 0 <= i < inst.m:
             raise ValueError(f"machine {i} out of range")
+    _require_unit_weights(inst)
+    _check_schedule(inst, sched)
 
 
 def equalize_two(
@@ -283,15 +278,13 @@ def equalize_two(
     unit-weight sum objective is preserved exactly.
     """
     basis = hilbert_basis(inst.K)  # its guard fires before the checks below
-    _check_pair(inst, i1, i2)
-    _require_unit_weights(inst)
-    _check_schedule(inst, sched)
+    _check_pair(inst, sched, i1, i2)
     K = inst.K
     P = 1 << K
     assignment = sched.assignment
 
     pair_jobs: list[int] = []
-    scan: list[int] = []  # the profile index of each pair job, then of each auxiliary
+    scan: list[int] = []  # the profile index of each pair job
     x = [0] * P
     y = [0] * P
     diff = [0] * K  # per scenario, the jobs on i1 minus the jobs on i2
@@ -308,11 +301,8 @@ def equalize_two(
             diff[k] += delta
             pre_full[k] = max(pre_full[k], abs(diff[k]))
     d = tuple(abs(v) for v in diff)  # also the auxiliaries per scenario
-    aux: list[int] = []  # the scenario of each auxiliary singleton
     for k in range(K):
         (x if diff[k] < 0 else y)[1 << (K - 1 - k)] += d[k]
-        aux += [k] * d[k]
-    scan += [1 << (K - 1 - k) for k in aux]
 
     point = LatticePoint(x=tuple(x), y=tuple(y))
     assert in_cone(point, K), "padded pair counts must balance per scenario"
@@ -328,20 +318,21 @@ def equalize_two(
             raise RuntimeError(f"profile {sigma} has {len(seq)} slots for "
                                f"{x[sigma] + y[sigma]} jobs -- this falsifies the decomposition")
     cursors = [iter(seq) for seq in sequences]
-    sides = [next(cursors[sigma]) for sigma in scan]
 
-    # the same prefix walk over the new pair, then the auxiliaries' sides
+    # the same prefix walk over the new pair, each job taking its profile's next side
     new_assignment = list(assignment)
     diff = [0] * K
     post_full = [0] * K
-    for j, side in zip(pair_jobs, sides):
-        new_assignment[j], delta = (i1, 1) if side == 0 else (i2, -1)
+    for j, sigma in zip(pair_jobs, scan):
+        new_assignment[j], delta = (i1, 1) if next(cursors[sigma]) == 0 else (i2, -1)
         for k in inst.job_scenarios[j]:
             diff[k] += delta
             post_full[k] = max(post_full[k], abs(diff[k]))
     post_final = tuple(abs(v) for v in diff)
-    for k, side in zip(aux, sides[len(pair_jobs):]):
-        diff[k] += 1 if side == 0 else -1
+    # auxiliaries come last in their singleton profile, so scenario k's are
+    # exactly what is left on that profile's cursor
+    for k in range(K):
+        diff[k] += sum(1 if side == 0 else -1 for side in cursors[1 << (K - 1 - k)])
     return Schedule(tuple(new_assignment)), EqualizeReport(
         machines=(i1, i2),
         aux_jobs=d,
@@ -398,23 +389,24 @@ def equalize_all(inst: Instance, sched: Schedule) -> Schedule:
     current = sched
     counts = _machine_scenario_counts(inst, current.assignment)
 
-    def potential() -> int:
-        # Scaled by m so it stays integral: sum |m*c_ik - |S_k||.  Each
-        # machine missing from counts has an all-zero row, worth sum |S_k|.
-        return sum(
-            abs(m * row[k] - sizes[k]) for row in counts.values() for k in range(K)
-        ) + (m - len(counts)) * sum(sizes)
-
-    def violation():
+    def survey(counts):
+        """The potential and the first (machine, scenario) past the threshold,
+        or None, in one scan.  The potential is scaled by m so it stays
+        integral: sum |m*c_ik - |S_k||, where each machine missing from
+        counts has an all-zero row, worth sum |S_k|."""
+        pot = (m - len(counts)) * sum(sizes)
+        viol = None
         for i in sorted(counts):
-            for k in range(K):
-                if abs(m * counts[i][k] - sizes[k]) > m * threshold:
-                    return i, k
-        return None
+            for k, c in enumerate(counts[i]):
+                dev = abs(m * c - sizes[k])
+                pot += dev
+                if viol is None and dev > m * threshold:
+                    viol = i, k
+        return pot, viol
 
-    pot = potential()
+    pot, viol = survey(counts)
     iterations = 0
-    while (viol := violation()) is not None:
+    while viol is not None:
         if iterations >= MAX_ROUNDS:
             raise GuardExceeded(
                 f"equalization did not settle within {MAX_ROUNDS} rounds "
@@ -427,7 +419,7 @@ def equalize_all(inst: Instance, sched: Schedule) -> Schedule:
             partner = min(counts, key=lambda i2: (-counts[i2][k], i2))
         current, _ = equalize_two(inst, current, i, partner)
         counts = _machine_scenario_counts(inst, current.assignment)
-        new_pot = potential()
+        new_pot, viol = survey(counts)
         if not new_pot < pot:
             raise ValueError(f"equalizing machines {i} and {partner} left the potential at "
                              f"{new_pot} (was {pot}): pairwise equalization cannot settle "
@@ -485,7 +477,9 @@ def conjecture_probe(
     Trial t uses seed ``seed + t``.  Reports the per-trial minima, their
     maximum, and which trials attain it.  ``trials`` must be an int of at
     least 1 and ``seed`` an int, else ValueError.  The arguments and the
-    oracle guard are checked before the first trial instance is built.
+    oracle guard are checked before the first trial instance is built; the
+    guard counts the canonical assignments of all trials together, so
+    ``trials`` times their number per trial may not pass 2^GUARD_BITS.
     """
     from .generators import _check_random_args, gen_random
 
@@ -496,7 +490,11 @@ def conjecture_probe(
     if type(seed) is not int:
         raise ValueError(f"seed must be an integer, got {seed!r}")
     _check_random_args(n, m, K, 1, density)
-    _check_guard(n, m, GUARD_BITS)
+    try:
+        _check_guard(n, m, GUARD_BITS - math.log2(trials))
+    except GuardExceeded:
+        raise GuardExceeded(f"oracle guard: more than 2^{GUARD_BITS} canonical assignments "
+                            f"for n={n}, m={m} summed over trials={trials}") from None
     per_trial = []
     for t in range(trials):
         instance = gen_random(n, m, K, w_max=1, density=density, seed=seed + t)

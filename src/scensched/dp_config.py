@@ -10,11 +10,12 @@ objective.
 from __future__ import annotations
 
 from .dp_minavg import _walk
-from .model import Instance, ObjectiveKind, SolveResult
+from .model import Instance, ObjectiveKind, SolveResult, _objective_kind
 
 
 def solve_config(inst: Instance, kind: ObjectiveKind = ObjectiveKind.MINMAX) -> SolveResult:
     """Exact optimum (MINMAX or MINAVG) for a unit-weight instance."""
+    kind = _objective_kind(kind)
     if kind not in (ObjectiveKind.MINMAX, ObjectiveKind.MINAVG):
         raise ValueError(f"configuration solver handles minmax and minavg, not {kind.value}")
     if any(w != 1 for w in inst.weights):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dp_minavg import _walk
-from .model import Instance, ObjectiveKind, Schedule, SolveResult, evaluate
+from .model import Instance, ObjectiveKind, Schedule, SolveResult, _objective_kind, evaluate
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -26,6 +26,7 @@ if TYPE_CHECKING:
 
 def solve_pseudo(inst: Instance, kind: ObjectiveKind = ObjectiveKind.MINMAX) -> SolveResult:
     """Exact optimum for MINMAX or REGRET_MAX over count-matrix cost fronts."""
+    kind = _objective_kind(kind)
     if kind not in (ObjectiveKind.MINMAX, ObjectiveKind.REGRET_MAX):
         raise ValueError(f"load/cost solver handles minmax and regret-max, not {kind.value}")
     return _walk(inst, kind)

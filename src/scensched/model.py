@@ -238,6 +238,11 @@ def make_instance(m: int, weights: list[int], scenarios) -> Instance:
     n = len(weights)
     if n < 1:
         raise ValueError("need at least one job")
+    # in input order and before the sort, whose key would raise TypeError on a
+    # weight that is not a number
+    for j, w in enumerate(weights):
+        if type(w) is not int or w < 0:
+            raise ValueError(f"weight of job {j} must be a nonnegative integer")
     order = sorted(range(n), key=lambda j: (-weights[j], j))
     pos = {orig: i for i, orig in enumerate(order)}
     remapped = []
@@ -326,11 +331,21 @@ def single_scenario_optimum(inst: Instance, k: int) -> int:
     return total
 
 
+def _objective_kind(kind) -> ObjectiveKind:
+    """``kind`` as an ObjectiveKind: a member, or a member's value string;
+    anything else raises ValueError rather than passing for one kind."""
+    try:
+        return ObjectiveKind(kind)
+    except ValueError:
+        raise ValueError(f"unknown objective kind {kind!r}") from None
+
+
 def _objective(inst: Instance, kind: ObjectiveKind) -> tuple:
     """``(agg, offsets)``: under ``kind`` the per-scenario totals C are worth
     ``agg(C_k - offsets_k)``.  ``agg`` is max for the min-max kinds and sum
     for the sum kinds; the offsets are the scenario optima for the regrets
-    and zeros otherwise."""
+    and zeros otherwise.  An unknown kind raises ValueError."""
+    kind = _objective_kind(kind)
     agg = max if kind in (ObjectiveKind.MINMAX, ObjectiveKind.REGRET_MAX) else sum
     if kind in (ObjectiveKind.REGRET_MAX, ObjectiveKind.REGRET_SUM):
         return agg, scenario_optima(inst)

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from scensched.approx import minavg_derandomized, minmax_all_on_one
+from scensched.approx import _greedy, minavg_derandomized, minmax_all_on_one
+from scensched.generators import gen_random
 from scensched.model import (
     ObjectiveKind,
     evaluate,
@@ -63,3 +65,33 @@ def test_derandomized_ratio_and_dominance_on_suite():
         # conditional expectation never exceeds the uniform expectation
         _, expectation = expected_uniform_cost(inst)
         assert Fraction(value) <= expectation
+
+
+def _all_rows_greedy(inst):
+    """The greedy with a count row for each of min(m, n) machines, every row
+    scanned for every job: the reference for the scan that opens rows on
+    first use."""
+    w = inst.weights
+    counts = [[0] * inst.K for _ in range(min(inst.m, inst.n))]
+    machines = range(len(counts))
+    totals = [0] * inst.K
+    assign = []
+    for j, ks in enumerate(inst.job_scenarios):
+        best = min(machines, key=lambda i: sum(counts[i][k] for k in ks))
+        row = counts[best]
+        for k in ks:
+            row[k] += 1
+            totals[k] += w[j] * row[k]
+        assign.append(best)
+    return tuple(assign), tuple(totals)
+
+
+def test_greedy_equals_a_scan_of_all_rows():
+    # m runs past n on about half the inputs, and density 1/10 leaves jobs in
+    # no scenario, which tie on every row
+    for s in range(600):
+        rng = random.Random(s)
+        n, m, K = rng.randint(1, 30), rng.randint(1, 40), rng.randint(1, 5)
+        inst = gen_random(n, m, K, w_max=rng.choice((1, 9)),
+                          density=rng.choice((0.1, 0.5, 1.0)), seed=s)
+        assert _greedy(inst) == _all_rows_greedy(inst), (n, m, K, s)

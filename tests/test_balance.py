@@ -317,6 +317,22 @@ def test_round_robin_single_scenario_bound():
         assert disbalance(inst, out).final_d <= 1
 
 
+def _class_list_round_robin(inst, sched, i1, i2):
+    """profile_round_robin by class lists: the pair's jobs grouped by profile,
+    each class alternated i1, i2 in canonical order.  The reference for the
+    one parity pass."""
+    K = inst.K
+    classes = {}
+    for j in range(inst.n):
+        if sched.assignment[j] in (i1, i2):
+            classes.setdefault(profile_index(inst.job_scenarios[j], K), []).append(j)
+    new_assignment = list(sched.assignment)
+    for idx in sorted(classes):
+        for pos, j in enumerate(classes[idx]):
+            new_assignment[j] = i1 if pos % 2 == 0 else i2
+    return Schedule(tuple(new_assignment))
+
+
 def test_round_robin_rejects_same_machine():
     inst = make_instance(2, [1], [[0]])
     with pytest.raises(ValueError):
@@ -711,6 +727,8 @@ def test_equalize_all_matches_the_full_machine_scan(monkeypatch):
         for i1, i2 in {(0, 1), (1, 0), (0, m - 1), (m - 1, 0)} if m > 1 else ():
             expected = _copy_scan_equalize_two(inst, sched, i1, i2)
             assert equalize_two(inst, sched, i1, i2) == expected, (inst, sched, i1, i2)
+            expected = _class_list_round_robin(inst, sched, i1, i2)
+            assert profile_round_robin(inst, sched, i1, i2) == expected, (inst, sched, i1, i2)
         if result != sched:
             needs_rounds.append((inst, sched))
     assert {inst.K for inst, _ in needs_rounds} == {1, 2}
@@ -775,6 +793,27 @@ def test_probe_checks_the_oracle_guard_before_building_an_instance(monkeypatch):
     with pytest.raises(GuardExceeded, match=(
             r"oracle guard: more than 2\^21\.0 canonical assignments for n=1000000, m=2")):
         conjecture_probe(10**6, 2, 2, 1, 0)
+
+
+def test_probe_guard_counts_every_trial(monkeypatch):
+    # 14 jobs on two machines have 2^13 canonical assignments: 256 trials of
+    # them reach 2^21 exactly, and one more passes it before any trial is built
+    class Built(Exception):
+        pass
+
+    def built(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(generators, "gen_random", built)
+    with pytest.raises(Built):
+        conjecture_probe(14, 2, 1, 256, 0)
+    message = ("oracle guard: more than 2^21.0 canonical assignments for n=14, m=2 "
+               "summed over trials=257")
+    with pytest.raises(GuardExceeded, match=f"^{re.escape(message)}$"):
+        conjecture_probe(14, 2, 1, 257, 0)
+    # one trial of 22 jobs passes the guard and takes seconds; a hundred do not
+    with pytest.raises(GuardExceeded, match="summed over trials=100$"):
+        conjecture_probe(22, 2, 2, 100, 0)
 
 
 def test_probe_single_profile_instances():

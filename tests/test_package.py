@@ -141,6 +141,9 @@ def test_package_root_sees_rebinding_of_a_submodule_name(monkeypatch):
 
 
 _PAIR = make_instance(2, [2, 1], [[0, 1]])
+# an unknown objective kind must not pass for the sum objective, which
+# scores Schedule((0, 0, 1)) 10 where min-max scores it 7
+_TWO = make_instance(2, [3, 2, 1], [[0, 1], [1, 2]])
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -177,13 +180,32 @@ _PAIR = make_instance(2, [2, 1], [[0, 1]])
     (lambda: hilbert_basis(0), ValueError, "K must be at least 1"),
     (lambda: hilbert_basis(True), ValueError, "K must be an integer"),
     (lambda: hilbert_basis(2.0), ValueError, "K must be an integer"),
+    (lambda: evaluate(_TWO, Schedule((0, 0, 1)), "nope"), ValueError,
+     "unknown objective kind 'nope'"),
+    (lambda: evaluate(_TWO, Schedule((0, 0, 1)), 42), ValueError, "unknown objective kind 42"),
+    (lambda: brute_force(_TWO, None), ValueError, "unknown objective kind None"),
+    (lambda: scensched.dp_minavg._walk(_TWO, "nope"), ValueError,
+     "unknown objective kind 'nope'"),
+    (lambda: scensched.solve_pseudo(_TWO, "nope"), ValueError, "unknown objective kind 'nope'"),
+    (lambda: scensched.solve_config(_TWO, "nope"), ValueError, "unknown objective kind 'nope'"),
+    (lambda: scensched.solve_pseudo(_TWO, "minavg"), ValueError,
+     "load/cost solver handles minmax and regret-max, not minavg"),
+    (lambda: make_instance(2, ["a", 1], [[0]]), ValueError,
+     "weight of job 0 must be a nonnegative integer"),
+    (lambda: make_instance(2, [1, None], [[0]]), ValueError,
+     "weight of job 1 must be a nonnegative integer"),
+    (lambda: make_instance(2, [5, 1, -1, 7], [[0]]), ValueError,
+     "weight of job 2 must be a nonnegative integer"),
 ], ids=["instance-without-jobs", "evaluate-short-schedule", "disbalance-long-schedule",
         "scenario-optimum-index", "instance-list-scenario", "instance-set-scenario",
         "instance-list-weights", "instance-list-scenarios", "instance-list-order",
         "graph-without-vertices", "graph-list-edges", "graph-list-edge", "graph-triple-edge",
         "empty-matrix", "ragged-matrix", "matrix-list-rows", "matrix-list-row",
         "unsplittable-q-1", "fptas-zero-weights", "profile-scenario-range", "hilbert-basis-k-0",
-        "hilbert-basis-k-bool", "hilbert-basis-k-float"])
+        "hilbert-basis-k-bool", "hilbert-basis-k-float", "evaluate-kind-str", "evaluate-kind-int",
+        "brute-force-kind-none", "walk-kind-str", "solve-pseudo-kind-str",
+        "solve-config-kind-str", "solve-pseudo-value-str", "weight-str", "weight-none",
+        "weight-negative"])
 def test_contract_checks_raise_their_message(call, error, message):
     with pytest.raises(error) as info:
         call()
