@@ -16,7 +16,9 @@ expectation and the final cost never exceeds the uniform expectation.
 
 from __future__ import annotations
 
-from .model import Instance, Schedule
+from heapq import heappop, heappush
+
+from .model import Instance, Schedule, _scenario_cost
 
 
 def minmax_all_on_one(inst: Instance) -> Schedule:
@@ -37,26 +39,46 @@ def minavg_derandomized(inst: Instance) -> Schedule:
     return Schedule(_greedy(inst)[0])
 
 
+def _place_jobs(inst: Instance, choose) -> tuple:
+    """``(assign, pool)``: each job in canonical order goes on a machine
+    picked by count row, the one rule of the greedy and of the walk's replay.
+
+    Machines are identical, so a machine is known by its count row, per
+    scenario the jobs it holds.  ``pool`` maps each row to a min-heap of the
+    machines that hold it, and starts as the all-zero row over the min(m, n)
+    machines a schedule can use.  For job j, ``choose(j, ks, pool)`` names a
+    row of the pool; the job goes on the lowest-index machine holding that
+    row, and the machine moves to the row with one more job in each scenario
+    of ``ks``.
+    """
+    pool = {(0,) * inst.K: list(range(min(inst.m, inst.n)))}
+    assign = []
+    for j, ks in enumerate(inst.job_scenarios):
+        row = choose(j, ks, pool)
+        machines = pool[row]
+        i = heappop(machines)
+        if not machines:
+            del pool[row]
+        counts = list(row)
+        for k in ks:
+            counts[k] += 1
+        heappush(pool.setdefault(tuple(counts), []), i)
+        assign.append(i)
+    return tuple(assign), pool
+
+
 def _greedy(inst: Instance) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The derandomized assignment and its per-scenario totals.
 
-    An empty machine scores 0, so no job goes past the first empty machine:
-    the scan keeps a count row for each machine used so far and for the
-    first unused one, opened when the row before it takes its first job
-    (the oracle's first-use rule).  It gives the same assignment as a scan
-    of all m machines, at a cost that grows with the machines used.
+    A machine scores the jobs of the job's scenarios it already holds, which
+    its count row alone fixes, so machines with equal rows tie.  Each job
+    therefore scans the distinct rows of :func:`_place_jobs`' pool, O(distinct
+    rows) per job, for the least score, ties to the row whose lowest machine
+    has the lowest index.  That is the assignment of a scan of all machines.
     """
-    w = inst.weights
-    counts = [[0] * inst.K]
-    totals = [0] * inst.K
-    assign = []
-    for j, ks in enumerate(inst.job_scenarios):
-        best = min(range(len(counts)), key=lambda i: sum(counts[i][k] for k in ks))
-        row = counts[best]
-        for k in ks:
-            row[k] += 1
-            totals[k] += w[j] * row[k]
-        if best == len(counts) - 1 and len(counts) < inst.m:
-            counts.append([0] * inst.K)
-        assign.append(best)
-    return tuple(assign), tuple(totals)
+
+    def cheapest(j: int, ks: tuple, pool: dict) -> tuple:
+        return min(pool, key=lambda row: (sum(row[k] for k in ks), pool[row][0]))
+
+    assign, _ = _place_jobs(inst, cheapest)
+    return assign, tuple(_scenario_cost(inst, assign, k) for k in range(inst.K))

@@ -58,7 +58,7 @@ from __future__ import annotations
 from heapq import heapreplace
 from operator import add, le, sub
 
-from .approx import _greedy
+from .approx import _greedy, _place_jobs
 from .model import (
     MAX_STATES, GuardExceeded, Instance, ObjectiveKind, Schedule, SolveResult, _objective,
 )
@@ -116,23 +116,25 @@ def _pareto(bucket: dict) -> dict:
 
 
 def _replay(inst: Instance, path: int, state: tuple) -> Schedule:
-    """Read ``path`` digit by digit in base min(m, n): digit j is the sorted
-    row that received job j.  Each job goes on the lowest-index machine
-    whose counts equal that row; the sorted rows must end at ``state``."""
+    """Read ``path`` digit by digit in base min(m, n): digit j is the
+    position, among the sorted rows, of the row that received job j.  The
+    job is placed through :func:`.approx._place_jobs`, on that row's
+    lowest-index machine; the row is found by walking the pool's distinct
+    rows in sorted order, each covering as many positions as it has
+    machines.  The sorted rows must end at ``state``."""
     base = min(inst.m, inst.n)
-    machine_rows = list(_start(inst))
-    assign = []
-    for ks in inst.job_scenarios:
-        path, r = divmod(path, base)
-        row = sorted(machine_rows)[r]
-        i = machine_rows.index(row)
-        counts = list(row)
-        for k in ks:
-            counts[k] += 1
-        machine_rows[i] = tuple(counts)
-        assign.append(i)
-    assert tuple(sorted(machine_rows)) == state, "replay ended off the walk's final state"
-    return Schedule(tuple(assign))
+
+    def at_digit(j: int, ks: tuple, pool: dict) -> tuple:
+        r = path // base ** j % base
+        for row in sorted(pool):
+            r -= len(pool[row])
+            if r < 0:
+                return row
+
+    assign, pool = _place_jobs(inst, at_digit)
+    rows = tuple(sorted(row for row, machines in pool.items() for _ in machines))
+    assert rows == state, "replay ended off the walk's final state"
+    return Schedule(assign)
 
 
 def _meets_root(ub: int, root: int) -> bool:

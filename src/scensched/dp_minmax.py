@@ -28,7 +28,7 @@ def solve_pseudo(inst: Instance, kind: ObjectiveKind = ObjectiveKind.MINMAX) -> 
     """Exact optimum for MINMAX or REGRET_MAX over count-matrix cost fronts."""
     kind = _objective_kind(kind)
     if kind not in (ObjectiveKind.MINMAX, ObjectiveKind.REGRET_MAX):
-        raise ValueError(f"load/cost solver handles minmax and regret-max, not {kind.value}")
+        raise ValueError(f"solve_pseudo handles minmax and regret-max, not {kind.value}")
     return _walk(inst, kind)
 
 

@@ -353,7 +353,9 @@ def _objective(inst: Instance, kind: ObjectiveKind) -> tuple:
 
 
 def evaluate(inst: Instance, sched: Schedule, kind: ObjectiveKind) -> CostVector:
-    """Evaluate a schedule under the given objective kind."""
+    """Evaluate a schedule under the given objective kind, a member or a
+    member's value string; the result's ``kind`` is the member."""
+    kind = _objective_kind(kind)
     _check_schedule(inst, sched)
     per = tuple(_scenario_cost(inst, sched.assignment, k) for k in range(inst.K))
     agg, offsets = _objective(inst, kind)

@@ -80,7 +80,7 @@ def test_criterion_2_dp_exactness():
     on_both_paths(unit_check)
     _report(
         2,
-        f"load/cost, count-matrix and configuration solvers equal the oracle on "
+        f"count-matrix walk and configuration solvers equal the oracle on "
         f"{len(weighted)} weighted + {len(unit)} unit instances",
     )
 

@@ -69,8 +69,7 @@ def test_derandomized_ratio_and_dominance_on_suite():
 
 def _all_rows_greedy(inst):
     """The greedy with a count row for each of min(m, n) machines, every row
-    scanned for every job: the reference for the scan that opens rows on
-    first use."""
+    scanned for every job: the reference for the scan of distinct rows."""
     w = inst.weights
     counts = [[0] * inst.K for _ in range(min(inst.m, inst.n))]
     machines = range(len(counts))
@@ -95,3 +94,7 @@ def test_greedy_equals_a_scan_of_all_rows():
         inst = gen_random(n, m, K, w_max=rng.choice((1, 9)),
                           density=rng.choice((0.1, 0.5, 1.0)), seed=s)
         assert _greedy(inst) == _all_rows_greedy(inst), (n, m, K, s)
+    # many machines share a count row: m at, below and above n
+    for n, m, K in ((400, 400, 5), (600, 300, 3), (300, 600, 4)):
+        inst = gen_random(n, m, K, density=0.3, seed=1)
+        assert _greedy(inst) == _all_rows_greedy(inst), (n, m, K)

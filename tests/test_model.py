@@ -136,6 +136,14 @@ def test_evaluate_minmax_on_cut_gadget():
     assert evaluate(inst, Schedule((0, 0)), ObjectiveKind.MINMAX).aggregate == 3
 
 
+def test_evaluate_names_its_kind_by_the_member():
+    inst = make_instance(2, [1, 1], [[0, 1]])
+    for kind in ObjectiveKind:
+        for given_kind in (kind, kind.value):
+            cost = evaluate(inst, Schedule((0, 1)), given_kind)
+            assert cost.kind is kind and cost.kind.value == kind.value
+
+
 def test_empty_scenario_costs_nothing():
     inst = make_instance(2, [4, 2], [[0, 1], []])
     for assign in ((0, 0), (0, 1)):

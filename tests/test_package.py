@@ -189,7 +189,7 @@ _TWO = make_instance(2, [3, 2, 1], [[0, 1], [1, 2]])
     (lambda: scensched.solve_pseudo(_TWO, "nope"), ValueError, "unknown objective kind 'nope'"),
     (lambda: scensched.solve_config(_TWO, "nope"), ValueError, "unknown objective kind 'nope'"),
     (lambda: scensched.solve_pseudo(_TWO, "minavg"), ValueError,
-     "load/cost solver handles minmax and regret-max, not minavg"),
+     "solve_pseudo handles minmax and regret-max, not minavg"),
     (lambda: make_instance(2, ["a", 1], [[0]]), ValueError,
      "weight of job 0 must be a nonnegative integer"),
     (lambda: make_instance(2, [1, None], [[0]]), ValueError,
