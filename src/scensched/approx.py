@@ -41,7 +41,7 @@ def minavg_derandomized(inst: Instance) -> Schedule:
 
 def _place_jobs(inst: Instance, choose) -> tuple:
     """``(assign, pool)``: each job in canonical order goes on a machine
-    picked by count row, the one rule of the greedy and of the walk's replay.
+    picked by count row, the one rule of the greedy and of the search's replay.
 
     Machines are identical, so a machine is known by its count row, per
     scenario the jobs it holds.  ``pool`` maps each row to a min-heap of the

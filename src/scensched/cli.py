@@ -6,14 +6,14 @@ Exit codes: 0 success, 1 verification failure, 2 contract violation,
 3 resource guard.  The six size limits are ``model`` constants, each read
 by the function that enforces it: GUARD_BITS (the oracle's at most 2^21
 canonical assignments: up to 22 jobs on 2 machines, 14 on 3, 12 on 4 or 5,
-11 on any larger number), MAX_STATES (2M states per layer for the exact
-DPs: dp, config, fptas), MAX_MEMBERSHIPS
+11 on any larger number), MAX_STATES (2M states that one search of the
+exact solvers, dp, config and fptas, proves dead), MAX_MEMBERSHIPS
 (``generate random``'s n*K <= 100 000), MAX_ROWS (``generate
 unsplittable``'s 5000 rows), MAX_SUBSET_ROWS (``is_unsplittable``'s 20
 rows) and MAX_ROUNDS (``equalize_all``'s 10 000 rounds).  The Hilbert
 basis's K <= 3 is the extent of ``balance``'s basis table.  Setting
 SCHED_GUARD_OVERRIDE=1, which ``model`` reads once at import, lifts exactly
-the oracle bits and the walk states (to 1e9 bits and 10**9 states), at your
+the oracle bits and the search states (to 1e9 bits and 10**9 states), at your
 own risk: memory and runtime grow quickly past them.  The other four limits
 and the K limit always hold, and the CLI itself reads no environment
 variable.
@@ -33,11 +33,15 @@ value`` or ``--flag=value``.
 Every solver, generator, balance and oracle call goes through the package
 root by its public name (``scensched.solve_pseudo(...)``), whose lazy lookup
 imports the defining module on first use and returns its current binding on
-every call.  So a process imports only what its command runs: no
-option-parsing library (nor ``gettext`` and ``locale``), and each library
-module only when a call needs it.  ``fractions`` (with ``decimal``) loads
-only where a Fraction is built: ``solve --algo fptas``, ``verify``,
+every call.  A solver is looked up when its table entry is read, before the
+clock of ``time_ms`` starts, so ``time_ms`` leaves out the import.  So a
+process imports only what its command runs: no option-parsing library (nor
+``gettext`` and ``locale``), and each library module only when a call needs
+it.  ``fractions`` (with ``decimal``) loads only where a Fraction is built:
+``solve`` and ``verify`` with ``--algo fptas`` (to parse --epsilon),
 ``bench``, ``generate random`` and ``probe``; ``csv`` only in ``bench``.
+``verify`` writes its ratio and bound as ``str(Fraction)`` would, from
+integers.
 No command loads ``hashlib``: the instance digest uses the interpreter's
 built-in SHA-256.
 
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -103,45 +108,52 @@ def _fraction(*args) -> Fraction:
 
 class Algorithm(NamedTuple):
     """``runners`` maps each objective (the first is the default) to
-    ``runner(inst, epsilon)``, returning a Schedule or a solver
-    result; it calls its solver through the package root.  ``bound(inst,
-    epsilon)`` is the certified ratio; None marks an exact algorithm.
-    Instance preconditions (K=2, m=2, unit weights) are the solvers' own
-    checks."""
+    ``(name, *args)``: the solver's public name in the package root and the
+    arguments after the instance, to which --epsilon is appended where the
+    algorithm takes it.  The solver returns a Schedule or a solver result.
+    ``bound(inst, epsilon)`` is the certified ratio as an integer pair
+    (numerator, denominator); None marks an exact algorithm.  Instance
+    preconditions (K=2, m=2, unit weights) are the solvers' own checks."""
 
     runners: dict
     epsilon: bool = False
-    bound: Callable[[Instance, Fraction | None], Fraction] | None = None
+    bound: Callable[[Instance, Fraction | None], tuple[int, int]] | None = None
 
 
 ALGORITHMS = {
-    "two-scenario": Algorithm(dict.fromkeys(
-        (MINMAX, MINAVG), lambda inst, eps: scensched.solve_two_scenarios(inst),
-    )),
+    "two-scenario": Algorithm(dict.fromkeys((MINMAX, MINAVG), ("solve_two_scenarios",))),
     "dp": Algorithm({
-        MINMAX: lambda inst, eps: scensched.solve_pseudo(inst, MINMAX),
-        MINAVG: lambda inst, eps: scensched.solve_minavg(inst),
-        REGRET_MAX: lambda inst, eps: scensched.solve_pseudo(inst, REGRET_MAX),
-        REGRET_SUM: lambda inst, eps: scensched.solve_regret_sum(inst),
+        MINMAX: ("solve_pseudo", MINMAX),
+        MINAVG: ("solve_minavg",),
+        REGRET_MAX: ("solve_pseudo", REGRET_MAX),
+        REGRET_SUM: ("solve_regret_sum",),
     }),
     "fptas": Algorithm(
-        {MINMAX: lambda inst, eps: scensched.fptas(inst, eps)},
+        {MINMAX: ("fptas",)},
         epsilon=True,
-        bound=lambda inst, eps: 1 + eps,
+        bound=lambda inst, eps: (eps.denominator + eps.numerator, eps.denominator),
     ),
     "config": Algorithm({
-        MINMAX: lambda inst, eps: scensched.solve_config(inst, MINMAX),
-        MINAVG: lambda inst, eps: scensched.solve_config(inst, MINAVG),
+        MINMAX: ("solve_config", MINMAX),
+        MINAVG: ("solve_config", MINAVG),
     }),
     "approx-minmax2": Algorithm(
-        {MINMAX: lambda inst, eps: scensched.minmax_all_on_one(inst)},
-        bound=lambda inst, eps: _fraction(2),
+        {MINMAX: ("minmax_all_on_one",)},
+        bound=lambda inst, eps: (2, 1),
     ),
     "approx-minavg": Algorithm(
-        {MINAVG: lambda inst, eps: scensched.minavg_derandomized(inst)},
-        bound=lambda inst, eps: _fraction(3, 2) - _fraction(1, 2 * inst.m),
+        {MINAVG: ("minavg_derandomized",)},
+        bound=lambda inst, eps: (3 * inst.m - 1, 2 * inst.m),
     ),
 }
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """num/den in lowest terms, written as ``str(Fraction(num, den))`` writes
+    it, without loading ``fractions``."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _rational(text: str) -> Fraction:
@@ -172,22 +184,28 @@ def _emit(doc, path: str | None) -> None:
 
 
 def _runner(algo: str, kind: ObjectiveKind, epsilon) -> Callable:
-    """The table's runner of algo for kind; ValueError on a pairing outside
-    the table or an --epsilon the algorithm does not take."""
+    """``runner(inst)``, the table's solver of algo for kind with its
+    arguments; ValueError on a pairing outside the table or an --epsilon the
+    algorithm does not take.  The solver is looked up here, so its module is
+    imported before any clock starts."""
     entry = ALGORITHMS[algo]
     if kind not in entry.runners:
         handled = ", ".join(k.value for k in entry.runners)
         raise ValueError(f"{algo} handles {handled}, not {kind.value}")
     if entry.epsilon != (epsilon is not None):
         raise ValueError(f"{algo} {'requires' if entry.epsilon else 'takes no'} --epsilon")
-    return entry.runners[kind]
+    name, *args = entry.runners[kind]
+    solver = getattr(scensched, name)
+    if entry.epsilon:
+        args.append(epsilon)
+    return lambda inst: solver(inst, *args)
 
 
-def _run(inst: Instance, runner: Callable, kind: ObjectiveKind, epsilon):
+def _run(inst: Instance, runner: Callable, kind: ObjectiveKind):
     """Returns (schedule, value, ms); ValueError on an instance the solver
     rejects."""
     start = time.perf_counter()
-    out = runner(inst, epsilon)
+    out = runner(inst)
     if isinstance(out, Schedule):
         out = SolveResult(evaluate(inst, out, kind).aggregate, out)
     return out.schedule, out.value, round((time.perf_counter() - start) * 1000.0, 3)
@@ -195,8 +213,8 @@ def _run(inst: Instance, runner: Callable, kind: ObjectiveKind, epsilon):
 
 def _check(inst, algo, kind, sched, value, epsilon, best):
     """Compares a run with the oracle value ``best``; returns (ratio, ok,
-    detail)."""
-    ratio = _fraction(value, best) if best else _fraction(1)
+    detail), the ratio and the bound written as fractions."""
+    ratio = (value, best) if best else (1, 1)
     detail = {"oracle_value": best}
     bound = ALGORITHMS[algo].bound
     if algo == "two-scenario":
@@ -207,10 +225,10 @@ def _check(inst, algo, kind, sched, value, epsilon, best):
     elif bound is None:
         ok = value == best
     else:
-        limit = bound(inst, epsilon)
-        ok = ratio <= limit
-        detail["bound"] = str(limit)
-    return ratio, ok, detail
+        num, den = bound(inst, epsilon)
+        ok = ratio[0] * den <= num * ratio[1]
+        detail["bound"] = _ratio_text(num, den)
+    return _ratio_text(*ratio), ok, detail
 
 
 def _request(args):
@@ -249,7 +267,7 @@ def _record(inst, algo, kind, sched, value, epsilon, elapsed_ms) -> dict:
 def _cmd_solve(args) -> int:
     inst, kind, epsilon = _request(args)
     runner = _runner(args.algo, kind, epsilon)
-    sched, value, elapsed = _run(inst, runner, kind, epsilon)
+    sched, value, elapsed = _run(inst, runner, kind)
     _emit(_record(inst, args.algo, kind, sched, value, epsilon, elapsed), args.output)
     return EXIT_OK
 
@@ -260,13 +278,13 @@ def _cmd_verify(args) -> int:
     inst, kind, epsilon = _request(args)
     runner = _runner(args.algo, kind, epsilon)
     best = scensched.brute_force(inst, kind).best_value
-    sched, value, _ = _run(inst, runner, kind, epsilon)
+    sched, value, _ = _run(inst, runner, kind)
     ratio, ok, detail = _check(inst, args.algo, kind, sched, value, epsilon, best)
     report = {
         "algorithm": args.algo,
         "objective": kind.value,
         "value": value,
-        "ratio": str(ratio),
+        "ratio": ratio,
         "ok": ok,
         **detail,
     }
@@ -392,16 +410,16 @@ def _cmd_bench(args) -> int:
         oracle = {kind: scensched.brute_force(inst, kind) for kind in ObjectiveKind}
         for algo, entry in ALGORITHMS.items():
             epsilon = _fraction(1, 2) if entry.epsilon else None
-            for kind, runner in entry.runners.items():
+            for kind in entry.runners:
                 try:
-                    sched, value, elapsed = _run(inst, runner, kind, epsilon)
+                    sched, value, elapsed = _run(inst, _runner(algo, kind, epsilon), kind)
                 except ValueError:
                     continue
                 best = oracle[kind].best_value
                 ratio, ok, detail = _check(inst, algo, kind, sched, value, epsilon, best)
                 failures += not ok
                 rows.append([name, inst.n, inst.m, inst.K, algo, kind.value, value,
-                             detail["oracle_value"], str(ratio), elapsed,
+                             detail["oracle_value"], ratio, elapsed,
                              disbalance(inst, sched).full_f])
     _write(_csv(rows), args.output)
     return EXIT_VERIFY_FAILED if failures else EXIT_OK

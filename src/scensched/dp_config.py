@@ -2,9 +2,9 @@
 
 With unit weights the count matrix of :mod:`.dp_minavg` fixes every
 per-scenario total, so the general exact solvers need no configuration
-state space of their own: each of their cost fronts holds a single vector.
-``solve_config`` keeps the unit-weight contract and runs that walk for its
-objective.
+state space of their own: a search node's cost vector is a function of its
+count matrix.  ``solve_config`` keeps the unit-weight contract and runs that
+search for its objective.
 """
 
 from __future__ import annotations

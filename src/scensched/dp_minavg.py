@@ -1,5 +1,5 @@
-"""Exact solver for the scenario-sum objectives, and the count-matrix walk
-that every exact DP in the package runs.
+"""Exact solver for the scenario-sum objectives, and the count-matrix search
+that every exact solver in the package runs.
 
 After the first j jobs are placed, the m x K count matrix Y holds per
 machine and scenario the number of placed scenario jobs.  Placing job j on a
@@ -10,53 +10,58 @@ because identical rows lead to the same next state; and only min(m, n)
 machines are kept, because the rest stay empty.
 
 Every objective is ``agg(C_k - offsets_k)`` over the per-scenario totals C
-(``model._objective``), and never decreases as a total grows.  The walk
+(``model._objective``), and never decreases as a total grows.  The search
 (``_walk``) adds scenario k's costs into coordinate ``dims[k]`` of a cost
 vector and minimizes max_d(C_d - opts_d).  When agg is max (min-max,
 max-regret) there is one coordinate per scenario and opts are the offsets.
 When agg is sum (the sum, sum-regret) one coordinate holds all scenarios and
-its offset is the sum of the offsets: a constant that shifts the incumbent,
-every bound and the final minimum alike, so sum-regret keeps the sum's
-states and paths and returns the sum's witness.  A state (Y, C) is
-useless when another state with the same Y has a componentwise smaller or
-equal C, so each Y keeps its Pareto front of C vectors (on one coordinate,
-the least total; with unit weights Y fixes C).  Only the live layer is
-kept.  Each vector carries one int path, whose digit j in base min(m, n) is
-the sorted row that received job j, along its lexicographically least link
-(previous Y, previous C, receiving row).  States are read in sorted order,
-each front is sorted (``_pareto`` builds it so), and from one state two
-distinct rows lead to distinct next states (unless the job is in no
-scenario, when every row gives the same vector and row 0 comes first), so
-the first link found into a vector is its least.  The optimum's path is
-replayed forward into one optimal assignment.
+its offset is the sum of the offsets: a constant that shifts every cap,
+bound and value alike, so sum-regret visits the sum's nodes in the sum's
+order and returns the sum's witness.
 
-The walk is bound-and-prune.  One scenario alone is solved by round-robin in
-weight order; started from a state's column of counts, the same rule gives
-lb_k, the least cost of scenario k's jobs still to come (``_bounds``), so
+One scenario alone is solved by round-robin in weight order; started from a
+state's column of counts, the same rule gives lb_k, the least cost of
+scenario k's jobs still to come (``_bounds``), so the bound
 max_d(C_d + lb_d - opts_d), with lb folded like the costs, never decreases
-along a placement.  The incumbent ub is the objective value of the
-derandomized greedy schedule of :mod:`.approx`.  A vector is dropped only
-when its bound is strictly greater than ub; a bound equal to ub stays, since
-the greedy schedule may itself be optimal.  A vector that survives has all
-its predecessors surviving, and a vector that dominated it would have
-survived too.  Each front is therefore the unpruned walk's front less the
-vectors above ub, each kept vector has the same least link and path, and
-the optimum, at most ub, keeps its witness.  The ``model.MAX_STATES``
-guard, read when the walk is called, counts the vectors that survive.
+along a placement and equals the value at a leaf.  At the empty count matrix
+lb is the vector of scenario optima opt_k, and the bound there, the root
+bound, is below every schedule: max_k opt_k for min-max, the sum of the
+opt_k for the sum, 0 for both regrets.  The incumbent is the objective value
+of the derandomized greedy schedule of :mod:`.approx`.  When it equals the
+root bound the greedy schedule is optimal and is returned at once.
 
-The walk starts with a root check.  At the empty count matrix lb is the
-vector of scenario optima opt_k, so max_d(fold(opt)_d - opts_d) bounds every
-schedule from below: max_k opt_k for min-max, the sum of the opt_k for the
-sum, 0 for both regrets.  When ub equals this root bound the greedy schedule
-is optimal, and it is returned without walking any layer.  The value is the
-walk's; the witness is the greedy assignment rather than the walk's path,
-and the guard is not reached.
+Otherwise the optimum is found by decision.  ``search(cap)`` is an
+iterative depth-first search (n reaches thousands, so it does not recurse)
+over nodes (j, Y, C); it enters a child only while the child's bound is at
+most cap, tries the children least bound first (ties to the lower sorted
+row), and returns its first leaf, whose value is at most cap.  A node whose
+subtree it has exhausted without a leaf is dead for the rest of that call:
+the subtree depends on (j, Y, C) and cap alone, so it holds no leaf
+wherever it is reached again.  A "no" is therefore a proof that no schedule
+has value at most cap.  Up to the order of identical rows, a schedule is a
+root-to-leaf path of placements, and the bound never decreases along it and
+ends at the schedule's value; so a schedule within the cap keeps every node
+of its path within the cap, and the search, which leaves a path only at a
+child above the cap or at a dead node, would have reached its leaf.  A node
+is entered at most once per call, since it either leads to the leaf that
+ends the call or is proved dead.  The ``model.MAX_STATES`` guard, read when
+a search runs, bounds the nodes one call proves dead, and with them the
+nodes it enters.
+
+Bisection keeps lo <= optimum <= ub, where ub is the value of a known
+schedule: lo starts at the root bound, ub at the greedy value.  The first
+cap is the root bound, and each later one lies in [lo, ub - 1].  A leaf
+lowers ub to its value, which is at most cap; a "no" raises lo to cap + 1.
+Either way the gap shrinks, and the loop ends when lo == ub, at the optimum.
+Its witness is the last leaf found, whose value is ub, replayed forward from
+the leaf's sorted-row digits; if no search found a leaf, it is the greedy
+schedule.
 """
 
 from __future__ import annotations
 
 from heapq import heapreplace
-from operator import add, le, sub
+from operator import add, sub
 
 from .approx import _greedy, _place_jobs
 from .model import (
@@ -82,65 +87,50 @@ def _bounds(inst: Instance) -> tuple:
     depends only on the column's counts (whose sum is the number t of placed
     scenario jobs), and is cached per (k, column).
     """
-    w = inst.weights
-    scenarios = range(inst.K)
     cache: dict = {}
 
     def remaining(k: int, column: tuple) -> int:
-        key = (k, column)
-        cost = cache.get(key)
+        cost = cache.get((k, column))
         if cost is None:
             free = sorted(column)  # a heap of per-machine counts
             cost = 0
             for j in inst.scenario_jobs[k][sum(column):]:
                 rank = free[0] + 1
-                cost += w[j] * rank
+                cost += inst.weights[j] * rank
                 heapreplace(free, rank)
-            cache[key] = cost
+            cache[k, column] = cost
         return cost
 
     def lb(state: tuple) -> tuple:
-        return tuple(map(remaining, scenarios, zip(*state)))
+        return tuple(map(remaining, range(inst.K), zip(*state)))
 
     return (*_greedy(inst), lb)
 
 
-def _pareto(bucket: dict) -> dict:
-    """The entries whose keys no other key dominates componentwise."""
-    front: list = []
-    for c in sorted(bucket):
-        # a dominating vector sorts first, so it is already in the front
-        if not any(all(map(le, f, c)) for f in front):
-            front.append(c)
-    return {c: bucket[c] for c in front}
-
-
-def _replay(inst: Instance, path: int, state: tuple) -> Schedule:
-    """Read ``path`` digit by digit in base min(m, n): digit j is the
-    position, among the sorted rows, of the row that received job j.  The
-    job is placed through :func:`.approx._place_jobs`, on that row's
-    lowest-index machine; the row is found by walking the pool's distinct
-    rows in sorted order, each covering as many positions as it has
-    machines.  The sorted rows must end at ``state``."""
-    base = min(inst.m, inst.n)
+def _replay(inst: Instance, digits: list, state: tuple) -> Schedule:
+    """Places job j on the row at sorted position ``digits[j]``, through
+    :func:`.approx._place_jobs`, on that row's lowest-index machine; the row
+    is found by walking the pool's distinct rows in sorted order, each
+    covering as many positions as it has machines.  The sorted rows must end
+    at ``state``."""
 
     def at_digit(j: int, ks: tuple, pool: dict) -> tuple:
-        r = path // base ** j % base
+        r = digits[j]
         for row in sorted(pool):
             r -= len(pool[row])
             if r < 0:
                 return row
 
     assign, pool = _place_jobs(inst, at_digit)
-    rows = tuple(sorted(row for row, machines in pool.items() for _ in machines))
-    assert rows == state, "replay ended off the walk's final state"
+    rows = sorted(row for row, machines in pool.items() for _ in machines)
+    assert rows == list(state), "replay ended off the search's final state"
     return Schedule(assign)
 
 
 def _meets_root(ub: int, root: int) -> bool:
     """Whether the incumbent ub equals the root bound, the objective of the
     scenario optima, which no schedule beats: then the greedy schedule is
-    optimal and the layered walk does not run."""
+    optimal and no search runs."""
     return ub == root
 
 
@@ -153,65 +143,77 @@ def _walk(inst: Instance, kind: ObjectiveKind) -> SolveResult:
         dims, opts = range(inst.K), offsets
     else:
         dims, opts = (0,) * inst.K, (sum(offsets),)
-    D = len(opts)
 
     def fold(per_scenario) -> list:
-        c = [0] * D
+        c = [0] * len(opts)
         for d, x in zip(dims, per_scenario):
             c[d] += x
         return c
 
-    assign, totals, lb = _bounds(inst)
-    ub = max(map(sub, fold(totals), opts))
-    if _meets_root(ub, max(map(sub, fold(lb(_start(inst))), opts))):
-        return SolveResult(value=ub, schedule=Schedule(assign))
-    w = inst.weights
-    base = min(inst.m, inst.n)
-    # canonical Y -> {C on Y's front: path}; digit j of path, in that base, is
-    # the sorted row that received job j.  States and fronts are read in
-    # sorted order, so the first path into a vector is its least link.
-    layer: dict = {_start(inst): {(0,) * D: 0}}
-    for j, ks in enumerate(inst.job_scenarios):
-        wj = w[j]
-        place = base ** j
-        nxt: dict = {}
-        for state in sorted(layer):
-            front = layer[state]
-            rows = list(state)
-            for r, row in enumerate(state):
-                if r and row == state[r - 1]:
-                    continue
-                inc = [0] * D
-                counts = list(row)
-                for k in ks:
-                    counts[k] += 1
-                    inc[dims[k]] += wj * counts[k]
-                rows[r] = tuple(counts)
-                new_state = tuple(sorted(rows))
-                rows[r] = row
-                bucket = nxt.setdefault(new_state, {})
-                step = r * place
-                for c, path in front.items():
-                    c2 = tuple(map(add, c, inc))
-                    if c2 not in bucket:
-                        bucket[c2] = path + step
-        layer = {}
-        for state, bucket in nxt.items():
-            # C survives while C_d + lb_d - opts_d <= ub in every coordinate d
-            room = [ub + o - b for o, b in zip(opts, fold(lb(state)))]
-            bucket = {c: path for c, path in bucket.items() if all(map(le, c, room))}
-            if bucket:
-                layer[state] = _pareto(bucket) if len(bucket) > 1 else bucket
-        if sum(map(len, layer.values())) > MAX_STATES:
-            raise GuardExceeded(f"count-matrix state layer grew past {MAX_STATES} states "
-                                f"at job {j + 1}")
+    def value(c) -> int:
+        return max(map(sub, c, opts))
 
-    value, state, c = min(
-        (max(map(sub, c, opts)), state, c)
-        for state, front in layer.items()
-        for c in front
-    )
-    return SolveResult(value=value, schedule=_replay(inst, layer[state][c], state))
+    assign, totals, lb = _bounds(inst)
+    ub = value(fold(totals))
+    lo = value(fold(lb(_start(inst))))
+    if _meets_root(ub, lo):
+        return SolveResult(value=ub, schedule=Schedule(assign))
+
+    def children(node: tuple, cap: int) -> list:
+        """(bound, row, child) for each child of node whose bound is at most
+        cap, the least bound and then the lowest sorted row last."""
+        j, state, c = node
+        ks, wj = inst.job_scenarios[j], inst.weights[j]
+        kept = []
+        for r, row in enumerate(state):
+            if r and row == state[r - 1]:
+                continue
+            counts, c2 = list(row), list(c)
+            for k in ks:
+                counts[k] += 1
+                c2[dims[k]] += wj * counts[k]
+            child = tuple(sorted(state[:r] + (tuple(counts),) + state[r + 1:]))
+            bound = value(map(add, c2, fold(lb(child))))
+            if bound <= cap:
+                kept.append((bound, r, (j + 1, child, tuple(c2))))
+        return sorted(kept, reverse=True)
+
+    def search(cap: int):
+        """``(value, digits, state)`` of the first leaf of value at most cap,
+        where digit j is the sorted row that received job j, or None when no
+        schedule has value at most cap."""
+        dead, digits = set(), []
+        root = (0, _start(inst), (0,) * len(opts))
+        stack = [(root, children(root, cap))]  # (node, untried children), root first
+        while stack:
+            node, todo = stack[-1]
+            if not todo:
+                dead.add(node)
+                if len(dead) > MAX_STATES:
+                    raise GuardExceeded(f"count-matrix search guard: more than MAX_STATES="
+                                        f"{MAX_STATES} states proved dead at cap {cap}")
+                stack.pop()
+                del digits[-1:]
+                continue
+            _, r, child = todo.pop()
+            if child[0] == inst.n:
+                return value(child[2]), digits + [r], child[1]
+            if child not in dead:
+                digits.append(r)
+                stack.append((child, children(child, cap)))
+        return None
+
+    schedule, cap = Schedule(assign), lo
+    while True:
+        found = search(cap)
+        if found:
+            ub, digits, state = found
+            schedule = _replay(inst, digits, state)
+        else:
+            lo = cap + 1
+        if lo == ub:
+            return SolveResult(value=ub, schedule=schedule)
+        cap = (lo + ub - 1) // 2
 
 
 def solve_minavg(inst: Instance) -> SolveResult:

@@ -1,10 +1,12 @@
 """Exact pseudopolynomial solver for the min-max (and max-regret) objective,
 plus the rounding wrapper that turns it into an approximation scheme.
 
-Both objectives enter the count-matrix walk of :mod:`.dp_minavg` directly.
-Their aggregate is max, so the walk keeps one cost coordinate per scenario,
-offset by 0 for min-max and by the scenario optima opt_k for max-regret, and
-minimizes max_k(C_k - offset_k) over Pareto fronts of per-scenario totals.
+Both objectives enter the count-matrix search of :mod:`.dp_minavg`
+directly.  Their aggregate is max, so the search keeps one cost coordinate
+per scenario, offset by 0 for min-max and by the scenario optima opt_k for
+max-regret; a child is entered only while every coordinate's bound
+C_k + lb_k - offset_k fits the cap, and bisection on the cap finds the least
+max_k(C_k - offset_k).
 
 The rounding wrapper scales weights by rho = W*eps/(m*n^2) and rounds up:
 the exact optimum of the rounded instance, evaluated under original weights,
@@ -25,7 +27,7 @@ if TYPE_CHECKING:
 
 
 def solve_pseudo(inst: Instance, kind: ObjectiveKind = ObjectiveKind.MINMAX) -> SolveResult:
-    """Exact optimum for MINMAX or REGRET_MAX over count-matrix cost fronts."""
+    """Exact optimum for MINMAX or REGRET_MAX by the count-matrix search."""
     kind = _objective_kind(kind)
     if kind not in (ObjectiveKind.MINMAX, ObjectiveKind.REGRET_MAX):
         raise ValueError(f"solve_pseudo handles minmax and regret-max, not {kind.value}")

@@ -49,8 +49,8 @@ class GuardExceeded(RuntimeError):
 # balance's basis table (K <= 3), since the completion procedure did not
 # finish K = 4 within 60 s.
 _OVERRIDE = os.environ.get("SCHED_GUARD_OVERRIDE") == "1"
-# the oracle enumerates at most 2^GUARD_BITS canonical assignments, and the
-# count-matrix walk keeps at most MAX_STATES cost vectors per layer
+# the oracle enumerates at most 2^GUARD_BITS canonical assignments, and one
+# count-matrix search proves at most MAX_STATES states dead
 GUARD_BITS = 1e9 if _OVERRIDE else 21.0
 MAX_STATES = 10**9 if _OVERRIDE else 2_000_000
 MAX_MEMBERSHIPS = 100_000  # n*K of gen_random, checked before the first draw

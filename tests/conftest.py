@@ -16,14 +16,15 @@ from scensched.generators import gen_random
 @contextmanager
 def solver_paths(root_check=True):
     """Tallies the paths the exact solvers take inside the block: "root" when
-    the greedy schedule meets the root bound and is returned at once, "walk"
-    when the layered walk runs.  With ``root_check=False`` the check never
-    passes, so every solve walks the layers."""
+    the greedy schedule meets the root bound and is returned at once,
+    "search" when the bisection of depth-first searches runs.  With
+    ``root_check=False`` the check never passes, so every solve searches,
+    starting at the root bound."""
     seen = Counter()
     shipped = dp_minavg._meets_root
 
     def spy(ub, root):
-        path = "root" if root_check and shipped(ub, root) else "walk"
+        path = "root" if root_check and shipped(ub, root) else "search"
         seen[path] += 1
         return path == "root"
 
@@ -36,17 +37,17 @@ def solver_paths(root_check=True):
 
 def on_both_paths(check, reach_both=True):
     """Runs ``check()`` with the root check and again without it, so that the
-    layered walk stays under test on inputs the greedy schedule already
-    solves.  With the check on, a suite must reach both paths (unless
-    ``reach_both`` is false, for a single drawn example); without it, every
-    solve must walk."""
+    search stays under test on inputs the greedy schedule already solves.
+    With the check on, a suite must reach both paths (unless ``reach_both``
+    is false, for a single drawn example); without it, every solve must
+    search."""
     for root_check in (True, False):
         with solver_paths(root_check) as seen:
             check()
         if root_check and reach_both:
-            assert set(seen) == {"root", "walk"}, seen
+            assert set(seen) == {"root", "search"}, seen
         if not root_check:
-            assert set(seen) == {"walk"}, seen
+            assert set(seen) == {"search"}, seen
 
 
 def weighted_suite(count=300):

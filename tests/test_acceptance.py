@@ -75,12 +75,12 @@ def test_criterion_2_dp_exactness():
             assert [solve_config(inst, kind).value for kind in kinds] == values
 
     # each suite runs with the root check and again without it, so the
-    # layered walk is checked on every instance
+    # count-matrix search is checked on every instance
     on_both_paths(weighted_check)
     on_both_paths(unit_check)
     _report(
         2,
-        f"count-matrix walk and configuration solvers equal the oracle on "
+        f"count-matrix search and configuration solvers equal the oracle on "
         f"{len(weighted)} weighted + {len(unit)} unit instances",
     )
 

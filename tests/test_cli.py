@@ -68,6 +68,46 @@ def test_solve_dp_minmax_value(five_unit, tmp_path):
     assert record["per_scenario"] == [9]
 
 
+_CLOCK_PROBE = """
+import json, sys, time
+from types import SimpleNamespace
+from scensched import cli
+
+loaded = []
+
+def perf_counter():
+    loaded.append(sorted(name for name in sys.modules if name.startswith("scensched.")))
+    return time.perf_counter()
+
+cli.time = SimpleNamespace(perf_counter=perf_counter)
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": loaded[0]}))
+"""
+
+
+@pytest.mark.parametrize("argv, module", [
+    pytest.param(argv, module, id=" ".join(argv)) for argv, module in [
+        (["--algo", "dp", "--objective", "minavg"], "dp_minavg"),
+        (["--algo", "dp", "--objective", "minmax"], "dp_minmax"),
+        (["--algo", "fptas", "--epsilon", "1/2"], "dp_minmax"),
+        (["--algo", "config"], "dp_config"),
+        (["--algo", "two-scenario"], "two_scenario"),
+        (["--algo", "approx-minmax2"], "approx"),
+        (["--algo", "approx-minavg"], "approx"),
+    ]
+])
+def test_solve_clock_starts_after_the_solver_import(tmp_path, argv, module):
+    # time_ms times the solve alone: the solver's module is imported when
+    # the table entry is looked up, before the clock's first read
+    path = _write_instance(tmp_path, make_instance(2, [1, 1, 1], [[0, 1], [1, 2]]))
+    argv = ["solve", *argv, "-i", str(path), "-o", str(tmp_path / "run.json")]
+    proc = subprocess.run([sys.executable, "-c", _CLOCK_PROBE, *argv], stdout=subprocess.PIPE,
+                          env=PROCESS_ENV, text=True, timeout=60, check=True)
+    probe = json.loads(proc.stdout)
+    assert probe["code"] == 0
+    assert f"scensched.{module}" in probe["loaded"], probe["loaded"]
+
+
 def test_solve_two_scenario_contract_violation(tmp_path, capsys):
     inst = make_instance(2, [1, 1, 1], [[0], [1], [2]])
     path = _write_instance(tmp_path, inst)
@@ -510,22 +550,27 @@ def test_huge_m_equalizes_like_a_thousand_machines(tmp_path):
     assert narrow["objective_after"] < narrow["objective_before"]
 
 
-@pytest.mark.parametrize("argv", [
-    *(["--algo", "dp", "--objective", kind.value] for kind in ObjectiveKind),
-    ["--algo", "config", "--objective", "minmax"],
-    ["--algo", "config", "--objective", "minavg"],
-    ["--algo", "fptas", "--epsilon", "1/2"],
-], ids=" ".join)
-def test_dp_state_guard_exits_3(tmp_path, monkeypatch, argv, capsys):
+@pytest.mark.parametrize("argv, cap", [pytest.param(argv, cap, id=" ".join(argv)) for argv, cap in [
+    (["--algo", "dp", "--objective", "minmax"], 2),
+    (["--algo", "dp", "--objective", "minavg"], 6),
+    (["--algo", "dp", "--objective", "regret-max"], 0),
+    (["--algo", "dp", "--objective", "regret-sum"], 0),
+    (["--algo", "config", "--objective", "minmax"], 2),
+    (["--algo", "config", "--objective", "minavg"], 6),
+    (["--algo", "fptas", "--epsilon", "1/2"], 2),
+]])
+def test_dp_state_guard_exits_3(tmp_path, monkeypatch, argv, cap, capsys):
     # the triangle gadget gen_coloring(triangle, 2): no schedule meets every
-    # scenario optimum, so the walk runs, and its third layer holds more than
-    # two states (fptas at 1/2 solves the instance unrounded)
+    # scenario optimum, so the search runs at the root bound (the cap), and
+    # proves more than two states dead (fptas at 1/2 solves the instance
+    # unrounded)
     path = _write_instance(tmp_path, make_instance(2, [1, 1, 1], [[0, 1], [1, 2], [0, 2]]))
     monkeypatch.setattr(dp_minavg, "MAX_STATES", 2)
     assert main(["solve", *argv, "-i", str(path)]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "guard exceeded: count-matrix state layer grew past 2 states at job 3\n"
+    assert err == ("guard exceeded: count-matrix search guard: more than MAX_STATES=2 states "
+                   f"proved dead at cap {cap}\n")
 
 
 def _sample(flag):

@@ -6,7 +6,7 @@ import pytest
 from scensched.approx import minavg_derandomized
 from scensched import dp_minavg
 from scensched.dp_config import solve_config
-from scensched.dp_minavg import _bounds, _pareto, _start, _walk, solve_minavg, solve_regret_sum
+from scensched.dp_minavg import _bounds, _start, _walk, solve_minavg, solve_regret_sum
 from scensched.dp_minmax import solve_pseudo
 from scensched.generators import gen_random
 from scensched.model import (
@@ -35,13 +35,20 @@ def test_small_example_matches_oracle():
     assert evaluate(inst, res.schedule, ObjectiveKind.MINAVG).aggregate == res.value
 
 
-def test_walk_keeps_the_least_link():
-    # two optima for each objective, (0, 0, 1) and (0, 1, 1); the walk keeps
-    # each vector's lexicographically least link, which replays to (0, 1, 1)
-    inst = gen_random(3, 2, 2, w_max=3, density=0.6, seed=2)
-    with solver_paths(root_check=False):
-        assert solve_minavg(inst).schedule.assignment == (0, 1, 1)
-        assert solve_pseudo(inst, ObjectiveKind.MINMAX).schedule.assignment == (0, 1, 1)
+def test_search_witness_is_its_first_leaf():
+    # canonical weights (6, 5, 4, 1), jobs in scenarios {2}, {0, 1, 2}, {0, 2}
+    # and {0, 1, 2}.  Min-max: the greedy gives 22, the root bound is 21
+    # (scenario 2's optimum), and the search at cap 21 takes, least bound
+    # first, rows 0, 0, 0 (both job-2 rows bound 21; the lower wins), then
+    # row 1 for job 3 (row 0 would put scenario 2 at 22): machine 0 holds
+    # jobs 0 and 2, machine 1 jobs 1 and 3, totals (11, 7, 21).  The sum's
+    # search at its root bound 38 says no, so its witness is the greedy's.
+    inst = make_instance(2, [1, 5, 6, 4], [[0, 1, 3], [0, 1], [0, 1, 2, 3]])
+    res = solve_pseudo(inst, ObjectiveKind.MINMAX)
+    assert (res.value, res.schedule.assignment) == (21, (0, 1, 0, 1))
+    assert evaluate(inst, res.schedule, ObjectiveKind.MINMAX).per_scenario == (11, 7, 21)
+    res = solve_minavg(inst)
+    assert (res.value, res.schedule) == (39, minavg_derandomized(inst))
 
 
 def test_all_scenarios_empty():
@@ -91,12 +98,15 @@ def test_regret_sum_shift():
 
 def test_state_guard(monkeypatch):
     # the triangle gadget gen_coloring(triangle, 2) has no schedule at the
-    # root bound, so the walk runs and its third layer holds three count
-    # matrices
+    # root bound 6, and the search that proves it leaves three states dead:
+    # the root, job 0's one child and the one child of that kept by the cap
     inst = make_instance(2, [1, 1, 1], [[0, 1], [1, 2], [0, 2]])
     monkeypatch.setattr(dp_minavg, "MAX_STATES", 2)
-    with pytest.raises(GuardExceeded, match="at job 3"):
+    with pytest.raises(GuardExceeded, match=(
+            r"^count-matrix search guard: more than MAX_STATES=2 states proved dead at cap 6$")):
         solve_minavg(inst)
+    monkeypatch.setattr(dp_minavg, "MAX_STATES", 3)
+    assert solve_minavg(inst).value == 7
 
 
 def test_start_state_bounds_are_scenario_optima():
@@ -138,8 +148,20 @@ def test_root_check_returns_the_greedy_schedule():
         assert at_root
 
 
+def _pareto(bucket):
+    """The entries whose keys no other key dominates componentwise."""
+    front = []
+    for c in sorted(bucket):
+        # a dominating vector sorts first, so it is already in the front
+        if not any(all(map(le, f, c)) for f in front):
+            front.append(c)
+    return {c: bucket[c] for c in front}
+
+
 def _stored_layer_walk(inst, kind):
-    """Reference for ``_walk`` without its root check, storing every layer:
+    """Reference for ``_walk`` without its root check: the layered
+    bound-and-prune walk over Pareto fronts of cost vectors, storing every
+    layer:
     each vector keeps its lexicographically least link (previous Y,
     previous C, row), the links are followed back from the optimum into a
     chain, and the chain is replayed with a drift check at every job.
@@ -213,18 +235,19 @@ def _stored_layer_walk(inst, kind):
 
 
 def test_walk_equals_the_stored_layer_walk():
-    # the walk carries each vector's path forward; its witness is the one the
-    # stored layers' least links replay to
+    # the search and the layered walk agree on every value; the search's
+    # witness may be another optimum, so it is checked by its own cost
     with solver_paths(root_check=False):
         for inst in weighted_suite() + unit_suite():
             for kind in ObjectiveKind:
                 res = _walk(inst, kind)
-                assert (res.value, res.schedule.assignment) == _stored_layer_walk(inst, kind)
+                assert res.value == _stored_layer_walk(inst, kind)[0]
+                assert evaluate(inst, res.schedule, kind).aggregate == res.value
 
 
-def test_walk_holds_one_layer_in_memory():
-    # the stored-layer walk holds all n + 1 layers of link tuples; the walk
-    # holds one layer of int paths, well under the reference's peak
+def test_search_peaks_below_the_stored_layer_walk():
+    # the stored-layer walk holds all n + 1 layers of link tuples; the search
+    # holds one root-to-leaf stack and its dead set, well under that peak
     cases = [
         (gen_random(20, 3, 3, w_max=9, seed=0), ObjectiveKind.MINMAX),
         (gen_random(20, 3, 3, w_max=1, seed=0), ObjectiveKind.MINAVG),
@@ -240,3 +263,26 @@ def test_walk_holds_one_layer_in_memory():
             finally:
                 tracemalloc.stop()
         assert 4 * peaks[0] <= 3 * peaks[1], (kind, peaks)
+
+
+@pytest.mark.parametrize("inst, kind, greedy, root, best", [
+    # the search at the root bound finds a leaf
+    (make_instance(2, [1, 5, 6, 4], [[0, 1, 3], [0, 1], [0, 1, 2, 3]]),
+     ObjectiveKind.MINMAX, 22, 21, 21),
+    # no at the root bound, then a leaf by bisection
+    (gen_random(4, 3, 4, w_max=5, density=0.6, seed=5), ObjectiveKind.MINAVG, 47, 41, 44),
+    (gen_random(4, 3, 4, w_max=5, density=0.6, seed=5), ObjectiveKind.MINMAX, 16, 13, 14),
+    # no below the greedy value, which is optimal
+    (make_instance(2, [1, 1, 1], [[0, 1], [1, 2], [0, 2]]), ObjectiveKind.MINAVG, 7, 6, 7),
+], ids=["yes-at-root", "bisection-minavg", "bisection-minmax", "greedy-optimal"])
+def test_search_branches_match_the_oracle(inst, kind, greedy, root, best):
+    _, totals, lb = _bounds(inst)
+    fold = sum if kind is ObjectiveKind.MINAVG else max
+    assert (fold(totals), fold(lb(_start(inst)))) == (greedy, root)
+    assert brute_force(inst, kind).best_value == best
+    with solver_paths() as seen:
+        res = _walk(inst, kind)
+    assert seen == {"search": 1}
+    assert res.value == best == evaluate(inst, res.schedule, kind).aggregate
+    if best == greedy:
+        assert res.schedule == minavg_derandomized(inst)

@@ -66,23 +66,26 @@ def test_regret_max_matches_oracle():
 
 def test_state_guard(monkeypatch):
     # the triangle gadget gen_coloring(triangle, 2) has no schedule at the
-    # root bound, so the walk runs and its third layer holds four cost vectors
+    # root bound (2 for min-max, 0 for max-regret), and the search that
+    # proves it leaves three states dead
     inst = make_instance(2, [1, 1, 1], [[0, 1], [1, 2], [0, 2]])
     monkeypatch.setattr(dp_minavg, "MAX_STATES", 2)
-    for kind in (ObjectiveKind.MINMAX, ObjectiveKind.REGRET_MAX):
-        with pytest.raises(GuardExceeded, match="grew past 2 states at job 3"):
+    for kind, cap in ((ObjectiveKind.MINMAX, 2), (ObjectiveKind.REGRET_MAX, 0)):
+        with pytest.raises(GuardExceeded, match=(
+                f"^count-matrix search guard: more than MAX_STATES=2 states proved dead "
+                f"at cap {cap}$")):
             solve_pseudo(inst, kind)
 
 
-def test_state_guard_counts_front_vectors(monkeypatch):
-    # the greedy misses the root bound (22 against 21), and the last layer
-    # holds five cost vectors on four count matrices
-    inst = make_instance(2, [1, 5, 6, 4], [[0, 1, 3], [0, 1], [0, 1, 2, 3]])
-    monkeypatch.setattr(dp_minavg, "MAX_STATES", 4)
-    with pytest.raises(GuardExceeded, match="grew past 4 states at job 4"):
+def test_state_guard_counts_dead_states(monkeypatch):
+    # the greedy gives 16 against the root bound 13, and the search at cap 13
+    # proves four states dead before it says no; bisection then finds 14
+    inst = gen_random(4, 3, 4, w_max=5, density=0.6, seed=5)
+    monkeypatch.setattr(dp_minavg, "MAX_STATES", 3)
+    with pytest.raises(GuardExceeded, match="more than MAX_STATES=3 states proved dead at cap 13$"):
         solve_pseudo(inst, ObjectiveKind.MINMAX)
-    monkeypatch.setattr(dp_minavg, "MAX_STATES", 5)
-    assert solve_pseudo(inst, ObjectiveKind.MINMAX).value == 21
+    monkeypatch.setattr(dp_minavg, "MAX_STATES", 4)
+    assert solve_pseudo(inst, ObjectiveKind.MINMAX).value == 14
 
 
 def test_fptas_tiny_instance_exact():
@@ -173,10 +176,10 @@ def test_many_machines_few_jobs_returns_at_once():
     (40, 0, ObjectiveKind.MINAVG, sum),
 ])
 def test_pruning_keeps_large_instances_small(n, seed, kind, aggregate, monkeypatch):
-    # Unpruned, the widest layer holds 346,000 cost vectors (n=30, min-max)
-    # and 692,000 count matrices (n=40, sum); pruned, about 1,000 and 46.
-    # The greedy schedule meets the root bound on both, so the root check is
-    # off here: the walk runs.
+    # Unpruned, the widest layer of the count-matrix walk held 346,000 cost
+    # vectors (n=30, min-max) and 692,000 count matrices (n=40, sum).  The
+    # greedy schedule meets the root bound on both, so the root check is off
+    # here, and the search at the root bound proves 0 and 30 states dead.
     inst = gen_random(n, 3, 3, w_max=9, density=0.5, seed=seed)
     monkeypatch.setattr(dp_minavg, "MAX_STATES", 10_000)
     with solver_paths(root_check=False):

@@ -7,7 +7,7 @@ objective value unchanged; scaling all weights by c scales it by c.  Ties
 between equal weights and empty count-matrix columns are where a wrong lower
 bound would prune an optimum, so the instances draw both often.  Each example
 runs with the solvers' root check and again without it, since the greedy
-schedule meets the root bound on most small draws and the layered walk would
+schedule meets the root bound on most small draws and the search would
 otherwise seldom run.
 """
 
