@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 contract violation,
 3 resource guard.  The six size limits are ``model`` constants, each read
 by the function that enforces it: GUARD_BITS (the oracle's at most 2^21
 canonical assignments: up to 22 jobs on 2 machines, 14 on 3, 12 on 4 or 5,
-11 on any larger number), MAX_STATES (2M states that one search of the
+11 on any larger number), MAX_STATES (2M states that one solve of the
 exact solvers, dp, config and fptas, proves dead), MAX_MEMBERSHIPS
 (``generate random``'s n*K <= 100 000), MAX_ROWS (``generate
 unsplittable``'s 5000 rows), MAX_SUBSET_ROWS (``is_unsplittable``'s 20

@@ -30,32 +30,30 @@ opt_k for the sum, 0 for both regrets.  The incumbent is the objective value
 of the derandomized greedy schedule of :mod:`.approx`.  When it equals the
 root bound the greedy schedule is optimal and is returned at once.
 
-Otherwise the optimum is found by decision.  ``search(cap)`` is an
-iterative depth-first search (n reaches thousands, so it does not recurse)
-over nodes (j, Y, C); it enters a child only while the child's bound is at
-most cap, tries the children least bound first (ties to the lower sorted
-row), and returns its first leaf, whose value is at most cap.  A node whose
-subtree it has exhausted without a leaf is dead for the rest of that call:
-the subtree depends on (j, Y, C) and cap alone, so it holds no leaf
-wherever it is reached again.  A "no" is therefore a proof that no schedule
-has value at most cap.  Up to the order of identical rows, a schedule is a
+Otherwise the optimum is found by one descent: an iterative depth-first
+search (n reaches thousands, so it does not recurse) over nodes (j, Y, C)
+under a cap that only falls, starting at the greedy value less one.  It
+enters a child only while the child's bound is at most the cap, tries the
+children least bound first (ties to the lower sorted row), and drops a
+pending child whose bound the cap has fallen below.  A leaf is a schedule
+within the cap; it becomes the witness, the cap falls to its value less
+one, and the descent goes on from where it is.  A node whose subtree the
+descent has exhausted is dead: the subtree depends on (j, Y, C) alone and
+holds no leaf within the cap of that moment, nor within any later, lower
+cap, so one dead set serves the whole solve and a dead node is never
+entered again.  Up to the order of identical rows, a schedule is a
 root-to-leaf path of placements, and the bound never decreases along it and
-ends at the schedule's value; so a schedule within the cap keeps every node
-of its path within the cap, and the search, which leaves a path only at a
-child above the cap or at a dead node, would have reached its leaf.  A node
-is entered at most once per call, since it either leads to the leaf that
-ends the call or is proved dead.  The ``model.MAX_STATES`` guard, read when
-a search runs, bounds the nodes one call proves dead, and with them the
-nodes it enters.
-
-Bisection keeps lo <= optimum <= ub, where ub is the value of a known
-schedule: lo starts at the root bound, ub at the greedy value.  The first
-cap is the root bound, and each later one lies in [lo, ub - 1].  A leaf
-lowers ub to its value, which is at most cap; a "no" raises lo to cap + 1.
-Either way the gap shrinks, and the loop ends when lo == ub, at the optimum.
-Its witness is the last leaf found, whose value is ub, replayed forward from
-the leaf's sorted-row digits; if no search found a leaf, it is the greedy
-schedule.
+ends at the schedule's value; so a schedule within the final cap keeps every
+node of its path within every cap, and the descent, which leaves a path only
+at a child above the cap or at a dead node, would have reached its leaf.
+When the stack is empty, then, no schedule beats the last leaf, which is
+optimal and is replayed forward from its sorted-row digits; if there was no
+leaf, the greedy schedule is optimal.  Every bound is at least the root
+bound, so once a leaf meets it no child fits the cap, and the descent stops
+at once.  A node is entered at most once, since it stays on the stack until
+it is proved dead or the descent stops; the ``model.MAX_STATES`` guard, read
+when the descent runs, bounds the nodes proved dead in the whole solve, and
+with them the nodes it enters.
 """
 
 from __future__ import annotations
@@ -130,7 +128,7 @@ def _replay(inst: Instance, digits: list, state: tuple) -> Schedule:
 def _meets_root(ub: int, root: int) -> bool:
     """Whether the incumbent ub equals the root bound, the objective of the
     scenario optima, which no schedule beats: then the greedy schedule is
-    optimal and no search runs."""
+    optimal and no descent runs."""
     return ub == root
 
 
@@ -155,8 +153,8 @@ def _walk(inst: Instance, kind: ObjectiveKind) -> SolveResult:
 
     assign, totals, lb = _bounds(inst)
     ub = value(fold(totals))
-    lo = value(fold(lb(_start(inst))))
-    if _meets_root(ub, lo):
+    root = value(fold(lb(_start(inst))))
+    if _meets_root(ub, root):
         return SolveResult(value=ub, schedule=Schedule(assign))
 
     def children(node: tuple, cap: int) -> list:
@@ -178,42 +176,30 @@ def _walk(inst: Instance, kind: ObjectiveKind) -> SolveResult:
                 kept.append((bound, r, (j + 1, child, tuple(c2))))
         return sorted(kept, reverse=True)
 
-    def search(cap: int):
-        """``(value, digits, state)`` of the first leaf of value at most cap,
-        where digit j is the sorted row that received job j, or None when no
-        schedule has value at most cap."""
-        dead, digits = set(), []
-        root = (0, _start(inst), (0,) * len(opts))
-        stack = [(root, children(root, cap))]  # (node, untried children), root first
-        while stack:
-            node, todo = stack[-1]
-            if not todo:
-                dead.add(node)
-                if len(dead) > MAX_STATES:
-                    raise GuardExceeded(f"count-matrix search guard: more than MAX_STATES="
-                                        f"{MAX_STATES} states proved dead at cap {cap}")
-                stack.pop()
-                del digits[-1:]
-                continue
-            _, r, child = todo.pop()
-            if child[0] == inst.n:
-                return value(child[2]), digits + [r], child[1]
-            if child not in dead:
-                digits.append(r)
-                stack.append((child, children(child, cap)))
-        return None
-
-    schedule, cap = Schedule(assign), lo
-    while True:
-        found = search(cap)
-        if found:
-            ub, digits, state = found
-            schedule = _replay(inst, digits, state)
-        else:
-            lo = cap + 1
-        if lo == ub:
-            return SolveResult(value=ub, schedule=schedule)
-        cap = (lo + ub - 1) // 2
+    # the descent: digit j is the sorted row that received job j on the path
+    cap, dead, digits, leaf = ub - 1, set(), [], None
+    start = (0, _start(inst), (0,) * len(opts))
+    stack = [(start, children(start, cap))]  # (node, untried children), root first
+    while stack and cap >= root:
+        node, todo = stack[-1]
+        if not todo:
+            dead.add(node)
+            if len(dead) > MAX_STATES:
+                raise GuardExceeded(f"count-matrix search guard: more than MAX_STATES="
+                                    f"{MAX_STATES} states proved dead at cap {cap}")
+            stack.pop()
+            del digits[-1:]
+            continue
+        bound, r, child = todo.pop()
+        if bound > cap:
+            continue
+        if child[0] == inst.n:  # a leaf, whose bound is its value
+            cap, leaf = bound - 1, (digits + [r], child[1])
+        elif child not in dead:
+            digits.append(r)
+            stack.append((child, children(child, cap)))
+    schedule = _replay(inst, *leaf) if leaf else Schedule(assign)
+    return SolveResult(value=cap + 1, schedule=schedule)
 
 
 def solve_minavg(inst: Instance) -> SolveResult:

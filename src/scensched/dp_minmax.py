@@ -5,8 +5,8 @@ Both objectives enter the count-matrix search of :mod:`.dp_minavg`
 directly.  Their aggregate is max, so the search keeps one cost coordinate
 per scenario, offset by 0 for min-max and by the scenario optima opt_k for
 max-regret; a child is entered only while every coordinate's bound
-C_k + lb_k - offset_k fits the cap, and bisection on the cap finds the least
-max_k(C_k - offset_k).
+C_k + lb_k - offset_k fits the cap, and the cap falls below each leaf found
+until the least max_k(C_k - offset_k) is proved.
 
 The rounding wrapper scales weights by rho = W*eps/(m*n^2) and rounds up:
 the exact optimum of the rounded instance, evaluated under original weights,

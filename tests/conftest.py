@@ -11,33 +11,44 @@ os.environ.pop("SCHED_GUARD_OVERRIDE", None)
 
 from scensched import dp_minavg
 from scensched.generators import gen_random
+from scensched.model import ObjectiveKind, Schedule, evaluate
 
 
 @contextmanager
 def solver_paths(root_check=True):
     """Tallies the paths the exact solvers take inside the block: "root" when
     the greedy schedule meets the root bound and is returned at once,
-    "search" when the bisection of depth-first searches runs.  With
-    ``root_check=False`` the check never passes, so every solve searches,
-    starting at the root bound."""
+    "search" when the depth-first descent under a falling cap runs.  With
+    ``root_check=False`` the check never passes, and the incumbent is the
+    schedule with every job on machine 0 in place of the greedy one.  The
+    descent starts at its value less one, so every solve searches, from well
+    above the optimum, and finds a leaf unless that schedule is optimal."""
     seen = Counter()
-    shipped = dp_minavg._meets_root
+    shipped, shipped_bounds = dp_minavg._meets_root, dp_minavg._bounds
 
     def spy(ub, root):
         path = "root" if root_check and shipped(ub, root) else "search"
         seen[path] += 1
         return path == "root"
 
+    def all_on_one(inst):
+        *_, lb = shipped_bounds(inst)
+        assign = (0,) * inst.n
+        return assign, evaluate(inst, Schedule(assign), ObjectiveKind.MINMAX).per_scenario, lb
+
     dp_minavg._meets_root = spy
+    if not root_check:
+        dp_minavg._bounds = all_on_one
     try:
         yield seen
     finally:
-        dp_minavg._meets_root = shipped
+        dp_minavg._meets_root, dp_minavg._bounds = shipped, shipped_bounds
 
 
 def on_both_paths(check, reach_both=True):
-    """Runs ``check()`` with the root check and again without it, so that the
-    search stays under test on inputs the greedy schedule already solves.
+    """Runs ``check()`` with the root check and again without it (and from
+    the all-on-one incumbent, see :func:`solver_paths`), so that the search
+    stays under test on inputs the greedy schedule already solves.
     With the check on, a suite must reach both paths (unless ``reach_both``
     is false, for a single drawn example); without it, every solve must
     search."""

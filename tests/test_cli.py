@@ -561,9 +561,9 @@ def test_huge_m_equalizes_like_a_thousand_machines(tmp_path):
 ]])
 def test_dp_state_guard_exits_3(tmp_path, monkeypatch, argv, cap, capsys):
     # the triangle gadget gen_coloring(triangle, 2): no schedule meets every
-    # scenario optimum, so the search runs at the root bound (the cap), and
-    # proves more than two states dead (fptas at 1/2 solves the instance
-    # unrounded)
+    # scenario optimum, and the greedy misses the root bound by one, so the
+    # descent runs at the root bound (the cap) and proves more than two states
+    # dead (fptas at 1/2 solves the instance unrounded)
     path = _write_instance(tmp_path, make_instance(2, [1, 1, 1], [[0, 1], [1, 2], [0, 2]]))
     monkeypatch.setattr(dp_minavg, "MAX_STATES", 2)
     assert main(["solve", *argv, "-i", str(path)]) == 3

@@ -8,8 +8,9 @@ from scensched import dp_minavg
 from scensched.dp_config import solve_config
 from scensched.dp_minavg import _bounds, _start, _walk, solve_minavg, solve_regret_sum
 from scensched.dp_minmax import solve_pseudo
-from scensched.generators import gen_random
+from scensched.generators import gen_random, gen_unsplittable, matrix_to_instance
 from scensched.model import (
+    MAX_STATES,
     GuardExceeded,
     ObjectiveKind,
     _objective,
@@ -37,12 +38,14 @@ def test_small_example_matches_oracle():
 
 def test_search_witness_is_its_first_leaf():
     # canonical weights (6, 5, 4, 1), jobs in scenarios {2}, {0, 1, 2}, {0, 2}
-    # and {0, 1, 2}.  Min-max: the greedy gives 22, the root bound is 21
-    # (scenario 2's optimum), and the search at cap 21 takes, least bound
-    # first, rows 0, 0, 0 (both job-2 rows bound 21; the lower wins), then
-    # row 1 for job 3 (row 0 would put scenario 2 at 22): machine 0 holds
-    # jobs 0 and 2, machine 1 jobs 1 and 3, totals (11, 7, 21).  The sum's
-    # search at its root bound 38 says no, so its witness is the greedy's.
+    # and {0, 1, 2}.  Min-max: the greedy gives 22, so the descent starts at
+    # cap 21, which is also the root bound (scenario 2's optimum); least bound
+    # first, it takes rows 0, 0, 0 (both job-2 rows bound 21; the lower wins),
+    # then row 1 for job 3 (row 0 would put scenario 2 at 22): machine 0 holds
+    # jobs 0 and 2, machine 1 jobs 1 and 3, totals (11, 7, 21).  That leaf
+    # meets the root bound, so the descent stops there.  The sum's greedy
+    # gives 39 against the root bound 38, and the descent at cap 38 finds no
+    # leaf, so its witness is the greedy's.
     inst = make_instance(2, [1, 5, 6, 4], [[0, 1, 3], [0, 1], [0, 1, 2, 3]])
     res = solve_pseudo(inst, ObjectiveKind.MINMAX)
     assert (res.value, res.schedule.assignment) == (21, (0, 1, 0, 1))
@@ -97,9 +100,10 @@ def test_regret_sum_shift():
 
 
 def test_state_guard(monkeypatch):
-    # the triangle gadget gen_coloring(triangle, 2) has no schedule at the
-    # root bound 6, and the search that proves it leaves three states dead:
-    # the root, job 0's one child and the one child of that kept by the cap
+    # the triangle gadget gen_coloring(triangle, 2): the greedy gives 7, and
+    # the descent at cap 6, the root bound, finds no leaf and leaves three
+    # states dead: the root, job 0's one child and the one child of that
+    # kept by the cap
     inst = make_instance(2, [1, 1, 1], [[0, 1], [1, 2], [0, 2]])
     monkeypatch.setattr(dp_minavg, "MAX_STATES", 2)
     with pytest.raises(GuardExceeded, match=(
@@ -265,24 +269,65 @@ def test_search_peaks_below_the_stored_layer_walk():
         assert 4 * peaks[0] <= 3 * peaks[1], (kind, peaks)
 
 
-@pytest.mark.parametrize("inst, kind, greedy, root, best", [
-    # the search at the root bound finds a leaf
+def _guard_caps(inst, kind, monkeypatch) -> list:
+    """The caps that the guard names at MAX_STATES = 0, 1, 2, ... until the
+    solve ends, each once.  The cap is the greedy value less one until the
+    first leaf and each leaf's value less one after it, so the list traces
+    the leaves that the descent finds between states proved dead."""
+    caps = []
+    for limit in range(MAX_STATES):
+        monkeypatch.setattr(dp_minavg, "MAX_STATES", limit)
+        try:
+            _walk(inst, kind)
+        except GuardExceeded as exc:
+            cap = int(str(exc).rsplit(" ", 1)[1])
+            if cap not in caps:
+                caps.append(cap)
+        else:
+            monkeypatch.setattr(dp_minavg, "MAX_STATES", MAX_STATES)
+            return caps
+
+
+@pytest.mark.parametrize("inst, kind, greedy, root, best, caps", [
+    # the first leaf meets the root bound, the greedy value less one, and
+    # ends the descent before any state is proved dead
     (make_instance(2, [1, 5, 6, 4], [[0, 1, 3], [0, 1], [0, 1, 2, 3]]),
-     ObjectiveKind.MINMAX, 22, 21, 21),
-    # no at the root bound, then a leaf by bisection
-    (gen_random(4, 3, 4, w_max=5, density=0.6, seed=5), ObjectiveKind.MINAVG, 47, 41, 44),
-    (gen_random(4, 3, 4, w_max=5, density=0.6, seed=5), ObjectiveKind.MINMAX, 16, 13, 14),
-    # no below the greedy value, which is optimal
-    (make_instance(2, [1, 1, 1], [[0, 1], [1, 2], [0, 2]]), ObjectiveKind.MINAVG, 7, 6, 7),
-], ids=["yes-at-root", "bisection-minavg", "bisection-minmax", "greedy-optimal"])
-def test_search_branches_match_the_oracle(inst, kind, greedy, root, best):
+     ObjectiveKind.MINMAX, 22, 21, 21, []),
+    # one state proved dead at cap 46, then the first leaf, 44, which is
+    # optimal: the descent goes on at cap 43 and finds no better leaf
+    (gen_random(4, 3, 4, w_max=5, density=0.6, seed=5), ObjectiveKind.MINAVG, 47, 41, 44,
+     [46, 43]),
+    # a leaf, then better leaves: 109, 108, 107 and the optimum 106, each
+    # found from where the last one left the descent
+    (gen_random(8, 3, 4, w_max=9, density=0.6, seed=269), ObjectiveKind.MINAVG, 110, 105, 106,
+     [109, 108, 107, 106, 105]),
+    # no leaf below the greedy value, which is optimal
+    (make_instance(2, [1, 1, 1], [[0, 1], [1, 2], [0, 2]]), ObjectiveKind.MINAVG, 7, 6, 7, [6]),
+], ids=["yes-at-root", "first-leaf-optimal", "better-leaf", "greedy-optimal"])
+def test_search_branches_match_the_oracle(inst, kind, greedy, root, best, caps, monkeypatch):
     _, totals, lb = _bounds(inst)
     fold = sum if kind is ObjectiveKind.MINAVG else max
     assert (fold(totals), fold(lb(_start(inst)))) == (greedy, root)
     assert brute_force(inst, kind).best_value == best
+    assert _guard_caps(inst, kind, monkeypatch) == caps
     with solver_paths() as seen:
         res = _walk(inst, kind)
     assert seen == {"search": 1}
     assert res.value == best == evaluate(inst, res.schedule, kind).aggregate
     if best == greedy:
         assert res.schedule == minavg_derandomized(inst)
+
+
+def test_state_guard_counts_the_whole_solve(monkeypatch):
+    # unspl's sum: from the greedy's 33657 (root bound 33360) the descent
+    # finds leaves of 33560, 33469 and 33432, the optimum, and proves 1819
+    # states dead in all, under one count; it is the 1819th, proved while
+    # refuting cap 33431, that a guard of 1818 stops at
+    inst = matrix_to_instance(gen_unsplittable(2, 3))
+    monkeypatch.setattr(dp_minavg, "MAX_STATES", 1818)
+    with pytest.raises(GuardExceeded, match=(
+            r"^count-matrix search guard: more than MAX_STATES=1818 states proved dead "
+            r"at cap 33431$")):
+        solve_minavg(inst)
+    monkeypatch.setattr(dp_minavg, "MAX_STATES", 1819)
+    assert solve_minavg(inst).value == 33432

@@ -65,9 +65,9 @@ def test_regret_max_matches_oracle():
 
 
 def test_state_guard(monkeypatch):
-    # the triangle gadget gen_coloring(triangle, 2) has no schedule at the
-    # root bound (2 for min-max, 0 for max-regret), and the search that
-    # proves it leaves three states dead
+    # the triangle gadget gen_coloring(triangle, 2): the greedy misses the
+    # root bound (2 for min-max, 0 for max-regret) by one, and the descent at
+    # that cap finds no leaf and leaves three states dead
     inst = make_instance(2, [1, 1, 1], [[0, 1], [1, 2], [0, 2]])
     monkeypatch.setattr(dp_minavg, "MAX_STATES", 2)
     for kind, cap in ((ObjectiveKind.MINMAX, 2), (ObjectiveKind.REGRET_MAX, 0)):
@@ -78,8 +78,9 @@ def test_state_guard(monkeypatch):
 
 
 def test_state_guard_counts_dead_states(monkeypatch):
-    # the greedy gives 16 against the root bound 13, and the search at cap 13
-    # proves four states dead before it says no; bisection then finds 14
+    # the greedy gives 16 against the root bound 13; the descent finds the
+    # leaf 14 before any state is proved dead, then proves four states dead
+    # refuting cap 13
     inst = gen_random(4, 3, 4, w_max=5, density=0.6, seed=5)
     monkeypatch.setattr(dp_minavg, "MAX_STATES", 3)
     with pytest.raises(GuardExceeded, match="more than MAX_STATES=3 states proved dead at cap 13$"):
@@ -179,7 +180,8 @@ def test_pruning_keeps_large_instances_small(n, seed, kind, aggregate, monkeypat
     # Unpruned, the widest layer of the count-matrix walk held 346,000 cost
     # vectors (n=30, min-max) and 692,000 count matrices (n=40, sum).  The
     # greedy schedule meets the root bound on both, so the root check is off
-    # here, and the search at the root bound proves 0 and 30 states dead.
+    # here, and the descent from the all-on-one incumbent proves 0 and 66
+    # states dead.
     inst = gen_random(n, 3, 3, w_max=9, density=0.5, seed=seed)
     monkeypatch.setattr(dp_minavg, "MAX_STATES", 10_000)
     with solver_paths(root_check=False):
