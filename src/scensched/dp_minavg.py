@@ -28,13 +28,14 @@ lb is the vector of scenario optima opt_k, and the bound there, the root
 bound, is below every schedule: max_k opt_k for min-max, the sum of the
 opt_k for the sum, 0 for both regrets.  The incumbent is the objective value
 of the derandomized greedy schedule of :mod:`.approx`.  When it equals the
-root bound the greedy schedule is optimal and is returned at once.
+root bound the greedy schedule is optimal, and the descent below starts
+with an empty stack.
 
 Otherwise the optimum is found by one descent: an iterative depth-first
 search (n reaches thousands, so it does not recurse) over nodes (j, Y, C)
 under a cap that only falls, starting at the greedy value less one.  It
 enters a child only while the child's bound is at most the cap, tries the
-children least bound first (ties to the lower sorted row), and drops a
+children least bound first (ties to the lower row), and drops a
 pending child whose bound the cap has fallen below.  A leaf is a schedule
 within the cap; it becomes the witness, the cap falls to its value less
 one, and the descent goes on from where it is.  A node whose subtree the
@@ -47,13 +48,16 @@ ends at the schedule's value; so a schedule within the final cap keeps every
 node of its path within every cap, and the descent, which leaves a path only
 at a child above the cap or at a dead node, would have reached its leaf.
 When the stack is empty, then, no schedule beats the last leaf, which is
-optimal and is replayed forward from its sorted-row digits; if there was no
-leaf, the greedy schedule is optimal.  Every bound is at least the root
-bound, so once a leaf meets it no child fits the cap, and the descent stops
-at once.  A node is entered at most once, since it stays on the stack until
-it is proved dead or the descent stops; the ``model.MAX_STATES`` guard, read
-when the descent runs, bounds the nodes proved dead in the whole solve, and
-with them the nodes it enters.
+optimal.  Past the root, each stack frame holds the count row that the
+last job on its path went on, so the frames' rows and the leaf's own spell
+the leaf's path, and the witness is replayed forward by placing each job on
+a machine holding its row; if there was no leaf, the greedy schedule is
+optimal.  Every bound is at least the root bound, so once a leaf meets it no
+child fits the cap, and the descent stops at once.  A node is entered at
+most once, since it stays on the stack until it is proved dead or the
+descent stops; the ``model.MAX_STATES`` guard, read when the descent runs,
+bounds the nodes proved dead in the whole solve, and with them the nodes it
+enters.
 """
 
 from __future__ import annotations
@@ -105,23 +109,13 @@ def _bounds(inst: Instance) -> tuple:
     return (*_greedy(inst), lb)
 
 
-def _replay(inst: Instance, digits: list, state: tuple) -> Schedule:
-    """Places job j on the row at sorted position ``digits[j]``, through
-    :func:`.approx._place_jobs`, on that row's lowest-index machine; the row
-    is found by walking the pool's distinct rows in sorted order, each
-    covering as many positions as it has machines.  The sorted rows must end
-    at ``state``."""
-
-    def at_digit(j: int, ks: tuple, pool: dict) -> tuple:
-        r = digits[j]
-        for row in sorted(pool):
-            r -= len(pool[row])
-            if r < 0:
-                return row
-
-    assign, pool = _place_jobs(inst, at_digit)
-    rows = sorted(row for row, machines in pool.items() for _ in machines)
-    assert rows == list(state), "replay ended off the search's final state"
+def _replay(inst: Instance, rows: list, state: tuple) -> Schedule:
+    """Places job j, through :func:`.approx._place_jobs`, on the
+    lowest-index machine holding the count row ``rows[j]``.  The sorted rows
+    must end at ``state``."""
+    assign, pool = _place_jobs(inst, lambda j, ks, pool: rows[j])
+    ended = sorted(row for row, machines in pool.items() for _ in machines)
+    assert ended == list(state), "replay ended off the search's final state"
     return Schedule(assign)
 
 
@@ -154,12 +148,11 @@ def _walk(inst: Instance, kind: ObjectiveKind) -> SolveResult:
     assign, totals, lb = _bounds(inst)
     ub = value(fold(totals))
     root = value(fold(lb(_start(inst))))
-    if _meets_root(ub, root):
-        return SolveResult(value=ub, schedule=Schedule(assign))
 
     def children(node: tuple, cap: int) -> list:
         """(bound, row, child) for each child of node whose bound is at most
-        cap, the least bound and then the lowest sorted row last."""
+        cap, where row is the count row the job goes on, the least bound and
+        then the lowest row last."""
         j, state, c = node
         ks, wj = inst.job_scenarios[j], inst.weights[j]
         kept = []
@@ -173,31 +166,30 @@ def _walk(inst: Instance, kind: ObjectiveKind) -> SolveResult:
             child = tuple(sorted(state[:r] + (tuple(counts),) + state[r + 1:]))
             bound = value(map(add, c2, fold(lb(child))))
             if bound <= cap:
-                kept.append((bound, r, (j + 1, child, tuple(c2))))
+                kept.append((bound, row, (j + 1, child, tuple(c2))))
         return sorted(kept, reverse=True)
 
-    # the descent: digit j is the sorted row that received job j on the path
-    cap, dead, digits, leaf = ub - 1, set(), [], None
+    # the descent: each frame holds a node, the row its job went on and the
+    # node's untried children, so the stack past the root spells the path
+    cap, dead, leaf = ub - 1, set(), None
     start = (0, _start(inst), (0,) * len(opts))
-    stack = [(start, children(start, cap))]  # (node, untried children), root first
+    stack = [] if _meets_root(ub, root) else [(start, None, children(start, cap))]
     while stack and cap >= root:
-        node, todo = stack[-1]
+        node, _, todo = stack[-1]
         if not todo:
             dead.add(node)
             if len(dead) > MAX_STATES:
                 raise GuardExceeded(f"count-matrix search guard: more than MAX_STATES="
                                     f"{MAX_STATES} states proved dead at cap {cap}")
             stack.pop()
-            del digits[-1:]
             continue
-        bound, r, child = todo.pop()
+        bound, row, child = todo.pop()
         if bound > cap:
             continue
         if child[0] == inst.n:  # a leaf, whose bound is its value
-            cap, leaf = bound - 1, (digits + [r], child[1])
+            cap, leaf = bound - 1, ([frame[1] for frame in stack[1:]] + [row], child[1])
         elif child not in dead:
-            digits.append(r)
-            stack.append((child, children(child, cap)))
+            stack.append((child, row, children(child, cap)))
     schedule = _replay(inst, *leaf) if leaf else Schedule(assign)
     return SolveResult(value=cap + 1, schedule=schedule)
 

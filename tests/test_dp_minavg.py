@@ -6,13 +6,14 @@ import pytest
 from scensched.approx import minavg_derandomized
 from scensched import dp_minavg
 from scensched.dp_config import solve_config
-from scensched.dp_minavg import _bounds, _start, _walk, solve_minavg, solve_regret_sum
+from scensched.dp_minavg import _bounds, _replay, _start, _walk, solve_minavg, solve_regret_sum
 from scensched.dp_minmax import solve_pseudo
 from scensched.generators import gen_random, gen_unsplittable, matrix_to_instance
 from scensched.model import (
     MAX_STATES,
     GuardExceeded,
     ObjectiveKind,
+    Schedule,
     _objective,
     evaluate,
     make_instance,
@@ -52,6 +53,17 @@ def test_search_witness_is_its_first_leaf():
     assert evaluate(inst, res.schedule, ObjectiveKind.MINMAX).per_scenario == (11, 7, 21)
     res = solve_minavg(inst)
     assert (res.value, res.schedule) == (39, minavg_derandomized(inst))
+
+
+def test_replay_places_each_job_on_the_lowest_machine_holding_its_row():
+    # three machines, one scenario: jobs 0 and 1 both go on a row (0,), so
+    # job 0 takes machine 0 and job 1 machine 1, the lowest still at (0,);
+    # job 2 goes on the row (1,), which machine 0 holds first
+    inst = make_instance(3, [3, 2, 1], [[0, 1, 2]])
+    rows = [(0,), (0,), (1,)]
+    assert _replay(inst, rows, ((0,), (1,), (2,))) == Schedule((0, 1, 0))
+    with pytest.raises(AssertionError, match="replay ended off the search's final state"):
+        _replay(inst, rows, ((1,), (1,), (1,)))
 
 
 def test_all_scenarios_empty():

@@ -26,7 +26,9 @@ recorded: the exit code, the process's wall time from spawn to exit, its peak
 RSS, and from the solve record the value, ``time_ms`` and the instance hash.
 With ``--parent DIR`` the rungs also run on the tree at DIR, alternating run
 by run with this checkout, and each rung holds a ``parent`` and a ``change``
-record.  Linux only (``/proc/self/status``).
+record; the top-level ``differ`` lists every rung whose two records disagree
+on exit code or value, and the script exits 1 when it is not empty.  Linux
+only (``/proc/self/status``).
 
     python tools/rungs.py -o BENCH.json
     python tools/rungs.py --parent ../parent-checkout -o BENCH.json
@@ -169,6 +171,13 @@ def _median(records: list[dict]) -> dict:
     return dict(ranked[(len(ranked) - 1) // 2], runs=len(records))
 
 
+def differ(rungs: list[dict]) -> list[str]:
+    """``"rung objective"`` for each rung entry whose parent and change records
+    disagree on exit code or value."""
+    return [f"{e['rung']} {e['objective']}" for e in rungs
+            if any(e["parent"].get(key) != e["change"].get(key) for key in ("exit", "value"))]
+
+
 def _commit(tree: Path):
     proc = subprocess.run(["git", "-C", str(tree), "describe", "--always", "--dirty"],
                           capture_output=True, text=True)
@@ -210,12 +219,14 @@ def main(argv=None) -> int:
             report["rungs"].append(entry)
             print(rung, objective, *(f"{name} {entry[name]['exit']} {entry[name]['wall_s']} s"
                                      for name in trees), file=sys.stderr)
+    if args.parent is not None:
+        report["differ"] = differ(report["rungs"])
     text = json.dumps(report, indent=1) + "\n"
     if args.output is None:
         sys.stdout.write(text)
     else:
         args.output.write_text(text)
-    return 0
+    return 1 if report.get("differ") else 0
 
 
 if __name__ == "__main__":
