@@ -38,7 +38,6 @@ from .model import (
     _check_schedule,
     disbalance,
 )
-from .oracle import _check_guard, _visit_optima
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +275,11 @@ def equalize_two(
     pair's count imbalance, so on an optimal input (the intended use; the
     report's ``likely_nonoptimal`` flags inputs that cannot be optimal) the
     unit-weight sum objective is preserved exactly.
+
+    Only jobs of singleton profiles move.  Auxiliaries pad singleton
+    profiles alone, and the decomposition sums, profile by profile, to the
+    padded counts, so each machine of the pair keeps its count of every
+    profile of zero or of two or more scenarios.
     """
     basis = hilbert_basis(inst.K)  # its guard fires before the checks below
     _check_pair(inst, sched, i1, i2)
@@ -372,10 +376,12 @@ def equalize_all(inst: Instance, sched: Schedule) -> Schedule:
     machine against the currently lightest/heaviest one with
     :func:`equalize_two`, keeping its schedule and dropping its report.  A
     round must strictly lower the summed deviation from average (the
-    potential), which forces termination, but nothing proves it does: the
-    decomposition may pair every job of a machine with auxiliaries, so that
-    no job moves.  Such a round raises ValueError naming the pair and the
-    potential.  More than ``model.MAX_ROUNDS`` rounds raise GuardExceeded.
+    potential), which forces termination, but nothing proves it does:
+    ``equalize_two`` moves only singleton-profile jobs, so a round can change
+    the machines' scenario counts only through them, and it stalls whenever
+    the excess lies in a profile of two or more scenarios.  Such a round
+    raises ValueError naming the pair and the potential.  More than
+    ``model.MAX_ROUNDS`` rounds raise GuardExceeded.
     """
     K = inst.K
     threshold = 2 * K * basis_l1_sum(hilbert_basis(K))  # K guard before the weight check
@@ -449,6 +455,8 @@ def _least_full_disbalance(inst: Instance) -> int:
     """The least full disbalance over every canonical optimum of the sum
     objective, folded as the oracle visits each optimum: no list of optima
     is kept, so an instance whose leaves nearly all tie costs no memory."""
+    from .oracle import _visit_optima
+
     least = None
 
     def fold(assign) -> None:
@@ -481,7 +489,9 @@ def conjecture_probe(
     guard counts the canonical assignments of all trials together, so
     ``trials`` times their number per trial may not pass 2^GUARD_BITS.
     """
+    # only the probe runs the oracle, so only the probe loads it
     from .generators import _check_random_args, gen_random
+    from .oracle import _check_guard
 
     if type(trials) is not int:
         raise ValueError(f"trials must be an integer, got {trials!r}")

@@ -11,12 +11,9 @@ exact solvers, dp, config and fptas, proves dead), MAX_MEMBERSHIPS
 (``generate random``'s n*K <= 100 000), MAX_ROWS (``generate
 unsplittable``'s 5000 rows), MAX_SUBSET_ROWS (``is_unsplittable``'s 20
 rows) and MAX_ROUNDS (``equalize_all``'s 10 000 rounds).  The Hilbert
-basis's K <= 3 is the extent of ``balance``'s basis table.  Setting
-SCHED_GUARD_OVERRIDE=1, which ``model`` reads once at import, lifts exactly
-the oracle bits and the search states (to 1e9 bits and 10**9 states), at your
-own risk: memory and runtime grow quickly past them.  The other four limits
-and the K limit always hold, and the CLI itself reads no environment
-variable.
+basis's K <= 3 is the extent of ``balance``'s basis table.  No flag or
+environment variable changes a limit: the package reads no environment, so
+a run's values depend on its arguments and input files alone.
 ``verify`` and ``probe`` check the oracle guard before they run anything:
 ``verify`` after its pairing and --epsilon checks but before the
 algorithm, ``probe`` after its argument checks but before it builds a
@@ -302,7 +299,22 @@ def _parse_edges(spec: str) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
+# the flags each generate family reads, besides -o; any other flag given
+# with a value off its default is rejected, not ignored
+_FAMILY_FLAGS = {
+    "coloring": ("vertices", "edges", "m"),
+    "maxcut": ("vertices", "edges"),
+    "partition3": ("a", "m"),
+    "unsplittable": ("q", "t", "to_instance", "eps_denominator"),
+    "random": ("n", "m", "K", "w_max", "density", "seed"),
+}
+
+
 def _cmd_generate(args) -> int:
+    read = (*_FAMILY_FLAGS[args.family], _OUTPUT.dest)
+    for flag in COMMANDS["generate"].flags:
+        if flag.dest not in read and getattr(args, flag.dest) != flag.default:
+            raise ValueError(f"generate {args.family} does not read {flag.label}")
     if args.family == "coloring":
         g = scensched.Graph(args.vertices, _parse_edges(args.edges))
         doc = instance_to_dict(scensched.gen_coloring(g, args.m))

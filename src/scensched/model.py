@@ -20,7 +20,6 @@ no checks (``Schedule``, ``CostVector``, ...) are ``typing.NamedTuple``s;
 from __future__ import annotations
 
 import json
-import os
 from enum import Enum
 from operator import sub
 from typing import NamedTuple
@@ -43,16 +42,14 @@ class GuardExceeded(RuntimeError):
 # The size limits that keep the NP-hard cases from running for minutes, each
 # defined here and nowhere else.  Every function reads its limit when it is
 # called and takes no keyword for it, except the oracle's brute_force, whose
-# bit limit defaults to GUARD_BITS.  SCHED_GUARD_OVERRIDE=1, read once at
-# import, lifts the first two (to 1e9 bits and 10**9 states); the other four
-# always hold.  The Hilbert basis's K limit is not here: it is the extent of
+# bit limit defaults to GUARD_BITS.  No environment variable or flag changes
+# them.  The Hilbert basis's K limit is not here: it is the extent of
 # balance's basis table (K <= 3), since the completion procedure did not
 # finish K = 4 within 60 s.
-_OVERRIDE = os.environ.get("SCHED_GUARD_OVERRIDE") == "1"
 # the oracle enumerates at most 2^GUARD_BITS canonical assignments, and one
 # solve by the count-matrix search proves at most MAX_STATES states dead
-GUARD_BITS = 1e9 if _OVERRIDE else 21.0
-MAX_STATES = 10**9 if _OVERRIDE else 2_000_000
+GUARD_BITS = 21
+MAX_STATES = 2_000_000
 MAX_MEMBERSHIPS = 100_000  # n*K of gen_random, checked before the first draw
 MAX_ROWS = 5000  # rows of a generated unsplittable matrix, checked before a level is built
 MAX_SUBSET_ROWS = 20  # rows that is_unsplittable checks by enumerating 2^rows subsets

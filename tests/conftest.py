@@ -1,13 +1,8 @@
 """Shared seeded instance suites for the module tests and the acceptance run,
 and a switch that runs the exact solvers with and without their root check."""
 
-import os
 from collections import Counter
 from contextlib import contextmanager
-
-# model reads the override once, at import: the suite runs at the shipped
-# limits whatever the calling shell sets
-os.environ.pop("SCHED_GUARD_OVERRIDE", None)
 
 from scensched import dp_minavg
 from scensched.generators import gen_random

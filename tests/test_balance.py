@@ -717,6 +717,45 @@ def test_equalize_all_rejects_a_round_that_keeps_the_potential():
         equalize_all(inst, Schedule((0,) * 280))
 
 
+def _larger_profile_counts(inst, assignment, i):
+    """Machine i's job count per profile of zero or two or more scenarios."""
+    return Counter(ks for ks, a in zip(inst.job_scenarios, assignment)
+                   if a == i and len(ks) != 1)
+
+
+def test_equalize_two_moves_only_singleton_profile_jobs():
+    # only singleton profiles take auxiliaries, and the basis decomposition
+    # sums, profile by profile, to the padded pair counts: so every other
+    # profile keeps its count on each machine of the pair
+    moved = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        n, m, K = rng.randint(6, 65), rng.randint(2, 4), rng.randint(1, 3)
+        inst = gen_random(n, m, K, w_max=1, seed=seed)
+        sched = Schedule(tuple(rng.randrange(m) for _ in range(n)))
+        i1, i2 = rng.sample(range(m), 2)
+        out, _ = equalize_two(inst, sched, i1, i2)
+        moved += out != sched
+        for i in (i1, i2):
+            assert (_larger_profile_counts(inst, out.assignment, i)
+                    == _larger_profile_counts(inst, sched.assignment, i)), (seed, i)
+    assert moved > 300  # most pairs do change
+
+
+def test_equalize_all_stalls_when_the_excess_lies_in_a_larger_profile():
+    # a uniformly random schedule of 20 000 jobs: round 1 pairs machines 1
+    # and 0, and machine 1 holds 110 more jobs of the two-scenario profile;
+    # the singleton-profile jobs, the only ones that move, just mirror the
+    # pair's differences, so the potential stays at 1964
+    inst = gen_random(20000, 5, 2, w_max=1, seed=1)
+    rng = random.Random(1)
+    sched = Schedule(tuple(rng.randrange(5) for _ in range(20000)))
+    message = ("equalizing machines 1 and 0 left the potential at 1964 (was 1964): "
+               "pairwise equalization cannot settle this schedule")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        equalize_all(inst, sched)
+
+
 def test_equalize_all_matches_the_full_machine_scan(monkeypatch):
     needs_rounds = []
     for inst, sched in _equalize_sweep():
@@ -791,7 +830,7 @@ def test_probe_checks_the_oracle_guard_before_building_an_instance(monkeypatch):
 
     monkeypatch.setattr(generators, "gen_random", built)
     with pytest.raises(GuardExceeded, match=(
-            r"oracle guard: more than 2\^21\.0 canonical assignments for n=1000000, m=2")):
+            r"oracle guard: more than 2\^21 canonical assignments for n=1000000, m=2")):
         conjecture_probe(10**6, 2, 2, 1, 0)
 
 
@@ -807,7 +846,7 @@ def test_probe_guard_counts_every_trial(monkeypatch):
     monkeypatch.setattr(generators, "gen_random", built)
     with pytest.raises(Built):
         conjecture_probe(14, 2, 1, 256, 0)
-    message = ("oracle guard: more than 2^21.0 canonical assignments for n=14, m=2 "
+    message = ("oracle guard: more than 2^21 canonical assignments for n=14, m=2 "
                "summed over trials=257")
     with pytest.raises(GuardExceeded, match=f"^{re.escape(message)}$"):
         conjecture_probe(14, 2, 1, 257, 0)

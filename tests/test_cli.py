@@ -28,11 +28,8 @@ def five_unit(tmp_path):
     return path
 
 
-DEFAULT_GUARDS = {"guard_bits": 21.0, "max_states": 2_000_000}
-
 ROOT = Path(__file__).resolve().parents[1]
-PROCESS_ENV = {k: v for k, v in os.environ.items()
-               if k not in ("PYTHONPATH", "SCHED_GUARD_OVERRIDE")}
+PROCESS_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
 PROCESS_ENV["PYTHONPATH"] = str(ROOT / "src")
 
 
@@ -41,15 +38,6 @@ def _process(argv, **kwargs):
     kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "env": PROCESS_ENV,
               "timeout": 60, **kwargs}
     return subprocess.run([sys.executable, "-m", "scensched.cli", *argv], text=True, **kwargs)
-
-
-def _limits(env):
-    """The oracle bits and walk states that a fresh process with env reads."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import json; from scensched.model import GUARD_BITS, MAX_STATES; "
-         "print(json.dumps({'guard_bits': GUARD_BITS, 'max_states': MAX_STATES}))"],
-        stdout=subprocess.PIPE, env=env, text=True, timeout=60, check=True)
-    return json.loads(proc.stdout)
 
 
 def _write_instance(tmp_path, inst, name="i.json"):
@@ -180,7 +168,7 @@ def test_verify_checks_the_oracle_guard_before_the_solver_runs(tmp_path, monkeyp
     assert main(["verify", "--algo", "dp", "--objective", "minmax", "-i", str(path)]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("guard exceeded: oracle guard: more than 2^21.0 canonical assignments "
+    assert err == ("guard exceeded: oracle guard: more than 2^21 canonical assignments "
                    "for n=33, m=2 (raise guard_bits to override)\n")
 
 
@@ -249,6 +237,21 @@ def test_generate_partition3(tmp_path):
                  "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert len(doc["weights"]) == 18
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["maxcut", "--vertices", "3", "--edges", "0-1,1-2", "--m", "5"], "--m"),
+    (["random", "--a", "1,2"], "--a"),
+    (["random", "--to-instance"], "--to-instance"),
+    (["coloring", "--vertices", "3", "--seed", "1"], "--seed"),
+    (["partition3", "--a", "1,1,1", "--density", "1/3"], "--density"),
+    (["unsplittable", "--n", "4"], "--n"),
+], ids=["maxcut-m", "random-a", "random-to-instance", "coloring-seed", "partition3-density",
+        "unsplittable-n"])
+def test_generate_rejects_a_flag_its_family_does_not_read(argv, flag, capsys):
+    assert main(["generate", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: generate {argv[0]} does not read {flag}\n")
 
 
 def test_probe_deterministic(tmp_path):
@@ -326,7 +329,9 @@ def test_balance_reports_an_equalization_that_cannot_settle(tmp_path):
 
 @pytest.mark.parametrize("machines", [[], ["--machines", "0", "1"]], ids=["all", "pair"])
 def test_guard_override_keeps_the_hilbert_basis_guard(tmp_path, machines):
-    # a separate process with a timeout: the basis at K = 4 does not finish
+    # a separate process with a timeout, since a K = 4 basis would not
+    # finish; SCHED_GUARD_OVERRIDE=1 is set to show that no environment
+    # variable lifts a limit
     inst = make_instance(2, [1] * 4, [[0], [1], [2], [3]])
     inst_path = _write_instance(tmp_path, inst)
     sched_path = tmp_path / "s.json"
@@ -465,35 +470,24 @@ def test_fptas_without_epsilon_is_contract_error(five_unit, capsys):
     assert "requires --epsilon" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "", "true", "yes"])
-def test_guard_override_needs_exactly_one(tmp_path, value):
-    # the override is read once, when model is imported: a process test
-    env = {**PROCESS_ENV, "SCHED_GUARD_OVERRIDE": value}
-    assert _limits(env) == DEFAULT_GUARDS
-    wide = _write_instance(tmp_path, make_instance(2, [1] * 33, [list(range(33))]))
-    assert _process(["verify", "--algo", "approx-minavg", "-i", str(wide)], env=env).returncode == 3
-
-
-def test_guard_override_lifts_guards():
-    assert _limits(PROCESS_ENV) == DEFAULT_GUARDS
-    lifted = _limits({**PROCESS_ENV, "SCHED_GUARD_OVERRIDE": "1"})
-    assert lifted == {"guard_bits": 1e9, "max_states": 10**9}
-
-
-def test_guard_override_lifts_the_oracle_guard_end_to_end(tmp_path):
+@pytest.mark.parametrize("env", [{}, {"SCHED_GUARD_OVERRIDE": "1"}], ids=["unset", "1"])
+def test_guard_override_changes_no_limit(tmp_path, env):
+    # the package reads no environment, so SCHED_GUARD_OVERRIDE=1 leaves the
+    # oracle bits and the search states at their shipped values
+    env = {**PROCESS_ENV, **env}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json; from scensched.model import GUARD_BITS, MAX_STATES; "
+         "print(json.dumps([GUARD_BITS, MAX_STATES]))"],
+        stdout=subprocess.PIPE, env=env, text=True, timeout=60, check=True)
+    assert json.loads(proc.stdout) == [21, 2_000_000]
     # 23 jobs on two machines: 2^22 canonical assignments, past 2^21
     path = tmp_path / "n23.json"
-    gen = _process(["generate", "random", "--n", "23", "--m", "2", "--K", "2", "--seed", "0",
-                    "-o", str(path)])
-    assert gen.returncode == 0
-    argv = ["verify", "--algo", "dp", "-i", str(path)]
-    guarded = _process(argv)
+    assert main(["generate", "random", "--n", "23", "--m", "2", "--K", "2", "--seed", "0",
+                 "-o", str(path)]) == 0
+    guarded = _process(["verify", "--algo", "dp", "-i", str(path)], env=env)
     assert (guarded.returncode, guarded.stdout) == (3, "")
-    assert guarded.stderr == ("guard exceeded: oracle guard: more than 2^21.0 canonical "
+    assert guarded.stderr == ("guard exceeded: oracle guard: more than 2^21 canonical "
                               "assignments for n=23, m=2 (raise guard_bits to override)\n")
-    lifted = _process(argv, env={**PROCESS_ENV, "SCHED_GUARD_OVERRIDE": "1"})
-    assert (lifted.returncode, lifted.stderr) == (0, "")
-    assert json.loads(lifted.stdout)["ok"] is True
 
 
 def _one_gib_of_memory():
@@ -708,7 +702,7 @@ def test_process_writes_the_output_file_whole(tmp_path):
     (["solve", "--algo", "dp", "--bogus", "1", "-i", "INST"], 2,
      "scensched solve: error: unrecognized argument: --bogus\n"),
     (["verify", "--algo", "approx-minavg", "-i", "WIDE"], 3,
-     "guard exceeded: oracle guard: more than 2^21.0 canonical assignments for n=33, m=2 "
+     "guard exceeded: oracle guard: more than 2^21 canonical assignments for n=33, m=2 "
      "(raise guard_bits to override)\n"),
     (["-h"], 0, ""),
 ], ids=["solve", "bad-pairing", "malformed-flag", "oracle-guard", "help"])

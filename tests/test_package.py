@@ -98,7 +98,8 @@ def test_cli_process_imports_only_what_its_command_runs(tmp_path):
         assert name not in report["minmax"]
     # neither command builds a Fraction
     assert "scensched.generators" in report["coloring"]
-    assert "scensched.oracle" in report["equalize"]
+    assert "scensched.balance" in report["equalize"]
+    assert "scensched.oracle" not in report["equalize"]
     for step in ("coloring", "equalize"):
         assert "fractions" not in report[step] and "decimal" not in report[step]
     # fptas parses its epsilon as a Fraction: the probe sees the module load

@@ -21,14 +21,14 @@ inherits its parent's high-water mark.  Each child runs under a 3 GiB address
 space limit and a time limit; a run past the limit is killed, and reports the
 ``VmHWM`` read just before.
 
-Per rung and tree, the run with the median wall time of three runs is
-recorded: the exit code, the process's wall time from spawn to exit, its peak
-RSS, and from the solve record the value, ``time_ms`` and the instance hash.
-With ``--parent DIR`` the rungs also run on the tree at DIR, alternating run
-by run with this checkout, and each rung holds a ``parent`` and a ``change``
-record; the top-level ``differ`` lists every rung whose two records disagree
-on exit code or value, and the script exits 1 when it is not empty.  Linux
-only (``/proc/self/status``).
+Per rung and tree, every one of three runs is recorded, in run order: the
+exit code, the process's wall time from spawn to exit, its peak RSS, and from
+the solve record the value, ``time_ms`` and the instance hash.  With
+``--parent DIR`` the rungs also run on the tree at DIR, alternating run by
+run with this checkout, and each rung holds a ``parent`` and a ``change``
+list of runs; the top-level ``differ`` lists every rung where any two runs,
+of either tree, disagree on exit code or value, and the script exits 1 when
+it is not empty.  Linux only (``/proc/self/status``).
 
     python tools/rungs.py -o BENCH.json
     python tools/rungs.py --parent ../parent-checkout -o BENCH.json
@@ -43,6 +43,7 @@ import platform
 import random
 import re
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -133,6 +134,8 @@ def _limit_address_space():
 
 def run_once(src: Path, path: Path, objective: str) -> dict:
     """One solve process on the tree ``src``; its record, as documented above."""
+    # the package reads no environment, but a tree given by --parent may be
+    # old enough to lift its limits under SCHED_GUARD_OVERRIDE
     env = {k: v for k, v in os.environ.items()
            if k not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE", "SCHED_GUARD_OVERRIDE")}
     env["PYTHONPATH"] = str(src / "src")
@@ -166,16 +169,12 @@ def run_once(src: Path, path: Path, objective: str) -> dict:
     return record
 
 
-def _median(records: list[dict]) -> dict:
-    ranked = sorted(records, key=lambda r: r["wall_s"])
-    return dict(ranked[(len(ranked) - 1) // 2], runs=len(records))
-
-
 def differ(rungs: list[dict]) -> list[str]:
-    """``"rung objective"`` for each rung entry whose parent and change records
-    disagree on exit code or value."""
+    """``"rung objective"`` for each rung entry where any two runs, of the
+    parent or the change, disagree on exit code or value."""
     return [f"{e['rung']} {e['objective']}" for e in rungs
-            if any(e["parent"].get(key) != e["change"].get(key) for key in ("exit", "value"))]
+            if len({(r.get("exit"), r.get("value"))
+                    for r in e["parent"] + e["change"]}) > 1]
 
 
 def _commit(tree: Path):
@@ -201,7 +200,7 @@ def main(argv=None) -> int:
         "commits": {name: _commit(tree) for name, tree in trees.items()},
         "method": {"runs": RUNS, "time_limit_s": TIME_LIMIT_S,
                    "address_space_limit_bytes": ADDRESS_SPACE,
-                   "recorded": "the run with the median wall time"},
+                   "recorded": "every run, in run order"},
         "rungs": [],
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -215,10 +214,11 @@ def main(argv=None) -> int:
                     runs[name].append(run_once(tree, path, objective))
             entry = {"rung": rung, "objective": objective, "n": inst.n, "m": inst.m,
                      "K": inst.K, "instance": instance_hash(inst)}
-            entry.update({name: _median(records) for name, records in runs.items()})
+            entry.update(runs)
             report["rungs"].append(entry)
-            print(rung, objective, *(f"{name} {entry[name]['exit']} {entry[name]['wall_s']} s"
-                                     for name in trees), file=sys.stderr)
+            print(rung, objective, *(f"{name} {[r['exit'] for r in records]} "
+                                     f"{statistics.median(r['wall_s'] for r in records)} s"
+                                     for name, records in runs.items()), file=sys.stderr)
     if args.parent is not None:
         report["differ"] = differ(report["rungs"])
     text = json.dumps(report, indent=1) + "\n"
