@@ -8,7 +8,8 @@ by the function that enforces it: GUARD_BITS (the oracle's at most 2^21
 canonical assignments: up to 22 jobs on 2 machines, 14 on 3, 12 on 4 or 5,
 11 on any larger number), MAX_STATES (2M states that one solve of the
 exact solvers, dp, config and fptas, proves dead), MAX_MEMBERSHIPS
-(``generate random``'s n*K <= 100 000), MAX_ROWS (``generate
+(``generate random``'s n*K <= 100 000, and the jobs plus memberships of
+``generate coloring``, ``maxcut`` and ``partition3``), MAX_ROWS (``generate
 unsplittable``'s 5000 rows), MAX_SUBSET_ROWS (``is_unsplittable``'s 20
 rows) and MAX_ROUNDS (``equalize_all``'s 10 000 rounds).  The Hilbert
 basis's K <= 3 is the extent of ``balance``'s basis table.  No flag or
@@ -161,9 +162,18 @@ def _rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _load_json(fh, path: str):
+    """``json.load``, with a file nested past the recursion limit rejected as
+    malformed (exit 2), not raised as a RecursionError traceback."""
+    try:
+        return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_instance(path: str) -> Instance:
     with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+        return instance_from_dict(_load_json(fh, path))
 
 
 def _write(text: str, path: str | None) -> None:
@@ -312,6 +322,8 @@ _FAMILY_FLAGS = {
 
 def _cmd_generate(args) -> int:
     read = (*_FAMILY_FLAGS[args.family], _OUTPUT.dest)
+    if not args.to_instance:  # only the instance --to-instance builds has weights
+        read = tuple(dest for dest in read if dest != "eps_denominator")
     for flag in COMMANDS["generate"].flags:
         if flag.dest not in read and getattr(args, flag.dest) != flag.default:
             raise ValueError(f"generate {args.family} does not read {flag.label}")
@@ -364,7 +376,7 @@ def _cmd_probe(args) -> int:
 def _cmd_balance(args) -> int:
     inst = _load_instance(args.instance)
     with open(args.schedule) as fh:
-        sched = schedule_from_dict(inst, json.load(fh))
+        sched = schedule_from_dict(inst, _load_json(fh, args.schedule))
     before = evaluate(inst, sched, ObjectiveKind.MINAVG).aggregate
     if args.machines:
         i1, i2 = args.machines

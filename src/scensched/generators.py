@@ -91,11 +91,26 @@ class ScenarioMatrix(_Frozen):
 # ---------------------------------------------------------------------------
 
 
+def _check_size(family: str, jobs: int, memberships: int) -> None:
+    """GuardExceeded when an instance of ``jobs`` jobs and ``memberships``
+    scenario memberships would hold more than ``model.MAX_MEMBERSHIPS`` of
+    them together; called before anything is built."""
+    if jobs + memberships > MAX_MEMBERSHIPS:
+        raise GuardExceeded(
+            f"{family} instance guard: {jobs} jobs and {memberships} memberships "
+            f"exceed {MAX_MEMBERSHIPS}"
+        )
+
+
 def gen_coloring(g: Graph, m: int) -> Instance:
     """Coloring gadget: the max objective is 2 iff the graph is m-colorable.
 
     An edgeless graph yields one empty scenario (the model requires K >= 1).
+    More than ``model.MAX_MEMBERSHIPS`` jobs and memberships together (one job
+    per vertex, two memberships per edge) raise GuardExceeded before the
+    instance is built.
     """
+    _check_size("graph", g.n_vertices, 2 * len(g.edges))
     scenarios = [list(e) for e in g.edges] or [[]]
     return make_instance(m, [1] * g.n_vertices, scenarios)
 
@@ -126,13 +141,16 @@ def gen_partition3(a: list[int], m: int) -> Instance:
     Block j holds three "white" jobs of weight Q_j on pair profiles, three
     "black" jobs of weight Q_j + a_j on the same profiles, and 2(m-2) "gray"
     jobs of weight Q_j in all three scenarios, so every scenario meets every
-    block in exactly 2m jobs.
+    block in exactly 2m jobs.  More than ``model.MAX_MEMBERSHIPS`` jobs and
+    memberships together (2m + 2 jobs and 6m memberships per block) raise
+    GuardExceeded before the block weights are computed.
     """
     if type(m) is not int or m < 2:
         raise ValueError("need at least two machines")
     if not a or any(type(v) is not int or v < 1 for v in a):
         raise ValueError("need a nonempty list of positive integers")
     n = len(a)
+    _check_size("partition3", n * (2 * m + 2), n * 6 * m)
     q = partition3_block_weights(a, m)
     for j in range(n - 1):
         assert q[j] > q[j + 1] + a[j + 1], "block weights must dominate later blocks"

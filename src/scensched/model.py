@@ -50,7 +50,9 @@ class GuardExceeded(RuntimeError):
 # solve by the count-matrix search proves at most MAX_STATES states dead
 GUARD_BITS = 21
 MAX_STATES = 2_000_000
-MAX_MEMBERSHIPS = 100_000  # n*K of gen_random, checked before the first draw
+# n*K of gen_random, checked before the first draw, and the jobs plus
+# memberships of gen_coloring and gen_partition3, checked before they are built
+MAX_MEMBERSHIPS = 100_000
 MAX_ROWS = 5000  # rows of a generated unsplittable matrix, checked before a level is built
 MAX_SUBSET_ROWS = 20  # rows that is_unsplittable checks by enumerating 2^rows subsets
 MAX_ROUNDS = 10_000  # rounds of equalize_all

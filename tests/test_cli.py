@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -221,6 +222,41 @@ def test_generate_random_past_the_membership_guard_exits_3(capsys):
     )
 
 
+def _limit_address_space():
+    # 800 MB: an unguarded generator dies with MemoryError here, not after
+    # taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (800_000 << 10, 800_000 << 10))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["coloring", "--vertices", "200000000"],
+     "graph instance guard: 200000000 jobs and 0 memberships exceed 100000"),
+    (["partition3", "--a", "1,1,1", "--m", "100000000"],
+     "partition3 instance guard: 600000006 jobs and 1800000000 memberships exceed 100000"),
+], ids=["coloring", "partition3"])
+def test_generate_past_the_size_guard_exits_3_before_building(argv, message):
+    proc = _process(["generate", *argv], preexec_fn=_limit_address_space, timeout=20)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"guard exceeded: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--algo", "dp", "-i", "{deep}"],
+    ["verify", "--algo", "dp", "-i", "{deep}"],
+    ["balance", "equalize", "-i", "{deep}", "-s", "{schedule}"],
+    ["balance", "equalize", "-i", "{instance}", "-s", "{deep}"],
+], ids=["solve-instance", "verify-instance", "balance-instance", "balance-schedule"])
+def test_a_deeply_nested_file_exits_2_without_a_traceback(tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 2000 + "]" * 2000)  # 4 KB, past the recursion limit
+    paths = {"deep": deep, "instance": _write_instance(tmp_path, make_instance(2, [1], [[0]])),
+             "schedule": tmp_path / "s.json"}
+    paths["schedule"].write_text(json.dumps({"assignment": [0]}))
+    proc = _process([arg.format(**paths) for arg in argv])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {deep}: JSON nested too deeply\n"
+
+
 def test_generate_coloring_and_solve(tmp_path):
     inst_path = tmp_path / "tri.json"
     assert main(["generate", "coloring", "--vertices", "3",
@@ -246,8 +282,9 @@ def test_generate_partition3(tmp_path):
     (["coloring", "--vertices", "3", "--seed", "1"], "--seed"),
     (["partition3", "--a", "1,1,1", "--density", "1/3"], "--density"),
     (["unsplittable", "--n", "4"], "--n"),
+    (["unsplittable", "--q", "2", "--t", "2", "--eps-denominator", "7"], "--eps-denominator"),
 ], ids=["maxcut-m", "random-a", "random-to-instance", "coloring-seed", "partition3-density",
-        "unsplittable-n"])
+        "unsplittable-n", "unsplittable-eps-denominator-without-to-instance"])
 def test_generate_rejects_a_flag_its_family_does_not_read(argv, flag, capsys):
     assert main(["generate", *argv]) == 2
     out, err = capsys.readouterr()

@@ -8,12 +8,7 @@ from scensched import dp_minavg
 from scensched.dp_config import solve_config
 from scensched.dp_minavg import _bounds, _replay, _start, _walk, solve_minavg, solve_regret_sum
 from scensched.dp_minmax import solve_pseudo
-from scensched.generators import (
-    gen_partition3,
-    gen_random,
-    gen_unsplittable,
-    matrix_to_instance,
-)
+from scensched.generators import gen_random, gen_unsplittable, matrix_to_instance
 from scensched.model import (
     MAX_STATES,
     GuardExceeded,
@@ -350,29 +345,14 @@ def test_state_guard_counts_the_whole_solve(monkeypatch):
     assert solve_minavg(inst).value == 33432
 
 
-_UNSPL = lambda: matrix_to_instance(gen_unsplittable(2, 3))
-_P3_36 = lambda: gen_partition3([10, 11, 12, 13, 14, 15], 2)
-_N20000 = lambda: gen_random(20000, 20000, 3, seed=1)
-
-
-@pytest.mark.parametrize("build, kind, value", [
-    (lambda: gen_random(40, 3, 3, seed=1), ObjectiveKind.MINMAX, 321),
-    (lambda: gen_random(400, 4, 3, seed=1), ObjectiveKind.MINAVG, 49270),
-    (lambda: gen_random(60, 3, 3, w_max=1, seed=1), ObjectiveKind.MINAVG, 491),
-    (_UNSPL, ObjectiveKind.MINMAX, 5572),
-    (_UNSPL, ObjectiveKind.MINAVG, 33432),
-    (_P3_36, ObjectiveKind.MINMAX, 1_164_721_146_076_401),
-    (_P3_36, ObjectiveKind.MINAVG, 3_494_163_438_229_203),
-    (lambda: gen_random(80, 4, 4, seed=0), ObjectiveKind.MINAVG, 3820),
-    (_N20000, ObjectiveKind.MINMAX, 50506),
-    (_N20000, ObjectiveKind.MINAVG, 150570),
-], ids=["n40-minmax", "n400-sum", "n60-unit-sum", "unspl-minmax", "unspl-sum", "p3-36-minmax",
-        "p3-36-sum", "r80-sum", "n20000m20000-minmax", "n20000m20000-sum"])
-def test_solver_values_on_the_larger_instances(build, kind, value):
-    # the values the installed-console-script check pins, solved in-process;
-    # on 20 000 jobs on 20 000 machines both solves end at the root check
-    inst = build()
+@pytest.mark.parametrize("kind, value", [
+    (ObjectiveKind.MINMAX, 50506),
+    (ObjectiveKind.MINAVG, 150570),
+], ids=["n20000m20000-minmax", "n20000m20000-sum"])
+def test_solver_values_on_the_larger_instances(kind, value):
+    # on 20 000 jobs on 20 000 machines both solves end at the root check,
+    # with the greedy schedule; the hard rungs are pinned in test_rungs.py
+    inst = gen_random(20000, 20000, 3, seed=1)
     res = _walk(inst, kind)
     assert res.value == value == evaluate(inst, res.schedule, kind).aggregate
-    if build is _N20000:
-        assert res.schedule == minavg_derandomized(inst)
+    assert res.schedule == minavg_derandomized(inst)

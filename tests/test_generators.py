@@ -208,6 +208,28 @@ def test_gen_random_membership_guard_runs_before_the_first_draw(monkeypatch):
         gen_random(7, 2, 1)
 
 
+def test_graph_and_partition3_size_guards_run_before_building(monkeypatch):
+    monkeypatch.setattr(generators, "make_instance", None)  # any build would fail
+    with pytest.raises(GuardExceeded, match=(
+            r"^graph instance guard: 200000000 jobs and 0 memberships exceed 100000$")):
+        gen_maxcut(Graph(200_000_000, ()))
+    with pytest.raises(GuardExceeded, match=(
+            r"^partition3 instance guard: 600000006 jobs and 1800000000 memberships ")):
+        gen_partition3([1, 1, 1], 100_000_000)
+    with pytest.raises(ValueError, match="positive"):  # the argument checks come first
+        gen_partition3([0] * 100_000, 2)
+    monkeypatch.undo()
+    # a triangle is 3 jobs and 6 memberships; p3-36 is 36 jobs and 72
+    monkeypatch.setattr(generators, "MAX_MEMBERSHIPS", 9)
+    assert gen_coloring(Graph(3, ((0, 1), (1, 2), (0, 2))), 2).n == 3
+    with pytest.raises(GuardExceeded, match=r"4 jobs and 6 memberships exceed 9$"):
+        gen_coloring(Graph(4, ((0, 1), (1, 2), (2, 3))), 2)
+    monkeypatch.setattr(generators, "MAX_MEMBERSHIPS", 108)
+    assert gen_partition3([10, 11, 12, 13, 14, 15], 2).n == 36
+    with pytest.raises(GuardExceeded, match=r"42 jobs and 84 memberships exceed 108$"):
+        gen_partition3([10, 11, 12, 13, 14, 15, 16], 2)
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -197,6 +197,10 @@ _TWO = make_instance(2, [3, 2, 1], [[0, 1], [1, 2]])
      "weight of job 1 must be a nonnegative integer"),
     (lambda: make_instance(2, [5, 1, -1, 7], [[0]]), ValueError,
      "weight of job 2 must be a nonnegative integer"),
+    (lambda: Instance(2, (1, -1), (frozenset({0}),), (0, 1)), ValueError,
+     "weight of job 1 must be a nonnegative integer"),
+    (lambda: Instance(2, (True, 1), (frozenset({0}),), (0, 1)), ValueError,
+     "weight of job 0 must be a nonnegative integer"),
 ], ids=["instance-without-jobs", "evaluate-short-schedule", "disbalance-long-schedule",
         "scenario-optimum-index", "instance-list-scenario", "instance-set-scenario",
         "instance-list-weights", "instance-list-scenarios", "instance-list-order",
@@ -206,7 +210,7 @@ _TWO = make_instance(2, [3, 2, 1], [[0, 1], [1, 2]])
         "hilbert-basis-k-bool", "hilbert-basis-k-float", "evaluate-kind-str", "evaluate-kind-int",
         "brute-force-kind-none", "walk-kind-str", "solve-pseudo-kind-str",
         "solve-config-kind-str", "solve-pseudo-value-str", "weight-str", "weight-none",
-        "weight-negative"])
+        "weight-negative", "instance-weight-negative", "instance-weight-bool"])
 def test_contract_checks_raise_their_message(call, error, message):
     with pytest.raises(error) as info:
         call()

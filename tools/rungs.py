@@ -1,6 +1,8 @@
 """Runs the hard rungs of the exact solvers, one CLI process per solve.
 
-Each rung is an instance named in ROADMAP.md's notation and an objective:
+Each rung is an instance named in ROADMAP.md's notation, an objective and
+the optimum, which ``tests/test_rungs.py`` checks by solving every rung
+in-process:
 
 - ``r(n, m, K, s)`` is ``gen_random(n, m, K, w_max=9, density=0.5, seed=s)``,
   the defaults of ``scensched generate random``;
@@ -25,10 +27,10 @@ Per rung and tree, every one of three runs is recorded, in run order: the
 exit code, the process's wall time from spawn to exit, its peak RSS, and from
 the solve record the value, ``time_ms`` and the instance hash.  With
 ``--parent DIR`` the rungs also run on the tree at DIR, alternating run by
-run with this checkout, and each rung holds a ``parent`` and a ``change``
-list of runs; the top-level ``differ`` lists every rung where any two runs,
-of either tree, disagree on exit code or value, and the script exits 1 when
-it is not empty.  Linux only (``/proc/self/status``).
+run with this checkout, and each rung holds a ``parent`` list of runs beside
+its ``change`` list.  The top-level ``differ`` lists every rung where some
+run, of either tree, does not exit 0 with the rung's optimum, and the script
+exits 1 when it is not empty.  Linux only (``/proc/self/status``).
 
     python tools/rungs.py -o BENCH.json
     python tools/rungs.py --parent ../parent-checkout -o BENCH.json
@@ -56,24 +58,24 @@ sys.path.insert(0, str(ROOT / "src"))
 from scensched import generators as gen  # noqa: E402
 from scensched.model import instance_hash, instance_to_dict  # noqa: E402
 
-# the 16 rungs of BENCH_27.json, in its order
+# the 16 rungs of BENCH_27.json, in its order, each with its optimum
 RUNGS = [
-    ("coloring v=12", "minmax"),
-    ("r(40,3,3,1)", "minmax"),
-    ("r(80,4,4,0)", "minavg"),
-    ("r(200,4,3,1)", "minavg"),
-    ("r(400,4,3,1)", "minavg"),
-    ("r(300,6,3,1)", "minavg"),
-    ("r(400,4,3,2)", "minavg"),
-    ("u(60,3,3,1)", "minavg"),
-    ("u(60,3,4,0)", "minavg"),
-    ("u(120,4,3,0)", "minavg"),
-    ("u(100,2,3,3)", "minavg"),
-    ("coloring v=10", "minmax"),
-    ("p3-36", "minmax"),
-    ("unspl", "minmax"),
-    ("unspl", "minavg"),
-    ("p3-36", "minavg"),
+    ("coloring v=12", "minmax", 3),
+    ("r(40,3,3,1)", "minmax", 321),
+    ("r(80,4,4,0)", "minavg", 3820),
+    ("r(200,4,3,1)", "minavg", 14_095),
+    ("r(400,4,3,1)", "minavg", 49_270),
+    ("r(300,6,3,1)", "minavg", 18_149),
+    ("r(400,4,3,2)", "minavg", 56_498),
+    ("u(60,3,3,1)", "minavg", 491),
+    ("u(60,3,4,0)", "minavg", 675),
+    ("u(120,4,3,0)", "minavg", 1349),
+    ("u(100,2,3,3)", "minavg", 2088),
+    ("coloring v=10", "minmax", 3),
+    ("p3-36", "minmax", 1_164_721_146_076_401),
+    ("unspl", "minmax", 5572),
+    ("unspl", "minavg", 33_432),
+    ("p3-36", "minavg", 3_494_163_438_229_203),
 ]
 
 RUNS = 3  # per rung and tree
@@ -134,10 +136,8 @@ def _limit_address_space():
 
 def run_once(src: Path, path: Path, objective: str) -> dict:
     """One solve process on the tree ``src``; its record, as documented above."""
-    # the package reads no environment, but a tree given by --parent may be
-    # old enough to lift its limits under SCHED_GUARD_OVERRIDE
     env = {k: v for k, v in os.environ.items()
-           if k not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE", "SCHED_GUARD_OVERRIDE")}
+           if k not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
     env["PYTHONPATH"] = str(src / "src")
     read, write = os.pipe()
     cmd = [sys.executable, "-c", LAUNCHER, str(write), "solve", "--algo", "dp",
@@ -170,11 +170,11 @@ def run_once(src: Path, path: Path, objective: str) -> dict:
 
 
 def differ(rungs: list[dict]) -> list[str]:
-    """``"rung objective"`` for each rung entry where any two runs, of the
-    parent or the change, disagree on exit code or value."""
+    """``"rung objective"`` for each rung entry where any run, of the parent
+    or the change, does not exit 0 with the entry's ``optimum``."""
     return [f"{e['rung']} {e['objective']}" for e in rungs
-            if len({(r.get("exit"), r.get("value"))
-                    for r in e["parent"] + e["change"]}) > 1]
+            if any((r.get("exit"), r.get("value")) != (0, e["optimum"])
+                   for r in e.get("parent", []) + e["change"])]
 
 
 def _commit(tree: Path):
@@ -204,7 +204,7 @@ def main(argv=None) -> int:
         "rungs": [],
     }
     with tempfile.TemporaryDirectory() as tmp:
-        for rung, objective in RUNGS:
+        for rung, objective, optimum in RUNGS:
             inst = instance(rung)
             path = Path(tmp) / "instance.json"
             path.write_text(json.dumps(instance_to_dict(inst)))
@@ -213,20 +213,19 @@ def main(argv=None) -> int:
                 for name, tree in trees.items():
                     runs[name].append(run_once(tree, path, objective))
             entry = {"rung": rung, "objective": objective, "n": inst.n, "m": inst.m,
-                     "K": inst.K, "instance": instance_hash(inst)}
+                     "K": inst.K, "instance": instance_hash(inst), "optimum": optimum}
             entry.update(runs)
             report["rungs"].append(entry)
             print(rung, objective, *(f"{name} {[r['exit'] for r in records]} "
                                      f"{statistics.median(r['wall_s'] for r in records)} s"
                                      for name, records in runs.items()), file=sys.stderr)
-    if args.parent is not None:
-        report["differ"] = differ(report["rungs"])
+    report["differ"] = differ(report["rungs"])
     text = json.dumps(report, indent=1) + "\n"
     if args.output is None:
         sys.stdout.write(text)
     else:
         args.output.write_text(text)
-    return 1 if report.get("differ") else 0
+    return 1 if report["differ"] else 0
 
 
 if __name__ == "__main__":
