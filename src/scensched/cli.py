@@ -3,15 +3,16 @@
 Machine-readable JSON/CSV only; value fields are deterministic for identical
 invocations (wall-clock fields are reported but excluded from that contract).
 Exit codes: 0 success, 1 verification failure, 2 contract violation,
-3 resource guard.  The six size limits are ``model`` constants, each read
+3 resource guard.  The seven size limits are ``model`` constants, each read
 by the function that enforces it: GUARD_BITS (the oracle's at most 2^21
 canonical assignments: up to 22 jobs on 2 machines, 14 on 3, 12 on 4 or 5,
 11 on any larger number), MAX_STATES (2M states that one solve of the
 exact solvers, dp, config and fptas, proves dead), MAX_MEMBERSHIPS
 (``generate random``'s n*K <= 100 000, and the jobs plus memberships of
-``generate coloring``, ``maxcut`` and ``partition3``), MAX_ROWS (``generate
-unsplittable``'s 5000 rows), MAX_SUBSET_ROWS (``is_unsplittable``'s 20
-rows) and MAX_ROUNDS (``equalize_all``'s 10 000 rounds).  The Hilbert
+``generate coloring``, ``maxcut`` and ``partition3``), MAX_WEIGHT_DIGITS
+(the 4300 digits of ``generate partition3``'s largest weight), MAX_ROWS
+(``generate unsplittable``'s 5000 rows), MAX_SUBSET_ROWS
+(``is_unsplittable``'s 20 rows) and MAX_ROUNDS (``equalize_all``'s 10 000 rounds).  The Hilbert
 basis's K <= 3 is the extent of ``balance``'s basis table.  No flag or
 environment variable changes a limit: the package reads no environment, so
 a run's values depend on its arguments and input files alone.
@@ -22,11 +23,13 @@ trial instance.
 
 ``solve``, ``verify``, ``bench`` and the ``--algo`` choices all derive from
 one table of algorithms, ``ALGORITHMS``.  The command line is read from one
-table of commands, ``COMMANDS``: each command's handler, help text,
-positional argument and flags (names, type, default, required mark,
-choices, number of values).  ``_parse`` walks it, and the ``-h`` text is
-rendered from it.  Flags match only by their exact names, as ``--flag
-value`` or ``--flag=value``.
+table of commands, ``COMMANDS``, keyed by the command's one or two words
+(``solve``, ``generate random``): each command's handler, help text and
+flags (names, type, default, required mark, choices, number of values).
+``_parse`` walks it, and the ``-h`` text is rendered from it.  A flag the
+command does not list is rejected like any unknown flag.  Flags match only
+by their exact names, as ``--flag value`` or ``--flag=value``, and each
+value is converted (an edge list, a density in (0, 1]) as it is parsed.
 
 Every solver, generator, balance and oracle call goes through the package
 root by its public name (``scensched.solve_pseudo(...)``), whose lazy lookup
@@ -37,7 +40,8 @@ process imports only what its command runs: no option-parsing library (nor
 ``gettext`` and ``locale``), and each library module only when a call needs
 it.  ``fractions`` (with ``decimal``) loads only where a Fraction is built:
 ``solve`` and ``verify`` with ``--algo fptas`` (to parse --epsilon),
-``bench``, ``generate random`` and ``probe``; ``csv`` only in ``bench``.
+``bench``, and ``generate random`` and ``probe`` given --density; ``csv``
+only in ``bench``.
 ``verify`` writes its ratio and bound as ``str(Fraction)`` would, from
 integers.
 No command loads ``hashlib``: the instance digest uses the interpreter's
@@ -299,78 +303,71 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _parse_edges(spec: str) -> tuple[tuple[int, int], ...]:
-    if not spec:
-        return ()
-    edges = []
-    for part in spec.split(","):
-        u, _, v = part.partition("-")
-        edges.append((int(u), int(v)))
-    return tuple(edges)
+def _edge_list(text: str) -> tuple[tuple[int, int], ...]:
+    """An edge list like "0-1,1-2" as pairs of ints; "" is no edges."""
+    pairs = [part.partition("-") for part in text.split(",")] if text else []
+    return tuple((int(u), int(v)) for u, _, v in pairs)
 
 
-# the flags each generate family reads, besides -o; any other flag given
-# with a value off its default is rejected, not ignored
-_FAMILY_FLAGS = {
-    "coloring": ("vertices", "edges", "m"),
-    "maxcut": ("vertices", "edges"),
-    "partition3": ("a", "m"),
-    "unsplittable": ("q", "t", "to_instance", "eps_denominator"),
-    "random": ("n", "m", "K", "w_max", "density", "seed"),
-}
+def _int_list(text: str) -> list[int]:
+    """A number list like "1,1,1"."""
+    return [int(v) for v in text.split(",")]
 
 
-def _cmd_generate(args) -> int:
-    read = (*_FAMILY_FLAGS[args.family], _OUTPUT.dest)
-    if not args.to_instance:  # only the instance --to-instance builds has weights
-        read = tuple(dest for dest in read if dest != "eps_denominator")
-    for flag in COMMANDS["generate"].flags:
-        if flag.dest not in read and getattr(args, flag.dest) != flag.default:
-            raise ValueError(f"generate {args.family} does not read {flag.label}")
-    if args.family == "coloring":
-        g = scensched.Graph(args.vertices, _parse_edges(args.edges))
-        doc = instance_to_dict(scensched.gen_coloring(g, args.m))
-    elif args.family == "maxcut":
-        g = scensched.Graph(args.vertices, _parse_edges(args.edges))
-        doc = instance_to_dict(scensched.gen_maxcut(g))
-    elif args.family == "partition3":
-        numbers = [int(v) for v in args.a.split(",")]
-        doc = instance_to_dict(scensched.gen_partition3(numbers, args.m))
-    elif args.family == "unsplittable":
-        matrix = scensched.gen_unsplittable(args.q, args.t)
-        if args.to_instance:
-            doc = instance_to_dict(scensched.matrix_to_instance(matrix, args.eps_denominator))
-        else:
-            doc = {
-                "rows": [list(r) for r in matrix.rows],
-                "column_sums": list(matrix.column_sums()),
-            }
-    else:  # random
-        doc = instance_to_dict(
-            scensched.gen_random(
-                args.n,
-                args.m,
-                args.K,
-                w_max=args.w_max,
-                density=float(_rational(args.density)),
-                seed=args.seed,
-            )
-        )
-    _emit(doc, args.output)
-    return EXIT_OK
+def _density(text: str) -> float:
+    """A rational in (0, 1] like 1/2, as a float.  The range is checked on the
+    rational, so a value like 1e400 is rejected, not overflowed, and a value
+    like 1e-400, whose float is 0, is rejected too."""
+    value = _rational(text)
+    if not 0 < value <= 1 or not float(value):
+        raise ValueError(f"{text!r} is not in (0, 1]")
+    return float(value)
 
 
-def _cmd_probe(args) -> int:
+def _emitter(build: Callable) -> Callable:
+    """The handler that writes the document ``build(args)`` returns."""
+
+    def handler(args) -> int:
+        _emit(build(args), args.output)
+        return EXIT_OK
+
+    return handler
+
+
+def _coloring(args) -> dict:
+    g = scensched.Graph(args.vertices, args.edges)
+    return instance_to_dict(scensched.gen_coloring(g, args.m))
+
+
+def _maxcut(args) -> dict:
+    return instance_to_dict(scensched.gen_maxcut(scensched.Graph(args.vertices, args.edges)))
+
+
+def _partition3(args) -> dict:
+    return instance_to_dict(scensched.gen_partition3(args.a, args.m))
+
+
+def _unsplittable(args) -> dict:
+    """The matrix, or with --to-instance its instance: only that has weights,
+    so only it reads --eps-denominator."""
+    if args.eps_denominator is not None and not args.to_instance:
+        raise ValueError("generate unsplittable does not read --eps-denominator")
+    matrix = scensched.gen_unsplittable(args.q, args.t)
+    if not args.to_instance:
+        return {"rows": [list(r) for r in matrix.rows], "column_sums": list(matrix.column_sums())}
+    eps = () if args.eps_denominator is None else (args.eps_denominator,)
+    return instance_to_dict(scensched.matrix_to_instance(matrix, *eps))
+
+
+def _random(args) -> dict:
+    return instance_to_dict(scensched.gen_random(
+        args.n, args.m, args.K, w_max=args.w_max, density=args.density, seed=args.seed))
+
+
+def _probe(args) -> dict:
     report = scensched.conjecture_probe(
-        args.n,
-        args.m,
-        args.K,
-        args.trials,
-        args.seed,
-        density=float(_rational(args.density)),
-    )
-    _emit(report._asdict(), args.output)
-    return EXIT_OK
+        args.n, args.m, args.K, args.trials, args.seed, density=args.density)
+    return report._asdict()
 
 
 def _cmd_balance(args) -> int:
@@ -472,16 +469,19 @@ class Flag(NamedTuple):
 
 
 class Command(NamedTuple):
-    """``handler(args)`` returns the exit code.  ``positional`` is the one
-    required bare argument, named by itself (``Flag(("family",), ...)``)."""
+    """``handler(args)`` returns the exit code."""
 
     handler: Callable
     help: str
     flags: tuple
-    positional: Flag | None = None
 
 
+# flags that several commands read
 _OUTPUT = Flag(("-o", "--output"))
+_M = Flag(("--m",), int, 2)
+_VERTICES = Flag(("--vertices",), int, required=True)
+_EDGES = Flag(("--edges",), _edge_list, (), help='edge list like "0-1,1-2"')
+_DENSITY = Flag(("--density",), _density, 0.5, help="rational in (0, 1] like 1/2")
 _RUN_FLAGS = (
     Flag(("--algo",), required=True, choices=tuple(ALGORITHMS)),
     Flag(("--objective",), choices=tuple(k.value for k in ObjectiveKind)),
@@ -491,43 +491,44 @@ _RUN_FLAGS = (
     _OUTPUT,
 )
 
+# keyed by the command's words: "generate coloring" is read from the first
+# two words of a command line
 COMMANDS = {
     "solve": Command(_cmd_solve, "run one algorithm on an instance file", _RUN_FLAGS),
     "verify": Command(_cmd_verify, "compare an algorithm against the oracle", _RUN_FLAGS),
-    "generate": Command(
-        _cmd_generate,
-        "emit a generated instance or matrix",
-        (
-            Flag(("--vertices",), int, 0),
-            Flag(("--edges",), default="", help='edge list like "0-1,1-2"'),
-            Flag(("--m",), int, 2),
-            Flag(("--a",), default="", help='partition numbers like "1,1,1"'),
-            Flag(("--q",), int, 2),
-            Flag(("--t",), int, 2),
-            Flag(("--to-instance",), default=False, nargs=0),
-            Flag(("--eps-denominator",), int, 100),
-            Flag(("--n",), int, 8),
-            Flag(("--K",), int, 2),
-            Flag(("--w-max",), int, 9),
-            Flag(("--density",), default="1/2", help="rational like 1/2"),
-            Flag(("--seed",), int, 0),
-            _OUTPUT,
-        ),
-        Flag(("family",), required=True,
-             choices=("coloring", "maxcut", "partition3", "unsplittable", "random")),
-    ),
-    "probe": Command(
-        _cmd_probe,
-        "empirical disbalance probe",
-        (
-            *(Flag((name,), int, required=True)
-              for name in ("--n", "--m", "--K", "--trials", "--seed")),
-            Flag(("--density",), default="1/2", help="rational like 1/2"),
-            _OUTPUT,
-        ),
-        Flag(("kind",), required=True, choices=("conjecture",)),
-    ),
-    "balance": Command(
+    "generate coloring": Command(_emitter(_coloring), "emit the coloring gadget of a graph",
+                                 (_VERTICES, _EDGES, _M, _OUTPUT)),
+    "generate maxcut": Command(_emitter(_maxcut), "emit the max-cut gadget of a graph",
+                               (_VERTICES, _EDGES, _OUTPUT)),
+    "generate partition3": Command(_emitter(_partition3), "emit a three-way partition instance", (
+        Flag(("--a",), _int_list, required=True, help='partition numbers like "1,1,1"'),
+        _M,
+        _OUTPUT,
+    )),
+    "generate unsplittable": Command(_emitter(_unsplittable), "emit an unsplittable matrix", (
+        Flag(("--q",), int, 2),
+        Flag(("--t",), int, 2),
+        Flag(("--to-instance",), default=False, nargs=0, help="emit its instance instead"),
+        Flag(("--eps-denominator",), int,
+             help="weight of a row's job, default 100; with --to-instance only"),
+        _OUTPUT,
+    )),
+    "generate random": Command(_emitter(_random), "emit a seeded random instance", (
+        Flag(("--n",), int, 8),
+        _M,
+        Flag(("--K",), int, 2),
+        Flag(("--w-max",), int, 9),
+        _DENSITY,
+        Flag(("--seed",), int, 0),
+        _OUTPUT,
+    )),
+    "probe conjecture": Command(_emitter(_probe), "empirical disbalance probe", (
+        *(Flag((name,), int, required=True)
+          for name in ("--n", "--m", "--K", "--trials", "--seed")),
+        _DENSITY,
+        _OUTPUT,
+    )),
+    "balance equalize": Command(
         _cmd_balance,
         "equalize a schedule's disbalance",
         (
@@ -536,7 +537,6 @@ COMMANDS = {
             Flag(("--machines",), int, nargs=2, help="the two machines to equalize"),
             _OUTPUT,
         ),
-        Flag(("action",), required=True, choices=("equalize",)),
     ),
     "bench": Command(_cmd_bench, "run the benchmark suite to CSV", (_OUTPUT,)),
 }
@@ -552,11 +552,8 @@ def _spec(flag: Flag) -> str:
 def _usage(name: str | None) -> str:
     if name is None:
         return f"usage: scensched [-h] {{{','.join(COMMANDS)}}} ...\n"
-    cmd = COMMANDS[name]
     parts = [f"usage: scensched {name} [-h]"]
-    if cmd.positional:
-        parts.append(f"{{{','.join(cmd.positional.choices)}}}")
-    parts += [_spec(f) if f.required else f"[{_spec(f)}]" for f in cmd.flags]
+    parts += [_spec(f) if f.required else f"[{_spec(f)}]" for f in COMMANDS[name].flags]
     return " ".join(parts) + "\n"
 
 
@@ -570,19 +567,17 @@ def _help(name: str | None) -> str:
         cmd = COMMANDS[name]
         title, heading = cmd.help, "arguments:"
         rows = [("-h/--help", "show this help and exit")]
-        for flag in (cmd.positional, *cmd.flags):
-            if flag is None:
-                continue
+        for flag in cmd.flags:
             notes = [flag.help] if flag.help else []
             if flag.choices:
                 notes.append("one of " + ", ".join(map(str, flag.choices)))
             if flag.required:
                 notes.append("required")
-            elif flag.nargs and flag.default not in (None, ""):
+            elif flag.nargs and flag.default not in (None, ()):
                 notes.append(f"default {flag.default}")
             if flag.type is int:
                 notes.append("integer" if flag.nargs == 1 else "integers")
-            rows.append((flag.dest if flag is cmd.positional else _spec(flag), "; ".join(notes)))
+            rows.append((_spec(flag), "; ".join(notes)))
     width = max(len(label) for label, _ in rows) + 2
     lines = [f"  {label:<{width}}{text}".rstrip() for label, text in rows]
     return "\n".join((_usage(name), title, "", heading, *lines)) + "\n"
@@ -599,7 +594,8 @@ def _convert(name: str, flag: Flag, text: str):
     try:
         value = flag.type(text)
     except ValueError:
-        _fail(name, f"argument {flag.label}: invalid {flag.type.__name__} value: {text!r}")
+        kind = flag.type.__name__.strip("_").replace("_", " ")
+        _fail(name, f"argument {flag.label}: invalid {kind} value: {text!r}")
     if flag.choices and value not in flag.choices:
         _fail(name, f"argument {flag.label}: invalid choice: {value!r} "
                     f"(choose from {', '.join(map(repr, flag.choices))})")
@@ -607,18 +603,20 @@ def _convert(name: str, flag: Flag, text: str):
 
 
 def _parse(argv: list[str]):
-    """Returns (handler, args) for a command line; ``args`` holds the
-    positional and every flag of the command under its dest, at its default
-    when not given.  Only exact flag names match, ``--flag=value`` is
-    accepted, and the token after a flag is its value even when it starts
-    with "-".  -h prints the help and exits 0; a malformed line exits 2."""
+    """Returns (handler, args) for a command line; ``args`` holds every flag
+    of the command under its dest, at its default when not given.  The
+    command is the first word, or else the first two words together.  Only
+    exact flag names match, ``--flag=value`` is accepted, and the token after
+    a flag is its value even when it starts with "-".  -h prints the help and
+    exits 0; a malformed line exits 2."""
     if not argv:
         _fail(None, "the following arguments are required: command")
     if argv[0] in _HELP:
         _write(_help(None), None)
         raise SystemExit(EXIT_OK)
-    name, rest = argv[0], argv[1:]
-    if name not in COMMANDS:
+    words = 1 if argv[0] in COMMANDS else 2
+    name, rest = " ".join(argv[:words]), argv[words:]
+    if name not in COMMANDS or name.split() != argv[:words]:
         _fail(None, f"argument command: invalid choice: {name!r} "
                     f"(choose from {', '.join(map(repr, COMMANDS))})")
     cmd = COMMANDS[name]
@@ -631,11 +629,6 @@ def _parse(argv: list[str]):
         if token in _HELP:
             _write(_help(name), None)
             raise SystemExit(EXIT_OK)
-        if not token.startswith("-"):
-            if cmd.positional is None or cmd.positional.dest in values:
-                _fail(name, f"unrecognized argument: {token}")
-            values[cmd.positional.dest] = _convert(name, cmd.positional, token)
-            continue
         key, eq, inline = token.partition("=")
         flag = by_name.get(key)
         if flag is None:
@@ -657,8 +650,7 @@ def _parse(argv: list[str]):
             values[flag.dest] = _convert(name, flag, texts[0])
         else:
             values[flag.dest] = [_convert(name, flag, text) for text in texts]
-    missing = [flag.label for flag in (cmd.positional, *cmd.flags)
-               if flag is not None and flag.required and flag.dest not in values]
+    missing = [flag.label for flag in cmd.flags if flag.required and flag.dest not in values]
     if missing:
         _fail(name, "the following arguments are required: " + ", ".join(missing))
     return cmd.handler, SimpleNamespace(**values)

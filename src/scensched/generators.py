@@ -8,11 +8,13 @@ does); anything else raises ValueError rather than being coerced.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import TYPE_CHECKING
 
 from .model import (
-    MAX_MEMBERSHIPS, MAX_ROWS, MAX_SUBSET_ROWS, GuardExceeded, Instance, _Frozen, make_instance,
+    MAX_MEMBERSHIPS, MAX_ROWS, MAX_SUBSET_ROWS, MAX_WEIGHT_DIGITS, GuardExceeded, Instance,
+    _Frozen, make_instance,
 )
 
 if TYPE_CHECKING:
@@ -142,8 +144,9 @@ def gen_partition3(a: list[int], m: int) -> Instance:
     "black" jobs of weight Q_j + a_j on the same profiles, and 2(m-2) "gray"
     jobs of weight Q_j in all three scenarios, so every scenario meets every
     block in exactly 2m jobs.  More than ``model.MAX_MEMBERSHIPS`` jobs and
-    memberships together (2m + 2 jobs and 6m memberships per block) raise
-    GuardExceeded before the block weights are computed.
+    memberships together (2m + 2 jobs and 6m memberships per block), or a
+    largest weight Q_1 + a_1 of more than ``model.MAX_WEIGHT_DIGITS`` decimal
+    digits, raise GuardExceeded before the block weights are computed.
     """
     if type(m) is not int or m < 2:
         raise ValueError("need at least two machines")
@@ -151,6 +154,15 @@ def gen_partition3(a: list[int], m: int) -> Instance:
         raise ValueError("need a nonempty list of positive integers")
     n = len(a)
     _check_size("partition3", n * (2 * m + 2), n * 6 * m)
+    # log10 of the largest weight, Q_1 + a_1 = base^(n-1) + a_1, from the
+    # logarithms of its two terms, so no weight is built to measure it
+    log_q, log_a = (n - 1) * math.log10(4 * m * n * max(a)), math.log10(a[0])
+    log_w = max(log_q, log_a) + math.log10(1 + 10 ** -abs(log_q - log_a))
+    if log_w >= MAX_WEIGHT_DIGITS:
+        raise GuardExceeded(
+            f"partition3 weight guard: the largest weight has about {math.floor(log_w) + 1} "
+            f"digits, more than {MAX_WEIGHT_DIGITS}"
+        )
     q = partition3_block_weights(a, m)
     for j in range(n - 1):
         assert q[j] > q[j + 1] + a[j + 1], "block weights must dominate later blocks"

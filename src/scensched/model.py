@@ -53,6 +53,10 @@ MAX_STATES = 2_000_000
 # n*K of gen_random, checked before the first draw, and the jobs plus
 # memberships of gen_coloring and gen_partition3, checked before they are built
 MAX_MEMBERSHIPS = 100_000
+# decimal digits of gen_partition3's largest weight, checked before any weight
+# is computed: CPython's default limit for writing an int as text, so every
+# weight it builds can be written to JSON
+MAX_WEIGHT_DIGITS = 4300
 MAX_ROWS = 5000  # rows of a generated unsplittable matrix, checked before a level is built
 MAX_SUBSET_ROWS = 20  # rows that is_unsplittable checks by enumerating 2^rows subsets
 MAX_ROUNDS = 10_000  # rounds of equalize_all

@@ -233,7 +233,11 @@ def _limit_address_space():
      "graph instance guard: 200000000 jobs and 0 memberships exceed 100000"),
     (["partition3", "--a", "1,1,1", "--m", "100000000"],
      "partition3 instance guard: 600000006 jobs and 1800000000 memberships exceed 100000"),
-], ids=["coloring", "partition3"])
+    # inside the membership guard (7200 jobs), but the largest weight would
+    # have about 4775 digits, past what the interpreter writes as text
+    (["partition3", "--a", ",".join(["1"] * 1200), "--m", "2"],
+     "partition3 weight guard: the largest weight has about 4775 digits, more than 4300"),
+], ids=["coloring", "partition3", "partition3-weight-digits"])
 def test_generate_past_the_size_guard_exits_3_before_building(argv, message):
     proc = _process(["generate", *argv], preexec_fn=_limit_address_space, timeout=20)
     assert (proc.returncode, proc.stdout) == (3, "")
@@ -283,12 +287,26 @@ def test_generate_partition3(tmp_path):
     (["partition3", "--a", "1,1,1", "--density", "1/3"], "--density"),
     (["unsplittable", "--n", "4"], "--n"),
     (["unsplittable", "--q", "2", "--t", "2", "--eps-denominator", "7"], "--eps-denominator"),
+    # each value below is the default of the flag where another family reads it
+    (["coloring", "--vertices", "3", "--n", "8"], "--n"),
+    (["maxcut", "--vertices", "3", "--edges", "0-1", "--m", "2"], "--m"),
+    (["random", "--q", "2"], "--q"),
 ], ids=["maxcut-m", "random-a", "random-to-instance", "coloring-seed", "partition3-density",
-        "unsplittable-n", "unsplittable-eps-denominator-without-to-instance"])
+        "unsplittable-n", "unsplittable-eps-denominator-without-to-instance",
+        "coloring-n-at-default", "maxcut-m-at-default", "random-q-at-default"])
 def test_generate_rejects_a_flag_its_family_does_not_read(argv, flag, capsys):
-    assert main(["generate", *argv]) == 2
+    name = f"generate {argv[0]}"
+    if flag == "--eps-denominator":  # the family reads it, with --to-instance only
+        assert main(["generate", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {name} does not read {flag}\n")
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", *argv])
+    assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert (out, err) == ("", f"error: generate {argv[0]} does not read {flag}\n")
+    usage, error = err.splitlines()
+    assert out == "" and usage.startswith(f"usage: scensched {name} [-h] ")
+    assert error == f"scensched {name}: error: unrecognized argument: {flag}"
 
 
 def test_probe_deterministic(tmp_path):
@@ -487,12 +505,18 @@ def test_default_objective(k2_unit, tmp_path, algo):
      "--seed", "0", "--density", "1/0"],
 ], ids=["solve", "verify", "generate", "probe"])
 def test_zero_denominator_flag_is_contract_error(five_unit, argv, capsys):
-    if argv[0] in ("solve", "verify"):
-        argv = argv + ["-i", str(five_unit)]
-    assert main(argv) == 2
+    if argv[0] in ("solve", "verify"):  # --epsilon is read by the handler
+        assert main(argv + ["-i", str(five_unit)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        return
+    with pytest.raises(SystemExit) as exc:  # --density is converted as it is parsed
+        main(argv)
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert not captured.out
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.err.splitlines()[1].endswith("argument --density: invalid density value: '1/0'")
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
@@ -614,38 +638,52 @@ def _sample(flag):
     if flag.type is int:
         values = [7, 8][:flag.nargs]
         return [str(v) for v in values], values if flag.nargs == 2 else values[0]
-    return ["1/3"], "1/3"
+    text = {"edges": "0-1", "a": "1,2"}.get(flag.dest, "1/3")
+    return [text], flag.type(text)
+
+
+def _command(argv):
+    """The COMMANDS name that argv starts with, or None."""
+    return next((name for name in cli.COMMANDS if name.split() == argv[:len(name.split())]), None)
 
 
 def _flag_cases():
+    """One case per first command word and flag form, so ``generate --m``
+    covers every generate family that lists --m."""
+    cases = {}
     for name, cmd in cli.COMMANDS.items():
+        word = name.split()[0]
         for flag in cmd.flags:
             for option in flag.names:
                 for equals in (False, True) if flag.nargs == 1 else (False,):
                     form = f"{option}=VALUE" if equals else option
-                    yield pytest.param(name, flag, option, equals, id=f"{name} {form}")
+                    cases[f"{word} {form}"] = (word, option, equals)
+    return [pytest.param(*case, id=case_id) for case_id, case in cases.items()]
 
 
-@pytest.mark.parametrize("name, flag, option, equals", list(_flag_cases()))
-def test_every_flag_reaches_the_handler(monkeypatch, name, flag, option, equals):
-    cmd = cli.COMMANDS[name]
-    seen = []
-    monkeypatch.setitem(cli.COMMANDS, name,
-                        cmd._replace(handler=lambda args: seen.append(vars(args)) or 0))
-    argv = [name]
-    expected = {other.dest: other.default for other in cmd.flags}
-    if cmd.positional:
-        argv.append(cmd.positional.choices[-1])
-        expected[cmd.positional.dest] = cmd.positional.choices[-1]
-    for other in cmd.flags:
-        if other.required and other is not flag:
-            tokens, expected[other.dest] = _sample(other)
-            argv += [other.names[-1], *tokens]
-    tokens, expected[flag.dest] = _sample(flag)
-    argv += [f"{option}={tokens[0]}"] if equals else [option, *tokens]
-    assert main(argv) == 0
-    assert seen == [expected]
-    assert {k: type(v) for k, v in seen[0].items()} == {k: type(v) for k, v in expected.items()}
+@pytest.mark.parametrize("word, option, equals", _flag_cases())
+def test_every_flag_reaches_the_handler(monkeypatch, word, option, equals):
+    names = [name for name, cmd in cli.COMMANDS.items() if name.split()[0] == word
+             and any(option in flag.names for flag in cmd.flags)]
+    assert names
+    for name in names:
+        cmd = cli.COMMANDS[name]
+        flag = next(flag for flag in cmd.flags if option in flag.names)
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, name,
+                            cmd._replace(handler=lambda args: seen.append(vars(args)) or 0))
+        argv = name.split()
+        expected = {other.dest: other.default for other in cmd.flags}
+        for other in cmd.flags:
+            if other.required and other is not flag:
+                tokens, expected[other.dest] = _sample(other)
+                argv += [other.names[-1], *tokens]
+        tokens, expected[flag.dest] = _sample(flag)
+        argv += [f"{option}={tokens[0]}"] if equals else [option, *tokens]
+        assert main(argv) == 0, name
+        assert seen == [expected], name
+        assert ({k: type(v) for k, v in seen[0].items()}
+                == {k: type(v) for k, v in expected.items()}), name
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -656,21 +694,30 @@ def test_every_flag_reaches_the_handler(monkeypatch, name, flag, option, equals)
     (["solve", "-i", "x", "--algo"], "argument --algo: expected one value"),
     (["balance", "equalize", "-i", "x", "-s", "y", "--machines", "0"],
      "argument --machines: expected 2 values"),
-    (["generate", "random", "--to-instance=yes"], "argument --to-instance: takes no values"),
+    (["generate", "unsplittable", "--to-instance=yes"], "argument --to-instance: takes no values"),
     (["solve", "--algo", "dp"], "the following arguments are required: -i/--instance"),
-    (["probe", "--n", "4", "--m", "2", "--K", "2", "--trials", "1"],
-     "the following arguments are required: kind, --seed"),
+    (["probe"], "argument command: invalid choice: 'probe'"),
     (["generate", "random", "--n", "x"], "argument --n: invalid int value: 'x'"),
     (["balance", "equalize", "-i", "x", "-s", "y", "--machines", "0", "1.5"],
      "argument --machines: invalid int value: '1.5'"),
     (["solve", "--algo", "nope", "-i", "x"], "argument --algo: invalid choice: 'nope'"),
-    (["generate", "nope"], "argument family: invalid choice: 'nope'"),
+    (["generate", "nope"], "argument command: invalid choice: 'generate nope'"),
     (["bench", "extra"], "unrecognized argument: extra"),
     (["generate", "random", "coloring"], "unrecognized argument: coloring"),
+    (["generate", "random", "--density", "1e400"],
+     "argument --density: invalid density value: '1e400'"),
+    (["probe", "conjecture", "--n", "5", "--m", "2", "--K", "2", "--trials", "1", "--seed", "0",
+      "--density", "1e400"], "argument --density: invalid density value: '1e400'"),
+    (["generate", "random", "--density", "1e-400"],
+     "argument --density: invalid density value: '1e-400'"),
+    (["generate", "coloring", "--vertices", "3", "--edges", "0-1,,1-2"],
+     "argument --edges: invalid edge list value: '0-1,,1-2'"),
+    (["generate", "partition3", "--a", "1,,2"], "argument --a: invalid int list value: '1,,2'"),
 ], ids=["no-command", "unknown-command", "unknown-flag", "abbreviated-flag", "missing-value",
         "missing-second-value", "store-true-with-value", "missing-flag", "missing-positional",
         "bad-int", "bad-int-in-pair", "bad-choice", "bad-positional", "extra-positional",
-        "second-positional"])
+        "second-positional", "density-past-float-generate", "density-past-float-probe",
+        "density-float-underflow", "bad-edge-list", "bad-int-list"])
 def test_malformed_command_line_exits_2_with_usage(argv, reason, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -678,12 +725,14 @@ def test_malformed_command_line_exits_2_with_usage(argv, reason, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     usage, error = captured.err.splitlines()
-    prog = " ".join(["scensched", *argv[:1]]) if argv and argv[0] in cli.COMMANDS else "scensched"
+    name = _command(argv)
+    prog = f"scensched {name}" if name else "scensched"
     assert usage.startswith(f"usage: {prog} [-h] ")
     assert error.startswith(f"{prog}: error: ") and reason in error
 
 
-@pytest.mark.parametrize("argv", [["-h"], ["--help"], *([name, "-h"] for name in cli.COMMANDS),
+@pytest.mark.parametrize("argv", [["-h"], ["--help"],
+                                  *([*name.split(), "-h"] for name in cli.COMMANDS),
                                   ["solve", "--algo", "dp", "--help"]],
                          ids=lambda argv: " ".join(argv))
 def test_help_exits_0_and_names_every_flag(argv, capsys):
@@ -695,12 +744,15 @@ def test_help_exits_0_and_names_every_flag(argv, capsys):
     usage, body = captured.out.split("\n\n", 1)
     words = set(re.split(r"[\s/,;]+", body))
     if len(argv) == 1:
-        assert set(cli.COMMANDS) <= words
-    else:
-        cmd = cli.COMMANDS[argv[0]]
-        assert {"-h", "--help", *(n for flag in cmd.flags for n in flag.names)} <= words
-        if cmd.positional:
-            assert {cmd.positional.dest, *cmd.positional.choices} <= words
+        assert {word for name in cli.COMMANDS for word in name.split()} <= words
+        return
+    name = _command(argv)
+    own = {n for flag in cli.COMMANDS[name].flags for n in flag.names}
+    assert {"-h", "--help", *own} <= words
+    if name.startswith("generate "):  # no flag of another family
+        others = {n for other, cmd in cli.COMMANDS.items() if other.startswith("generate ")
+                  for flag in cmd.flags for n in flag.names}
+        assert not (others - own) & words
 
 
 def _stable(text):

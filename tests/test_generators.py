@@ -14,7 +14,7 @@ from scensched.generators import (
     partition3_block_weights,
     partition3_tight_bound,
 )
-from scensched.model import GuardExceeded, ObjectiveKind, disbalance
+from scensched.model import MAX_WEIGHT_DIGITS, GuardExceeded, ObjectiveKind, disbalance
 from scensched.oracle import brute_force
 
 
@@ -228,6 +228,22 @@ def test_graph_and_partition3_size_guards_run_before_building(monkeypatch):
     assert gen_partition3([10, 11, 12, 13, 14, 15], 2).n == 36
     with pytest.raises(GuardExceeded, match=r"42 jobs and 84 memberships exceed 108$"):
         gen_partition3([10, 11, 12, 13, 14, 15, 16], 2)
+
+
+def test_partition3_weight_guard_admits_the_largest_weight_it_can_write(monkeypatch):
+    # ones on two machines: the largest weight is (8n)^(n-1) + 1, and n = 1092
+    # is the largest n whose weight has at most MAX_WEIGHT_DIGITS digits
+    assert (8 * 1092) ** 1091 + 1 < 10 ** MAX_WEIGHT_DIGITS <= (8 * 1093) ** 1092 + 1
+    inst = gen_partition3([1] * 1092, 2)
+    assert len(str(max(inst.weights))) == MAX_WEIGHT_DIGITS
+    monkeypatch.setattr(generators, "partition3_block_weights", None)  # no weight is built
+    with pytest.raises(GuardExceeded, match=(
+            r"^partition3 weight guard: the largest weight has about 4305 digits, "
+            r"more than 4300$")):
+        gen_partition3([1] * 1093, 2)
+    # one block: the largest weight is 1 + a_1 = 10^4300, one digit too many
+    with pytest.raises(GuardExceeded, match="about 4301 digits"):
+        gen_partition3([10 ** MAX_WEIGHT_DIGITS - 1], 2)
 
 
 @pytest.mark.parametrize(
