@@ -49,6 +49,8 @@ def profile_index(profile, K: int) -> int:
     """sigma: subset of [K] -> 0..2^K-1, lexicographic by membership vector."""
     idx = 0
     for k in profile:
+        if type(k) is not int:  # a bool is not a scenario
+            raise ValueError(f"scenario {k!r} is not an integer")
         if not 0 <= k < K:
             raise ValueError(f"scenario {k} out of range for K={K}")
         idx |= 1 << (K - 1 - k)

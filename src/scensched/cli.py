@@ -10,7 +10,8 @@ canonical assignments: up to 22 jobs on 2 machines, 14 on 3, 12 on 4 or 5,
 exact solvers, dp, config and fptas, proves dead), MAX_MEMBERSHIPS
 (``generate random``'s n*K <= 100 000, and the jobs plus memberships of
 ``generate coloring``, ``maxcut`` and ``partition3``), MAX_WEIGHT_DIGITS
-(the 4300 digits of ``generate partition3``'s largest weight), MAX_ROWS
+(the 4300 digits of ``generate partition3``'s largest weight, and of the
+exponent, numerator and denominator of --epsilon and --density), MAX_ROWS
 (``generate unsplittable``'s 5000 rows), MAX_SUBSET_ROWS
 (``is_unsplittable``'s 20 rows) and MAX_ROUNDS (``equalize_all``'s 10 000 rounds).  The Hilbert
 basis's K <= 3 is the extent of ``balance``'s basis table.  No flag or
@@ -73,6 +74,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn
 import scensched
 
 from .model import (
+    MAX_WEIGHT_DIGITS,
     GuardExceeded,
     Instance,
     ObjectiveKind,
@@ -159,11 +161,27 @@ def _ratio_text(num: int, den: int) -> str:
 
 
 def _rational(text: str) -> Fraction:
-    """Parses a rational flag like 1/2; ValueError (exit 2) when malformed."""
+    """Parses a rational flag like 1/2 or 1e-3; ValueError (exit 2) when
+    malformed or past MAX_WEIGHT_DIGITS digits.  The exponent is bounded
+    before ``Fraction`` builds 10**exponent exactly (1e-100000000 would take
+    minutes), and the numerator and denominator after, so that every accepted
+    value can be written as text."""
+    _, e, exponent = text.lower().partition("e")
     try:
-        return _fraction(text)
+        huge = bool(e) and abs(int(exponent)) > MAX_WEIGHT_DIGITS
+    except ValueError:  # no exponent: Fraction names the malformed text
+        huge = False
+    if huge:
+        raise ValueError(f"the exponent of {text!r} is past {MAX_WEIGHT_DIGITS}")
+    try:
+        value = _fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    limit = 10**MAX_WEIGHT_DIGITS
+    if abs(value.numerator) >= limit or value.denominator >= limit:
+        raise ValueError(f"{text!r} has more than {MAX_WEIGHT_DIGITS} digits "
+                         "in its numerator or denominator")
+    return value
 
 
 def _load_json(fh, path: str):

@@ -55,7 +55,8 @@ MAX_STATES = 2_000_000
 MAX_MEMBERSHIPS = 100_000
 # decimal digits of gen_partition3's largest weight, checked before any weight
 # is computed: CPython's default limit for writing an int as text, so every
-# weight it builds can be written to JSON
+# weight it builds can be written to JSON; the CLI bounds the exponent,
+# numerator and denominator of --epsilon and --density by it too
 MAX_WEIGHT_DIGITS = 4300
 MAX_ROWS = 5000  # rows of a generated unsplittable matrix, checked before a level is built
 MAX_SUBSET_ROWS = 20  # rows that is_unsplittable checks by enumerating 2^rows subsets
@@ -291,14 +292,21 @@ def _check_schedule(inst: Instance, sched: Schedule) -> None:
             raise ValueError(f"machine index {i!r} is not an integer in 0..{inst.m - 1}")
 
 
+def _check_scenario(inst: Instance, k) -> None:
+    # type(), not isinstance(): a bool is not a scenario index
+    if type(k) is not int:
+        raise ValueError(f"scenario index {k!r} is not an integer")
+    if not 0 <= k < inst.K:
+        raise IndexError(f"scenario index {k} out of range")
+
+
 def evaluate_scenario(inst: Instance, sched: Schedule, k: int) -> int:
     """Total completion time of scenario k under the schedule.
 
     Sum over jobs j in S_k of ``w_j * rank``, where rank counts the jobs of
     ``S_k`` on j's machine that precede j (inclusive) in canonical order.
     """
-    if not 0 <= k < inst.K:
-        raise IndexError(f"scenario index {k} out of range")
+    _check_scenario(inst, k)
     _check_schedule(inst, sched)
     return _scenario_cost(inst, sched.assignment, k)
 
@@ -325,8 +333,7 @@ def single_scenario_optimum(inst: Instance, k: int) -> int:
     Round-robin by non-increasing weight is optimal for a single scenario:
     the r-th heaviest scenario job ends up in position ceil(r/m).
     """
-    if not 0 <= k < inst.K:
-        raise IndexError(f"scenario index {k} out of range")
+    _check_scenario(inst, k)
     total = 0
     m = inst.m
     for r, j in enumerate(inst.scenario_jobs[k]):

@@ -73,8 +73,7 @@ def _check_guard(n: int, m: int, guard_bits: float) -> None:
         else:
             return
     raise GuardExceeded(
-        f"oracle guard: more than 2^{guard_bits} canonical assignments for n={n}, m={m} "
-        "(raise guard_bits to override)"
+        f"oracle guard: more than 2^{guard_bits} canonical assignments for n={n}, m={m}"
     )
 
 

@@ -170,7 +170,7 @@ def test_verify_checks_the_oracle_guard_before_the_solver_runs(tmp_path, monkeyp
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("guard exceeded: oracle guard: more than 2^21 canonical assignments "
-                   "for n=33, m=2 (raise guard_bits to override)\n")
+                   "for n=33, m=2\n")
 
 
 def test_generate_unsplittable_matrix(tmp_path):
@@ -531,6 +531,34 @@ def test_fptas_without_epsilon_is_contract_error(five_unit, capsys):
     assert "requires --epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon, reason", [
+    ("1e-5000", "the exponent of '1e-5000' is past 4300"),
+    ("1e5000", "the exponent of '1e5000' is past 4300"),
+    ("1e-100000000", "the exponent of '1e-100000000' is past 4300"),
+    ("1e-4300", "'1e-4300' has more than 4300 digits in its numerator or denominator"),
+])
+def test_epsilon_past_the_digit_bound_exits_2_before_fptas(five_unit, monkeypatch, epsilon,
+                                                          reason, capsys):
+    # Fraction builds 10**exponent exactly, and the record could not write a
+    # denominator past 4300 digits, so the bound is checked before fptas runs
+    import scensched.dp_minmax
+
+    def solver_called(*args, **kwargs):
+        raise AssertionError("fptas ran on an epsilon past the digit bound")
+
+    monkeypatch.setattr(scensched.dp_minmax, "fptas", solver_called)
+    assert main(["solve", "--algo", "fptas", "--epsilon", epsilon, "-i", str(five_unit)]) == 2
+    assert capsys.readouterr() == ("", f"error: {reason}\n")
+
+
+def test_epsilon_at_the_digit_bound_writes_its_record(five_unit, tmp_path):
+    # 10**4299 has 4300 digits, the most an int is written with as text
+    out = tmp_path / "run.json"
+    assert main(["solve", "--algo", "fptas", "--epsilon", "1e-4299", "-i", str(five_unit),
+                 "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["params"] == {"epsilon": "1/1" + "0" * 4299}
+
+
 @pytest.mark.parametrize("env", [{}, {"SCHED_GUARD_OVERRIDE": "1"}], ids=["unset", "1"])
 def test_guard_override_changes_no_limit(tmp_path, env):
     # the package reads no environment, so SCHED_GUARD_OVERRIDE=1 leaves the
@@ -548,7 +576,7 @@ def test_guard_override_changes_no_limit(tmp_path, env):
     guarded = _process(["verify", "--algo", "dp", "-i", str(path)], env=env)
     assert (guarded.returncode, guarded.stdout) == (3, "")
     assert guarded.stderr == ("guard exceeded: oracle guard: more than 2^21 canonical "
-                              "assignments for n=23, m=2 (raise guard_bits to override)\n")
+                              "assignments for n=23, m=2\n")
 
 
 def _one_gib_of_memory():
@@ -603,6 +631,37 @@ def test_huge_m_equalizes_like_a_thousand_machines(tmp_path):
     narrow, wide = outputs
     assert wide == narrow
     assert narrow["objective_after"] < narrow["objective_before"]
+
+
+# generate random flags of the instances below
+_WIDE = ["--n", "20000", "--m", "20000", "--K", "3", "--seed", "1"]
+_PAIR = ["--n", "20000", "--m", "2", "--K", "3", "--w-max", "1"]
+_AT_GUARD = ["--n", "22", "--m", "2", "--K", "3", "--w-max", "1", "--seed", "2"]
+
+
+@pytest.mark.parametrize("instance, argv, limit", [
+    # the greedy scans the distinct count rows, not the machines, and both
+    # dp solves end at the root check with the greedy schedule
+    (_WIDE, ["solve", "--algo", "approx-minavg"], 10),
+    (_WIDE, ["solve", "--algo", "dp", "--objective", "minavg"], 10),
+    (_WIDE, ["solve", "--algo", "dp", "--objective", "minmax"], 10),
+    # equalize_two reads one side sequence per profile, not one job at a time
+    (_PAIR, ["balance", "equalize", "--machines", "0", "1", "-s", "ZERO"], 10),
+    # 22 jobs on 2 machines have 2^21 canonical assignments, exactly the oracle guard
+    (_AT_GUARD, ["verify", "--algo", "dp", "--objective", "minmax"], 60),
+    (_AT_GUARD, ["verify", "--algo", "dp", "--objective", "minavg"], 60),
+], ids=["approx-minavg-n20000-m20000", "dp-minavg-n20000-m20000", "dp-minmax-n20000-m20000",
+        "equalize-pair-n20000", "verify-minmax-at-the-oracle-guard",
+        "verify-minavg-at-the-oracle-guard"])
+def test_process_finishes_within_its_time_limit(tmp_path, instance, argv, limit):
+    path = tmp_path / "i.json"
+    assert main(["generate", "random", *instance, "-o", str(path)]) == 0
+    zero = tmp_path / "zero.json"  # every job on machine 0
+    zero.write_text(json.dumps({"assignment": [0] * int(instance[1])}))
+    proc = _process([*(str(zero) if a == "ZERO" else a for a in argv), "-i", str(path)],
+                    timeout=limit)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("argv, cap", [pytest.param(argv, cap, id=" ".join(argv)) for argv, cap in [
@@ -710,6 +769,8 @@ def test_every_flag_reaches_the_handler(monkeypatch, word, option, equals):
       "--density", "1e400"], "argument --density: invalid density value: '1e400'"),
     (["generate", "random", "--density", "1e-400"],
      "argument --density: invalid density value: '1e-400'"),
+    (["generate", "random", "--density", "1e-100000000"],
+     "argument --density: invalid density value: '1e-100000000'"),
     (["generate", "coloring", "--vertices", "3", "--edges", "0-1,,1-2"],
      "argument --edges: invalid edge list value: '0-1,,1-2'"),
     (["generate", "partition3", "--a", "1,,2"], "argument --a: invalid int list value: '1,,2'"),
@@ -717,7 +778,8 @@ def test_every_flag_reaches_the_handler(monkeypatch, word, option, equals):
         "missing-second-value", "store-true-with-value", "missing-flag", "missing-positional",
         "bad-int", "bad-int-in-pair", "bad-choice", "bad-positional", "extra-positional",
         "second-positional", "density-past-float-generate", "density-past-float-probe",
-        "density-float-underflow", "bad-edge-list", "bad-int-list"])
+        "density-float-underflow", "density-exponent-past-the-digit-bound", "bad-edge-list",
+        "bad-int-list"])
 def test_malformed_command_line_exits_2_with_usage(argv, reason, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -791,8 +853,7 @@ def test_process_writes_the_output_file_whole(tmp_path):
     (["solve", "--algo", "dp", "--bogus", "1", "-i", "INST"], 2,
      "scensched solve: error: unrecognized argument: --bogus\n"),
     (["verify", "--algo", "approx-minavg", "-i", "WIDE"], 3,
-     "guard exceeded: oracle guard: more than 2^21 canonical assignments for n=33, m=2 "
-     "(raise guard_bits to override)\n"),
+     "guard exceeded: oracle guard: more than 2^21 canonical assignments for n=33, m=2\n"),
     (["-h"], 0, ""),
 ], ids=["solve", "bad-pairing", "malformed-flag", "oracle-guard", "help"])
 def test_process_exit_code(k2_unit, tmp_path, argv, code, err_end):

@@ -136,7 +136,7 @@ def test_guard_counts_the_canonical_assignments():
                     _check_guard(n, m, bits)
                     continue
                 with pytest.raises(GuardExceeded, match=(
-                        rf"more than 2\^{bits} canonical assignments for n={n}, m={m} ")):
+                        rf"more than 2\^{bits} canonical assignments for n={n}, m={m}$")):
                     _check_guard(n, m, bits)
     # 2^21 leaves for 22 jobs on two machines, 52 for 5 jobs on 200
     _check_guard(22, 2, GUARD_BITS)

@@ -79,6 +79,7 @@ def test_cli_process_imports_only_what_its_command_runs(tmp_path):
         ("minmax", ["solve", "--algo", "dp", "--objective", "minmax", *io_args]),
         ("coloring", ["generate", "coloring", "--vertices", "3", "--edges", "0-1,1-2", *out]),
         ("equalize", ["balance", "equalize", "-i", str(unit), "-s", str(schedule), *out]),
+        ("verify", ["verify", "--algo", "dp", *io_args]),
         ("fptas", ["solve", "--algo", "fptas", "--epsilon", "1/2", *io_args]),
     ]
     code = IMPORT_PROBE.format(watched=WATCHED, steps=steps)
@@ -102,6 +103,10 @@ def test_cli_process_imports_only_what_its_command_runs(tmp_path):
     assert "scensched.oracle" not in report["equalize"]
     for step in ("coloring", "equalize"):
         assert "fractions" not in report[step] and "decimal" not in report[step]
+    # verify writes its ratio from integers: only an --epsilon needs fractions
+    assert "scensched.oracle" in report["verify"]
+    for name in HEAVY:
+        assert name not in report["verify"]
     # fptas parses its epsilon as a Fraction: the probe sees the module load
     assert "fractions" in report["fptas"]
     for step, _ in steps:
@@ -178,6 +183,13 @@ _TWO = make_instance(2, [3, 2, 1], [[0, 1], [1, 2]])
     (lambda: fptas(make_instance(2, [0, 0], [[0, 1]]), Fraction(1, 2)), ValueError,
      "largest weight must be positive"),
     (lambda: scensched.profile_index({2}, 2), ValueError, "scenario 2 out of range for K=2"),
+    (lambda: scensched.profile_index({True}, 2), ValueError, "scenario True is not an integer"),
+    (lambda: scensched.single_scenario_optimum(_PAIR, True), ValueError,
+     "scenario index True is not an integer"),
+    (lambda: scensched.evaluate_scenario(_PAIR, Schedule((0, 1)), True), ValueError,
+     "scenario index True is not an integer"),
+    (lambda: scensched.evaluate_scenario(_PAIR, Schedule((0, 1)), 1.0), ValueError,
+     "scenario index 1.0 is not an integer"),
     (lambda: hilbert_basis(0), ValueError, "K must be at least 1"),
     (lambda: hilbert_basis(True), ValueError, "K must be an integer"),
     (lambda: hilbert_basis(2.0), ValueError, "K must be an integer"),
@@ -206,7 +218,9 @@ _TWO = make_instance(2, [3, 2, 1], [[0, 1], [1, 2]])
         "instance-list-weights", "instance-list-scenarios", "instance-list-order",
         "graph-without-vertices", "graph-list-edges", "graph-list-edge", "graph-triple-edge",
         "empty-matrix", "ragged-matrix", "matrix-list-rows", "matrix-list-row",
-        "unsplittable-q-1", "fptas-zero-weights", "profile-scenario-range", "hilbert-basis-k-0",
+        "unsplittable-q-1", "fptas-zero-weights", "profile-scenario-range", "profile-scenario-bool",
+        "scenario-optimum-index-bool", "evaluate-scenario-index-bool",
+        "evaluate-scenario-index-float", "hilbert-basis-k-0",
         "hilbert-basis-k-bool", "hilbert-basis-k-float", "evaluate-kind-str", "evaluate-kind-int",
         "brute-force-kind-none", "walk-kind-str", "solve-pseudo-kind-str",
         "solve-config-kind-str", "solve-pseudo-value-str", "weight-str", "weight-none",
