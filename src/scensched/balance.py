@@ -36,6 +36,7 @@ from .model import (
     ObjectiveKind,
     Schedule,
     _check_schedule,
+    _require_unit_weights,
     disbalance,
 )
 
@@ -233,11 +234,6 @@ def basis_l1_sum(basis: HilbertBasis) -> int:
     return sum(b.l1 for b in basis.elements)
 
 
-def _require_unit_weights(inst: Instance) -> None:
-    if any(w != 1 for w in inst.weights):
-        raise ValueError("balance procedures require unit weights")
-
-
 def _check_pair(inst: Instance, sched: Schedule, i1: int, i2: int) -> None:
     """The input check of both pair procedures: two distinct int machines in
     range, unit weights, and a valid schedule, in that order."""
@@ -250,7 +246,7 @@ def _check_pair(inst: Instance, sched: Schedule, i1: int, i2: int) -> None:
     for i in (i1, i2):
         if not 0 <= i < inst.m:
             raise ValueError(f"machine {i} out of range")
-    _require_unit_weights(inst)
+    _require_unit_weights(inst, "balance procedures require unit weights")
     _check_schedule(inst, sched)
 
 
@@ -387,7 +383,7 @@ def equalize_all(inst: Instance, sched: Schedule) -> Schedule:
     """
     K = inst.K
     threshold = 2 * K * basis_l1_sum(hilbert_basis(K))  # K guard before the weight check
-    _require_unit_weights(inst)
+    _require_unit_weights(inst, "balance procedures require unit weights")
     # counts are keyed by machine, so a label out of range would be counted
     # as a machine of its own
     _check_schedule(inst, sched)

@@ -10,17 +10,20 @@ canonical assignments: up to 22 jobs on 2 machines, 14 on 3, 12 on 4 or 5,
 exact solvers, dp, config and fptas, proves dead), MAX_MEMBERSHIPS
 (``generate random``'s n*K <= 100 000, and the jobs plus memberships of
 ``generate coloring``, ``maxcut`` and ``partition3``), MAX_WEIGHT_DIGITS
-(the 4300 digits of ``generate partition3``'s largest weight, and of the
-exponent, numerator and denominator of --epsilon and --density), MAX_ROWS
-(``generate unsplittable``'s 5000 rows), MAX_SUBSET_ROWS
-(``is_unsplittable``'s 20 rows) and MAX_ROUNDS (``equalize_all``'s 10 000 rounds).  The Hilbert
-basis's K <= 3 is the extent of ``balance``'s basis table.  No flag or
-environment variable changes a limit: the package reads no environment, so
-a run's values depend on its arguments and input files alone.
-``verify`` and ``probe`` check the oracle guard before they run anything:
-``verify`` after its pairing and --epsilon checks but before the
-algorithm, ``probe`` after its argument checks but before it builds a
-trial instance.
+(the 4300 digits of ``generate partition3``'s largest weight, of the
+exponent and of |numerator| + denominator of --epsilon and --density, and
+of K*w_1*n(n+1)/2, which bounds every value ``solve`` and ``verify``
+write), MAX_ROWS (``generate unsplittable``'s 5000 rows), MAX_SUBSET_ROWS
+(``is_unsplittable``'s 20 rows) and MAX_ROUNDS (``equalize_all``'s 10 000
+rounds).  The Hilbert basis's K <= 3 is the extent of ``balance``'s basis
+table.  No flag or environment variable changes a limit: the package reads
+no environment, so a run's values depend on its arguments and input files
+alone.
+``solve`` and ``verify`` check the value guard once the instance is read
+and --epsilon parsed, before the pairing.  ``verify`` and ``probe`` check
+the oracle guard before they run anything: ``verify`` after its pairing
+check but before the algorithm, ``probe`` after its argument checks but
+before it builds a trial instance.
 
 ``solve``, ``verify``, ``bench`` and the ``--algo`` choices all derive from
 one table of algorithms, ``ALGORITHMS``.  The command line is read from one
@@ -39,10 +42,10 @@ every call.  A solver is looked up when its table entry is read, before the
 clock of ``time_ms`` starts, so ``time_ms`` leaves out the import.  So a
 process imports only what its command runs: no option-parsing library (nor
 ``gettext`` and ``locale``), and each library module only when a call needs
-it.  ``fractions`` (with ``decimal``) loads only where a Fraction is built:
-``solve`` and ``verify`` with ``--algo fptas`` (to parse --epsilon),
-``bench``, and ``generate random`` and ``probe`` given --density; ``csv``
-only in ``bench``.
+it.  ``fractions`` (with ``decimal``) loads only where ``model._rational``
+builds a Fraction: ``solve`` and ``verify`` with ``--algo fptas`` (to parse
+--epsilon), ``bench``, and ``generate random`` and ``probe`` given
+--density; ``csv`` only in ``bench``.
 ``verify`` writes its ratio and bound as ``str(Fraction)`` would, from
 integers.
 No command loads ``hashlib``: the instance digest uses the interpreter's
@@ -80,6 +83,7 @@ from .model import (
     ObjectiveKind,
     Schedule,
     SolveResult,
+    _rational,
     disbalance,
     evaluate,
     instance_from_dict,
@@ -100,14 +104,6 @@ EXIT_GUARD = 3
 
 MINMAX, MINAVG = ObjectiveKind.MINMAX, ObjectiveKind.MINAVG
 REGRET_MAX, REGRET_SUM = ObjectiveKind.REGRET_MAX, ObjectiveKind.REGRET_SUM
-
-
-def _fraction(*args) -> Fraction:
-    """``Fraction(*args)``; ``fractions`` (and ``decimal``) load only in the
-    processes that build one."""
-    from fractions import Fraction
-
-    return Fraction(*args)
 
 
 class Algorithm(NamedTuple):
@@ -158,30 +154,6 @@ def _ratio_text(num: int, den: int) -> str:
     g = math.gcd(num, den)
     num, den = num // g, den // g
     return str(num) if den == 1 else f"{num}/{den}"
-
-
-def _rational(text: str) -> Fraction:
-    """Parses a rational flag like 1/2 or 1e-3; ValueError (exit 2) when
-    malformed or past MAX_WEIGHT_DIGITS digits.  The exponent is bounded
-    before ``Fraction`` builds 10**exponent exactly (1e-100000000 would take
-    minutes), and the numerator and denominator after, so that every accepted
-    value can be written as text."""
-    _, e, exponent = text.lower().partition("e")
-    try:
-        huge = bool(e) and abs(int(exponent)) > MAX_WEIGHT_DIGITS
-    except ValueError:  # no exponent: Fraction names the malformed text
-        huge = False
-    if huge:
-        raise ValueError(f"the exponent of {text!r} is past {MAX_WEIGHT_DIGITS}")
-    try:
-        value = _fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-    limit = 10**MAX_WEIGHT_DIGITS
-    if abs(value.numerator) >= limit or value.denominator >= limit:
-        raise ValueError(f"{text!r} has more than {MAX_WEIGHT_DIGITS} digits "
-                         "in its numerator or denominator")
-    return value
 
 
 def _load_json(fh, path: str):
@@ -261,11 +233,16 @@ def _check(inst, algo, kind, sched, value, epsilon, best):
 
 
 def _request(args):
-    """The instance, objective and epsilon named by solve/verify arguments."""
+    """The instance, objective and epsilon named by solve/verify arguments.
+    GuardExceeded when K*w_1*n(n+1)/2, which bounds every value, cost, oracle
+    value and ratio a record holds, could not be written as text."""
     inst = _load_instance(args.instance)
     default = next(iter(ALGORITHMS[args.algo].runners))
     kind = ObjectiveKind(args.objective) if args.objective else default
     epsilon = None if args.epsilon is None else _rational(args.epsilon)
+    if inst.K * inst.max_weight * inst.n * (inst.n + 1) // 2 >= 10**MAX_WEIGHT_DIGITS:
+        raise GuardExceeded("value guard: K*w_1*n(n+1)/2 (w_1 the largest weight) has more "
+                            f"than MAX_WEIGHT_DIGITS = {MAX_WEIGHT_DIGITS} digits")
     return inst, kind, epsilon
 
 
@@ -448,7 +425,7 @@ def _cmd_bench(args) -> int:
     for name, inst in _bench_items():
         oracle = {kind: scensched.brute_force(inst, kind) for kind in ObjectiveKind}
         for algo, entry in ALGORITHMS.items():
-            epsilon = _fraction(1, 2) if entry.epsilon else None
+            epsilon = _rational("1/2") if entry.epsilon else None
             for kind in entry.runners:
                 try:
                     sched, value, elapsed = _run(inst, _runner(algo, kind, epsilon), kind)

@@ -10,7 +10,7 @@ search for its objective.
 from __future__ import annotations
 
 from .dp_minavg import _walk
-from .model import Instance, ObjectiveKind, SolveResult, _objective_kind
+from .model import Instance, ObjectiveKind, SolveResult, _objective_kind, _require_unit_weights
 
 
 def solve_config(inst: Instance, kind: ObjectiveKind = ObjectiveKind.MINMAX) -> SolveResult:
@@ -18,6 +18,5 @@ def solve_config(inst: Instance, kind: ObjectiveKind = ObjectiveKind.MINMAX) -> 
     kind = _objective_kind(kind)
     if kind not in (ObjectiveKind.MINMAX, ObjectiveKind.MINAVG):
         raise ValueError(f"configuration solver handles minmax and minavg, not {kind.value}")
-    if any(w != 1 for w in inst.weights):
-        raise ValueError("configuration solver requires unit weights")
+    _require_unit_weights(inst, "configuration solver requires unit weights")
     return _walk(inst, kind)

@@ -20,7 +20,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dp_minavg import _walk
-from .model import Instance, ObjectiveKind, Schedule, SolveResult, _objective_kind, evaluate
+from .model import (
+    Instance, ObjectiveKind, Schedule, SolveResult, _objective_kind, _rational, evaluate,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -48,13 +50,17 @@ def fptas(inst: Instance, eps: Fraction | int | str) -> FptasResult:
     Rounds each weight to ceil(w_j / rho) with rho = W*eps/(m*n^2), solves the
     rounded instance exactly, and reports that schedule's cost under the
     original weights.  When rho <= 1 the instance itself is solved and
-    returned as ``rounded``.  eps must be positive and the largest weight
-    nonzero.  Zero weights round to zero and keep their place at the end of
-    the order.
+    returned as ``rounded``.  eps must be an int (not a bool), a Fraction or
+    a string that ``model._rational`` reads, and positive; the largest weight
+    must be nonzero.  Zero weights round to zero and keep their place at the
+    end of the order.
     """
     from fractions import Fraction
 
-    eps = Fraction(eps)
+    if isinstance(eps, str):
+        eps = _rational(eps)
+    elif type(eps) is not int and not isinstance(eps, Fraction):  # a float or a bool
+        raise ValueError(f"eps must be an int, a Fraction or a string, not {eps!r}")
     if eps <= 0:
         raise ValueError("eps must be positive")
     W = inst.max_weight

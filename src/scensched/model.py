@@ -22,7 +22,10 @@ from __future__ import annotations
 import json
 from enum import Enum
 from operator import sub
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # hashlib loads OpenSSL, which costs every CLI process a few ms and MB; the
 # interpreter's own SHA-256 gives the same digest.
@@ -53,10 +56,11 @@ MAX_STATES = 2_000_000
 # n*K of gen_random, checked before the first draw, and the jobs plus
 # memberships of gen_coloring and gen_partition3, checked before they are built
 MAX_MEMBERSHIPS = 100_000
-# decimal digits of gen_partition3's largest weight, checked before any weight
-# is computed: CPython's default limit for writing an int as text, so every
-# weight it builds can be written to JSON; the CLI bounds the exponent,
-# numerator and denominator of --epsilon and --density by it too
+# CPython's default limit for writing an int as text, so every value below it
+# can be written to JSON: the decimal digits of gen_partition3's largest
+# weight, checked before any weight is computed; of |numerator| + denominator
+# of a rational read by _rational, so that 1 + eps fits too; and of the bound
+# K*w_1*n(n+1)/2 on the values that `solve` and `verify` write
 MAX_WEIGHT_DIGITS = 4300
 MAX_ROWS = 5000  # rows of a generated unsplittable matrix, checked before a level is built
 MAX_SUBSET_ROWS = 20  # rows that is_unsplittable checks by enumerating 2^rows subsets
@@ -298,6 +302,39 @@ def _check_scenario(inst: Instance, k) -> None:
         raise ValueError(f"scenario index {k!r} is not an integer")
     if not 0 <= k < inst.K:
         raise IndexError(f"scenario index {k} out of range")
+
+
+def _require_unit_weights(inst: Instance, message: str) -> None:
+    """ValueError(message) unless every weight is 1: the weights are
+    non-increasing, so the first and the last decide, in O(1)."""
+    if (inst.weights[0], inst.weights[-1]) != (1, 1):
+        raise ValueError(message)
+
+
+def _rational(text: str) -> Fraction:
+    """Parses a rational like 1/2 or 1e-3; ValueError when malformed or when
+    |numerator| + denominator reaches 10**MAX_WEIGHT_DIGITS, so that the value
+    and 1 + value can both be written as text.  The exponent is bounded
+    before ``Fraction`` builds 10**exponent exactly (1e-100000000 would take
+    minutes).  ``fractions`` (with ``decimal``) loads only in the processes
+    that call this."""
+    from fractions import Fraction
+
+    _, e, exponent = text.lower().partition("e")
+    try:
+        huge = bool(e) and abs(int(exponent)) > MAX_WEIGHT_DIGITS
+    except ValueError:  # no exponent: Fraction names the malformed text
+        huge = False
+    if huge:
+        raise ValueError(f"the exponent of {text!r} is past {MAX_WEIGHT_DIGITS}")
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    if abs(value.numerator) + value.denominator >= 10**MAX_WEIGHT_DIGITS:
+        raise ValueError(f"{text!r} has more than {MAX_WEIGHT_DIGITS} digits "
+                         "in its numerator plus denominator")
+    return value
 
 
 def evaluate_scenario(inst: Instance, sched: Schedule, k: int) -> int:

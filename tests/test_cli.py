@@ -535,20 +535,50 @@ def test_fptas_without_epsilon_is_contract_error(five_unit, capsys):
     ("1e-5000", "the exponent of '1e-5000' is past 4300"),
     ("1e5000", "the exponent of '1e5000' is past 4300"),
     ("1e-100000000", "the exponent of '1e-100000000' is past 4300"),
-    ("1e-4300", "'1e-4300' has more than 4300 digits in its numerator or denominator"),
+    ("1e-4300", "'1e-4300' has more than 4300 digits in its numerator plus denominator"),
+    # 4300 digits, but verify's bound 1 + epsilon would have 4301
+    pytest.param("9" * 4300, f"'{'9' * 4300}' has more than 4300 digits in its numerator "
+                 "plus denominator", id="4300-nines"),
 ])
 def test_epsilon_past_the_digit_bound_exits_2_before_fptas(five_unit, monkeypatch, epsilon,
                                                           reason, capsys):
     # Fraction builds 10**exponent exactly, and the record could not write a
-    # denominator past 4300 digits, so the bound is checked before fptas runs
+    # denominator past 4300 digits, so the bound is checked before the oracle
+    # or fptas runs
     import scensched.dp_minmax
+    import scensched.oracle
 
     def solver_called(*args, **kwargs):
-        raise AssertionError("fptas ran on an epsilon past the digit bound")
+        raise AssertionError("fptas or the oracle ran on an epsilon past the digit bound")
 
     monkeypatch.setattr(scensched.dp_minmax, "fptas", solver_called)
-    assert main(["solve", "--algo", "fptas", "--epsilon", epsilon, "-i", str(five_unit)]) == 2
-    assert capsys.readouterr() == ("", f"error: {reason}\n")
+    monkeypatch.setattr(scensched.oracle, "brute_force", solver_called)
+    for command in ("solve", "verify"):
+        argv = [command, "--algo", "fptas", "--epsilon", epsilon, "-i", str(five_unit)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {reason}\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_values_past_the_digit_bound_exit_3_before_any_work(tmp_path, monkeypatch, command,
+                                                            capsys):
+    # each weight has 4300 digits, but K*w_1*n(n+1)/2, which bounds the
+    # values a record holds, has 4301: the guard fires before the oracle or
+    # the solver runs, not after with the interpreter's int-to-text error
+    import scensched.dp_minmax
+    import scensched.oracle
+
+    def called(*args, **kwargs):
+        raise AssertionError("the oracle or the solver ran past the value guard")
+
+    monkeypatch.setattr(scensched.dp_minmax, "solve_pseudo", called)
+    monkeypatch.setattr(scensched.oracle, "brute_force", called)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"m": 2, "weights": [9 * 10**4299] * 2, "scenarios": [[0, 1]]}))
+    assert main([command, "--algo", "dp", "-i", str(path)]) == 3
+    assert capsys.readouterr() == ("", "guard exceeded: value guard: K*w_1*n(n+1)/2 (w_1 the "
+                                   "largest weight) has more than MAX_WEIGHT_DIGITS = 4300 "
+                                   "digits\n")
 
 
 def test_epsilon_at_the_digit_bound_writes_its_record(five_unit, tmp_path):

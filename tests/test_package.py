@@ -150,6 +150,8 @@ _PAIR = make_instance(2, [2, 1], [[0, 1]])
 # an unknown objective kind must not pass for the sum objective, which
 # scores Schedule((0, 0, 1)) 10 where min-max scores it 7
 _TWO = make_instance(2, [3, 2, 1], [[0, 1], [1, 2]])
+# not unit weights, though every weight but the last is 1
+_ZERO_LAST = make_instance(2, [1, 1, 0], [[0, 1, 2]])
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -213,6 +215,19 @@ _TWO = make_instance(2, [3, 2, 1], [[0, 1], [1, 2]])
      "weight of job 1 must be a nonnegative integer"),
     (lambda: Instance(2, (True, 1), (frozenset({0}),), (0, 1)), ValueError,
      "weight of job 0 must be a nonnegative integer"),
+    (lambda: fptas(_PAIR, 0.1), ValueError, "eps must be an int, a Fraction or a string, not 0.1"),
+    (lambda: fptas(_PAIR, True), ValueError,
+     "eps must be an int, a Fraction or a string, not True"),
+    (lambda: fptas(_PAIR, "1e-100000000"), ValueError,
+     "the exponent of '1e-100000000' is past 4300"),
+    (lambda: scensched.solve_config(_ZERO_LAST), ValueError,
+     "configuration solver requires unit weights"),
+    (lambda: equalize_two(_ZERO_LAST, Schedule((0, 0, 1)), 0, 1), ValueError,
+     "balance procedures require unit weights"),
+    (lambda: scensched.equalize_all(_ZERO_LAST, Schedule((0, 0, 1))), ValueError,
+     "balance procedures require unit weights"),
+    (lambda: scensched.profile_round_robin(_ZERO_LAST, Schedule((0, 0, 1)), 0, 1), ValueError,
+     "balance procedures require unit weights"),
 ], ids=["instance-without-jobs", "evaluate-short-schedule", "disbalance-long-schedule",
         "scenario-optimum-index", "instance-list-scenario", "instance-set-scenario",
         "instance-list-weights", "instance-list-scenarios", "instance-list-order",
@@ -224,7 +239,9 @@ _TWO = make_instance(2, [3, 2, 1], [[0, 1], [1, 2]])
         "hilbert-basis-k-bool", "hilbert-basis-k-float", "evaluate-kind-str", "evaluate-kind-int",
         "brute-force-kind-none", "walk-kind-str", "solve-pseudo-kind-str",
         "solve-config-kind-str", "solve-pseudo-value-str", "weight-str", "weight-none",
-        "weight-negative", "instance-weight-negative", "instance-weight-bool"])
+        "weight-negative", "instance-weight-negative", "instance-weight-bool", "fptas-eps-float",
+        "fptas-eps-bool", "fptas-eps-exponent", "solve-config-zero-weight",
+        "equalize-two-zero-weight", "equalize-all-zero-weight", "round-robin-zero-weight"])
 def test_contract_checks_raise_their_message(call, error, message):
     with pytest.raises(error) as info:
         call()
