@@ -13,17 +13,20 @@ exact solvers, dp, config and fptas, proves dead), MAX_MEMBERSHIPS
 (the 4300 digits of ``generate partition3``'s largest weight, of the
 exponent and of |numerator| + denominator of --epsilon and --density, and
 of K*w_1*n(n+1)/2, which bounds every value ``solve`` and ``verify``
-write), MAX_ROWS (``generate unsplittable``'s 5000 rows), MAX_SUBSET_ROWS
+write, and of the numerator and denominator of the bound ``verify`` writes),
+MAX_ROWS (``generate unsplittable``'s 5000 rows), MAX_SUBSET_ROWS
 (``is_unsplittable``'s 20 rows) and MAX_ROUNDS (``equalize_all``'s 10 000
 rounds).  The Hilbert basis's K <= 3 is the extent of ``balance``'s basis
 table.  No flag or environment variable changes a limit: the package reads
 no environment, so a run's values depend on its arguments and input files
 alone.
 ``solve`` and ``verify`` check the value guard once the instance is read
-and --epsilon parsed, before the pairing.  ``verify`` and ``probe`` check
-the oracle guard before they run anything: ``verify`` after its pairing
-check but before the algorithm, ``probe`` after its argument checks but
-before it builds a trial instance.
+and --epsilon parsed, before the pairing.  ``verify`` checks its bound, the
+certified ratio in lowest terms, after the pairing: (3m - 1)/(2m) of
+``approx-minavg`` reads ``m``, which the value guard does not.  ``verify``
+and ``probe`` check the oracle guard before they run anything: ``verify``
+after its bound check but before the algorithm, ``probe`` after its
+argument checks but before it builds a trial instance.
 
 ``solve``, ``verify``, ``bench`` and the ``--algo`` choices all derive from
 one table of algorithms, ``ALGORITHMS``.  The command line is read from one
@@ -279,10 +282,18 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Checks the pairing, then takes the oracle value, whose guard fires
-    before the algorithm runs, then runs and compares."""
+    """Checks the pairing and the size of the bound it will write, then takes
+    the oracle value, whose guard fires before the algorithm runs, then runs
+    and compares."""
     inst, kind, epsilon = _request(args)
     runner = _runner(args.algo, kind, epsilon)
+    bound = ALGORITHMS[args.algo].bound
+    if bound is not None:
+        num, den = bound(inst, epsilon)
+        if max(num, den) // math.gcd(num, den) >= 10**MAX_WEIGHT_DIGITS:
+            raise GuardExceeded("bound guard: the certified ratio in lowest terms has a numerator "
+                                f"or denominator of more than MAX_WEIGHT_DIGITS = "
+                                f"{MAX_WEIGHT_DIGITS} digits")
     best = scensched.brute_force(inst, kind).best_value
     sched, value, _ = _run(inst, runner, kind)
     ratio, ok, detail = _check(inst, args.algo, kind, sched, value, epsilon, best)

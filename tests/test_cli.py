@@ -581,6 +581,60 @@ def test_values_past_the_digit_bound_exit_3_before_any_work(tmp_path, monkeypatc
                                    "digits\n")
 
 
+def test_verify_checks_its_bound_before_any_work(tmp_path, monkeypatch, capsys):
+    # approx-minavg's bound (3m - 1)/(2m) reads m, which the value guard does
+    # not.  At m = 5*10**4299 + 1, 3m - 1 has 4301 digits, but the bound in
+    # lowest terms, (3m - 1)/2 over m, has 4300 over 4300 and is written; at
+    # m = 9*10**4299 it has 4301 over 4301, and verify stops before the
+    # oracle or the solver runs, not after with the interpreter's int-to-text
+    # error.  solve writes no bound and exits 0 on both.
+    import scensched.approx
+    import scensched.oracle
+
+    at, past = tmp_path / "at.json", tmp_path / "past.json"
+    for path, m in ((at, 5 * 10**4299 + 1), (past, 9 * 10**4299)):
+        path.write_text(json.dumps({"m": m, "weights": [3, 2, 1], "scenarios": [[0, 1], [1, 2]]}))
+        assert main(["solve", "--algo", "approx-minavg", "-i", str(path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "v.json"
+    assert main(["verify", "--algo", "approx-minavg", "-i", str(at), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["bound"] == f"{75 * 10**4298 + 1}/{5 * 10**4299 + 1}"
+
+    def called(*args, **kwargs):
+        raise AssertionError("the oracle or the solver ran past the bound guard")
+
+    monkeypatch.setattr(scensched.approx, "minavg_derandomized", called)
+    monkeypatch.setattr(scensched.oracle, "brute_force", called)
+    assert main(["verify", "--algo", "approx-minavg", "-i", str(past)]) == 3
+    assert capsys.readouterr() == ("", "guard exceeded: bound guard: the certified ratio in "
+                                   "lowest terms has a numerator or denominator of more than "
+                                   "MAX_WEIGHT_DIGITS = 4300 digits\n")
+
+
+def test_a_value_off_the_oracle_exits_1(five_unit, tmp_path, monkeypatch):
+    # dp's sum solver one above the optimum: verify writes "ok": false, and
+    # bench writes every row of the good run before it exits 1
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    assert main(["bench", "-o", str(good)]) == 0
+    shipped = dp_minavg.solve_minavg
+
+    def one_above(inst):
+        res = shipped(inst)
+        return res._replace(value=res.value + 1)
+
+    monkeypatch.setattr(dp_minavg, "solve_minavg", one_above)
+    out = tmp_path / "v.json"
+    assert main(["verify", "--algo", "dp", "--objective", "minavg", "-i", str(five_unit),
+                 "-o", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert (report["ok"], report["value"]) == (False, report["oracle_value"] + 1)
+    assert main(["bench", "-o", str(bad)]) == 1
+    good, bad = ([line.split(",") for line in p.read_text().splitlines()] for p in (good, bad))
+    assert [row[:6] for row in bad] == [row[:6] for row in good]
+    off = [row for row in bad if row[4:6] == ["dp", "minavg"]]
+    assert off and all(int(row[6]) == int(row[7]) + 1 for row in off)
+
+
 def test_epsilon_at_the_digit_bound_writes_its_record(five_unit, tmp_path):
     # 10**4299 has 4300 digits, the most an int is written with as text
     out = tmp_path / "run.json"

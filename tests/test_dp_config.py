@@ -8,8 +8,6 @@ from scensched.model import (
 )
 from scensched.oracle import brute_force
 
-from conftest import on_both_paths, unit_suite
-
 
 def test_forced_round_robin():
     inst = make_instance(2, [1] * 4, [[0, 1, 2, 3], [0, 1, 2, 3]])
@@ -49,22 +47,6 @@ def test_many_profile_types_match_oracle():
             res = solve_config(inst, kind)
             assert res.value == brute_force(inst, kind).best_value
             assert evaluate(inst, res.schedule, kind).aggregate == res.value
-
-
-def test_matches_oracle_both_objectives():
-    kinds = (ObjectiveKind.MINMAX, ObjectiveKind.MINAVG)
-    suite = unit_suite(60)
-    best = [[brute_force(inst, kind).best_value for kind in kinds] for inst in suite]
-
-    def check():
-        for inst, values in zip(suite, best):
-            for kind, value in zip(kinds, values):
-                res = solve_config(inst, kind)
-                assert res.value == value
-                # materialized schedule reproduces the configuration costs
-                assert evaluate(inst, res.schedule, kind).aggregate == res.value
-
-    on_both_paths(check)
 
 
 def test_configuration_cost_formula_matches_evaluation():

@@ -9,8 +9,6 @@ from scensched.model import (
 )
 from scensched.two_scenario import solve_two_scenarios
 
-from conftest import two_scenario_suite
-
 
 def _assert_ideal(inst, sched):
     for k in (0, 1):
@@ -59,11 +57,6 @@ def test_single_machine():
     sched = solve_two_scenarios(inst)
     assert sched.assignment == (0, 0, 0)
     _assert_ideal(inst, sched)
-
-
-def test_ideal_on_seeded_suite():
-    for inst in two_scenario_suite(60):
-        _assert_ideal(inst, solve_two_scenarios(inst))
 
 
 def _reference(inst):
