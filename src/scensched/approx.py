@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .model import Instance, Schedule, _scenario_cost
+from .model import Instance, Schedule
 
 
 def minmax_all_on_one(inst: Instance) -> Schedule:
@@ -36,7 +36,7 @@ def minavg_derandomized(inst: Instance) -> Schedule:
     (3/2 - 1/(2m)) times the optimum and never exceeds the exact uniform
     expectation from the oracle module.
     """
-    return Schedule(_greedy(inst)[0])
+    return Schedule(_greedy(inst))
 
 
 def _place_jobs(inst: Instance, choose) -> tuple:
@@ -67,8 +67,8 @@ def _place_jobs(inst: Instance, choose) -> tuple:
     return tuple(assign), pool
 
 
-def _greedy(inst: Instance) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The derandomized assignment and its per-scenario totals.
+def _greedy(inst: Instance) -> tuple[int, ...]:
+    """The derandomized assignment.
 
     A machine scores the jobs of the job's scenarios it already holds, which
     its count row alone fixes, so machines with equal rows tie.  Each job
@@ -80,5 +80,4 @@ def _greedy(inst: Instance) -> tuple[tuple[int, ...], tuple[int, ...]]:
     def cheapest(j: int, ks: tuple, pool: dict) -> tuple:
         return min(pool, key=lambda row: (sum(row[k] for k in ks), pool[row][0]))
 
-    assign, _ = _place_jobs(inst, cheapest)
-    return assign, tuple(_scenario_cost(inst, assign, k) for k in range(inst.K))
+    return _place_jobs(inst, cheapest)[0]

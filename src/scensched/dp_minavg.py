@@ -27,37 +27,35 @@ along a placement and equals the value at a leaf.  At the empty count matrix
 lb is the vector of scenario optima opt_k, and the bound there, the root
 bound, is below every schedule: max_k opt_k for min-max, the sum of the
 opt_k for the sum, 0 for both regrets.  The incumbent is the objective value
-of the derandomized greedy schedule of :mod:`.approx`.  When it equals the
-root bound the greedy schedule is optimal, and the descent below starts
-with an empty stack.
+of the derandomized greedy schedule of :mod:`.approx`.
 
-Otherwise the optimum is found by one descent: an iterative depth-first
-search (n reaches thousands, so it does not recurse) over nodes (j, Y, C)
-under a cap that only falls, starting at the greedy value less one.  It
-enters a child only while the child's bound is at most the cap, tries the
-children least bound first (ties to the lower row), and drops a
-pending child whose bound the cap has fallen below.  A leaf is a schedule
-within the cap; it becomes the witness, the cap falls to its value less
-one, and the descent goes on from where it is.  A node whose subtree the
-descent has exhausted is dead: the subtree depends on (j, Y, C) alone and
-holds no leaf within the cap of that moment, nor within any later, lower
-cap, so one dead set serves the whole solve and a dead node is never
-entered again.  Up to the order of identical rows, a schedule is a
-root-to-leaf path of placements, and the bound never decreases along it and
-ends at the schedule's value; so a schedule within the final cap keeps every
-node of its path within every cap, and the descent, which leaves a path only
-at a child above the cap or at a dead node, would have reached its leaf.
-When the stack is empty, then, no schedule beats the last leaf, which is
-optimal.  Past the root, each stack frame holds the count row that the
-last job on its path went on, so the frames' rows and the leaf's own spell
-the leaf's path, and the witness is replayed forward by placing each job on
-a machine holding its row; if there was no leaf, the greedy schedule is
-optimal.  Every bound is at least the root bound, so once a leaf meets it no
-child fits the cap, and the descent stops at once.  A node is entered at
-most once, since it stays on the stack until it is proved dead or the
-descent stops; the ``model.MAX_STATES`` guard, read when the descent runs,
-bounds the nodes proved dead in the whole solve, and with them the nodes it
-enters.
+The optimum is found by one descent: an iterative depth-first search (n
+reaches thousands, so it does not recurse) over nodes (j, Y, C) under a cap
+that only falls, starting at the greedy value less one.  It enters a child
+only while the child's bound is at most the cap, tries the children least
+bound first (ties to the lower row), and drops a pending child whose bound
+the cap has fallen below.  A leaf is a schedule within the cap; it becomes
+the witness, the cap falls to its value less one, and the descent goes on
+from where it is.  A node whose subtree the descent has exhausted is dead:
+the subtree depends on (j, Y, C) alone and holds no leaf within the cap of
+that moment, nor within any later, lower cap, so one dead set serves the
+whole solve and a dead node is never entered again.  Up to the order of
+identical rows, a schedule is a root-to-leaf path of placements, and the
+bound never decreases along it and ends at the schedule's value; so a
+schedule within the final cap keeps every node of its path within every cap,
+and the descent, which leaves a path only at a child above the cap or at a
+dead node, would have reached its leaf.  When the stack is empty, then, no
+schedule beats the last leaf, which is optimal.  Past the start node, each
+stack frame holds the count row that the last job on its path went on, so
+the frames' rows and the leaf's own spell the leaf's path, and the witness
+is replayed forward by placing each job on a machine holding its row; if
+there was no leaf, the greedy schedule is optimal.  Every bound is at least
+the root bound, so once the cap falls below it no child fits, and the
+descent stops at once: after a leaf that meets it, or before its first step
+when the greedy value meets it.  A node is entered at most once, since it
+stays on the stack until it is proved dead or the descent stops; the
+``model.MAX_STATES`` guard, read when the descent runs, bounds the nodes
+proved dead in the whole solve, and with them the nodes it enters.
 """
 
 from __future__ import annotations
@@ -68,6 +66,7 @@ from operator import add, sub
 from .approx import _greedy, _place_jobs
 from .model import (
     MAX_STATES, GuardExceeded, Instance, ObjectiveKind, Schedule, SolveResult, _objective,
+    _scenario_cost,
 )
 
 
@@ -106,7 +105,8 @@ def _bounds(inst: Instance) -> tuple:
     def lb(state: tuple) -> tuple:
         return tuple(map(remaining, range(inst.K), zip(*state)))
 
-    return (*_greedy(inst), lb)
+    assign = _greedy(inst)
+    return assign, tuple(_scenario_cost(inst, assign, k) for k in range(inst.K)), lb
 
 
 def _replay(inst: Instance, rows: list, state: tuple) -> Schedule:
@@ -117,13 +117,6 @@ def _replay(inst: Instance, rows: list, state: tuple) -> Schedule:
     ended = sorted(row for row, machines in pool.items() for _ in machines)
     assert ended == list(state), "replay ended off the search's final state"
     return Schedule(assign)
-
-
-def _meets_root(ub: int, root: int) -> bool:
-    """Whether the incumbent ub equals the root bound, the objective of the
-    scenario optima, which no schedule beats: then the greedy schedule is
-    optimal and no descent runs."""
-    return ub == root
 
 
 def _walk(inst: Instance, kind: ObjectiveKind) -> SolveResult:
@@ -146,8 +139,7 @@ def _walk(inst: Instance, kind: ObjectiveKind) -> SolveResult:
         return max(map(sub, c, opts))
 
     assign, totals, lb = _bounds(inst)
-    ub = value(fold(totals))
-    root = value(fold(lb(_start(inst))))
+    ub, root = value(fold(totals)), value(fold(lb(_start(inst))))
 
     def children(node: tuple, cap: int) -> list:
         """(bound, row, child) for each child of node whose bound is at most
@@ -170,10 +162,10 @@ def _walk(inst: Instance, kind: ObjectiveKind) -> SolveResult:
         return sorted(kept, reverse=True)
 
     # the descent: each frame holds a node, the row its job went on and the
-    # node's untried children, so the stack past the root spells the path
+    # node's untried children, so the stack past the start spells the path
     cap, dead, leaf = ub - 1, set(), None
     start = (0, _start(inst), (0,) * len(opts))
-    stack = [] if _meets_root(ub, root) else [(start, None, children(start, cap))]
+    stack = [(start, None, children(start, cap))]
     while stack and cap >= root:
         node, _, todo = stack[-1]
         if not todo:

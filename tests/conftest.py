@@ -1,8 +1,10 @@
 """Shared seeded instance suites for the module tests and the acceptance run,
-and a switch that runs the exact solvers with and without their root check."""
+and a switch that runs the exact solvers from a far worse incumbent."""
 
 from collections import Counter
 from contextlib import contextmanager
+
+from pytest import MonkeyPatch
 
 from scensched import dp_minavg
 from scensched.generators import gen_random
@@ -10,50 +12,46 @@ from scensched.model import ObjectiveKind, Schedule, evaluate
 
 
 @contextmanager
-def solver_paths(root_check=True):
-    """Tallies the paths the exact solvers take inside the block: "root" when
-    the greedy schedule meets the root bound and is returned at once,
-    "search" when the depth-first descent under a falling cap runs.  With
-    ``root_check=False`` the check never passes, and the incumbent is the
-    schedule with every job on machine 0 in place of the greedy one.  The
-    descent starts at its value less one, so every solve searches, from well
-    above the optimum, and finds a leaf unless that schedule is optimal."""
-    seen = Counter()
-    shipped, shipped_bounds = dp_minavg._meets_root, dp_minavg._bounds
-
-    def spy(ub, root):
-        path = "root" if root_check and shipped(ub, root) else "search"
-        seen[path] += 1
-        return path == "root"
+def solver_paths():
+    """Runs the exact solvers inside the block from the schedule with every
+    job on machine 0 in place of the greedy one.  The descent starts at its
+    value less one, so it searches from well above the optimum, and finds a
+    leaf unless that schedule is optimal."""
+    shipped = dp_minavg._bounds
 
     def all_on_one(inst):
-        *_, lb = shipped_bounds(inst)
+        *_, lb = shipped(inst)
         assign = (0,) * inst.n
         return assign, evaluate(inst, Schedule(assign), ObjectiveKind.MINMAX).per_scenario, lb
 
-    dp_minavg._meets_root = spy
-    if not root_check:
-        dp_minavg._bounds = all_on_one
-    try:
-        yield seen
-    finally:
-        dp_minavg._meets_root, dp_minavg._bounds = shipped, shipped_bounds
+    with MonkeyPatch.context() as mp:
+        mp.setattr(dp_minavg, "_bounds", all_on_one)
+        yield
 
 
 def on_both_paths(check, reach_both=True):
-    """Runs ``check()`` with the root check and again without it (and from
-    the all-on-one incumbent, see :func:`solver_paths`), so that the search
-    stays under test on inputs the greedy schedule already solves.
-    With the check on, a suite must reach both paths (unless ``reach_both``
-    is false, for a single drawn example); without it, every solve must
-    search."""
-    for root_check in (True, False):
-        with solver_paths(root_check) as seen:
-            check()
-        if root_check and reach_both:
-            assert set(seen) == {"root", "search"}, seen
-        if not root_check:
-            assert set(seen) == {"search"}, seen
+    """Runs ``check()`` with the greedy incumbent, then again from the
+    all-on-one one (:func:`solver_paths`), so that the descent stays under
+    test on inputs the greedy schedule already solves.  With the greedy
+    incumbent a suite must reach both ends of the descent (unless
+    ``reach_both`` is false, for a single drawn example): a solve that finds
+    a leaf, whose witness ``_replay`` rebuilds, and one that finds none."""
+    calls = Counter()
+
+    def counted(name, function):
+        def spy(*args):
+            calls[name] += 1
+            return function(*args)
+        return spy
+
+    with MonkeyPatch.context() as mp:
+        mp.setattr(dp_minavg, "_bounds", counted("solves", dp_minavg._bounds))
+        mp.setattr(dp_minavg, "_replay", counted("leaves", dp_minavg._replay))
+        check()
+    if reach_both:
+        assert 0 < calls["leaves"] < calls["solves"], calls
+    with solver_paths():
+        check()
 
 
 def weighted_suite(count=300):

@@ -23,7 +23,13 @@ from scensched.balance import (
 from scensched.cli import ALGORITHMS, _runner, main
 from scensched.dp_minavg import solve_minavg, solve_regret_sum
 from scensched.dp_minmax import fptas
-from scensched.generators import gen_partition3, gen_unsplittable, is_unsplittable, partition3_tight_bound
+from scensched.generators import (
+    gen_partition3,
+    gen_random,
+    gen_unsplittable,
+    is_unsplittable,
+    partition3_tight_bound,
+)
 from scensched.model import (
     ObjectiveKind,
     Schedule,
@@ -86,29 +92,40 @@ def test_criterion_2_dp_exactness():
                 assert res.value == value, (algo, kind, inst)
                 assert evaluate(inst, res.schedule, kind).aggregate == value, (algo, kind, inst)
 
-        # with the root check and again without it, so the count-matrix
-        # search is checked on every instance
+        # with the greedy incumbent and again from the all-on-one incumbent,
+        # so the count-matrix descent takes steps on every instance
         on_both_paths(check)
     _report(2, f"dp on 4 objectives over {len(weighted)} weighted and config on 2 over "
                f"{len(unit)} unit instances equal the oracle, witnesses included, "
-               "with and without the root check")
+               "with the greedy and the all-on-one incumbent")
 
 
 def test_criterion_3_fptas_bound_and_rounding():
+    # rho = W*eps/(m*n^2) is at most 1 on the weighted suite (weights <= 6),
+    # so fptas solves the instance itself there; weights up to 10^4 make it
+    # round, and its value must still be the original weights' cost
     suite = weighted_suite(300)
-    best = [brute_force(inst, ObjectiveKind.MINMAX).best_value for inst in suite]
+    large = [
+        gen_random(3 + i % 6, 2 + i % 2, 1 + i % 3, w_max=10**4, density=0.6, seed=5000 + i)
+        for i in range(120)
+    ]
+    best = [brute_force(inst, ObjectiveKind.MINMAX).best_value for inst in suite + large]
 
     def check():
-        for inst, opt in zip(suite, best):
+        for index, (inst, opt) in enumerate(zip(suite + large, best)):
             for eps in (Fraction(1, 2), Fraction(1, 10)):
                 res = fptas(inst, eps)
-                assert Fraction(res.value) <= (1 + eps) * opt
+                assert res.value == evaluate(inst, res.schedule, ObjectiveKind.MINMAX).aggregate
+                assert opt <= res.value <= (1 + eps) * opt
                 limit = Fraction(inst.m * inst.n * inst.n) / eps + 1
                 assert all(Fraction(w) <= limit for w in res.rounded.weights)
+                if index >= len(suite):
+                    assert res.rounded is not inst
 
     on_both_paths(check)
-    _report(3, f"value <= (1+eps)*opt and rounded weights within bound, "
-               f"eps in {{1/2, 1/10}}, {len(suite)} instances, with and without the root check")
+    _report(3, f"opt <= value <= (1+eps)*opt, value the witness's cost and rounded weights "
+               f"within bound, eps in {{1/2, 1/10}}, {len(suite)} instances and {len(large)} "
+               "rounded ones with weights up to 10^4, with the greedy and the all-on-one incumbent")
 
 
 def test_criterion_4_approximation_ratios():

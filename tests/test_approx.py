@@ -45,19 +45,15 @@ def test_derandomized_single_scenario_is_round_robin_optimal():
 def _all_rows_greedy(inst):
     """The greedy with a count row for each of min(m, n) machines, every row
     scanned for every job: the reference for the scan of distinct rows."""
-    w = inst.weights
     counts = [[0] * inst.K for _ in range(min(inst.m, inst.n))]
     machines = range(len(counts))
-    totals = [0] * inst.K
     assign = []
-    for j, ks in enumerate(inst.job_scenarios):
+    for ks in inst.job_scenarios:
         best = min(machines, key=lambda i: sum(counts[i][k] for k in ks))
-        row = counts[best]
         for k in ks:
-            row[k] += 1
-            totals[k] += w[j] * row[k]
+            counts[best][k] += 1
         assign.append(best)
-    return tuple(assign), tuple(totals)
+    return tuple(assign)
 
 
 def test_greedy_equals_a_scan_of_all_rows():

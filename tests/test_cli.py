@@ -724,8 +724,9 @@ _AT_GUARD = ["--n", "22", "--m", "2", "--K", "3", "--w-max", "1", "--seed", "2"]
 
 
 @pytest.mark.parametrize("instance, argv, limit", [
-    # the greedy scans the distinct count rows, not the machines, and both
-    # dp solves end at the root check with the greedy schedule
+    # the greedy scans the distinct count rows, not the machines, and the
+    # greedy schedule meets the root bound, so both dp descents stop before
+    # their first step
     (_WIDE, ["solve", "--algo", "approx-minavg"], 10),
     (_WIDE, ["solve", "--algo", "dp", "--objective", "minavg"], 10),
     (_WIDE, ["solve", "--algo", "dp", "--objective", "minmax"], 10),

@@ -137,12 +137,11 @@ def test_many_machines_few_jobs_returns_at_once():
 def test_pruning_keeps_large_instances_small(n, seed, kind, aggregate, monkeypatch):
     # Unpruned, the widest layer of the count-matrix walk held 346,000 cost
     # vectors (n=30, min-max) and 692,000 count matrices (n=40, sum).  The
-    # greedy schedule meets the root bound on both, so the root check is off
-    # here, and the descent from the all-on-one incumbent proves 0 and 66
-    # states dead.
+    # greedy schedule meets the root bound on both, so the descent runs here
+    # from the all-on-one incumbent, and proves 0 and 66 states dead.
     inst = gen_random(n, 3, 3, w_max=9, density=0.5, seed=seed)
     monkeypatch.setattr(dp_minavg, "MAX_STATES", 10_000)
-    with solver_paths(root_check=False):
+    with solver_paths():
         if kind is ObjectiveKind.MINMAX:
             res = solve_pseudo(inst, kind)
         else:

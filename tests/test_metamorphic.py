@@ -6,9 +6,9 @@ Relabelling the jobs or adding jobs outside every scenario leaves every
 objective value unchanged; scaling all weights by c scales it by c.  Ties
 between equal weights and empty count-matrix columns are where a wrong lower
 bound would prune an optimum, so the instances draw both often.  Each example
-runs with the solvers' root check and again without it, since the greedy
-schedule meets the root bound on most small draws and the search would
-otherwise seldom run.
+runs with the greedy incumbent and again from the all-on-one incumbent, since
+the greedy schedule meets the root bound on most small draws and the descent
+would otherwise seldom take a step.
 """
 
 from hypothesis import assume, given, settings
