@@ -5,19 +5,25 @@ appear in first-use order), which visits each partition of the jobs into at
 most ``m`` unordered groups exactly once.  It is trusted as the reference for
 every solver in the package and imports none of them.
 
-One search, ``_search(inst, kind, limit, visit)``, serves every caller.  It
-enters a child only while agg_k(C_k + R_k) < limit, where C_k is scenario
-k's cost so far less its offset and R_k the weight of scenario k's jobs
-still to place.  Each job still to place costs at least its weight in each
-of its scenarios (rank >= 1, weight >= 0), so C_k + R_k never exceeds
-scenario k's final cost on a leaf below, and agg (max or sum) is monotone:
-the prune drops no leaf whose value is below the limit.
+One search, ``_search(inst, kind, limit, visit)``, serves every caller.  A
+node's bound is the larger of agg_k(C_k + R_k), where C_k is scenario k's
+cost so far less its offset and R_k the weight of scenario k's jobs still to
+place, and the root bound agg_k(opt_k - offset_k), where opt_k is scenario
+k's standalone optimum (``model.scenario_optima``).  A child enters only
+while its bound is below the limit.  Each job still to place costs at least
+its weight in each of its scenarios (rank >= 1, weight >= 0), so C_k + R_k
+never exceeds scenario k's final cost on a leaf below; no scenario costs less
+than its optimum; and agg (max or sum) is monotone.  So no leaf is below its
+node's bound, and the prune drops no leaf whose value is below the limit.
 
 - ``brute_force`` starts the limit at the round robin's value + 1, and each
   leaf below the limit becomes the answer and lowers the limit to its own
   value.  The round robin j -> j mod m is a canonical leaf, so some leaf is
   recorded; after that only strictly better leaves enter.  So the last leaf
-  recorded is the first canonical leaf that attains the optimum.
+  recorded is the first canonical leaf that attains the optimum.  A leaf
+  that meets the root bound lowers the limit to it, so no child enters after
+  it: the search stops at the first such leaf, as ``dp_minavg``'s descent
+  stops at the root bound.
 - ``optimal_schedules`` (and ``balance.conjecture_probe``) take the optimum
   from ``brute_force``, then run the search again with the limit fixed at
   the optimum + 1, calling ``visit`` on every optimum in enumeration order.
@@ -39,6 +45,7 @@ from .model import (
     Schedule,
     _objective,
     _scenario_cost,
+    scenario_optima,
 )
 
 if TYPE_CHECKING:
@@ -104,18 +111,20 @@ def _search(inst: Instance, kind: ObjectiveKind, limit: int, visit=None):
 
     Without ``visit``, each such leaf lowers the limit to its own value, and
     the result is (value, assignment) of the last one recorded, or
-    (limit, None) if there was none.  With ``visit``, the limit stays fixed
-    and ``visit(assign)`` runs on every such leaf in enumeration order;
-    ``assign`` is one list reused between calls.
+    (limit, None) if there was none; once the limit reaches the root bound no
+    child enters, so the search ends at the first leaf that meets it.  With
+    ``visit``, the limit stays fixed and ``visit(assign)`` runs on every such
+    leaf in enumeration order; ``assign`` is one list reused between calls.
     """
     n, m, K = inst.n, inst.m, inst.K
     w = inst.weights
     job_scens = inst.job_scenarios
     agg, offsets = _objective(inst, kind)
-    # bound[k] is C_k + R_k of the module docstring, so a node's bound and a
-    # leaf's value are both agg(bound).  A job of weight w placed behind c
-    # scenario-k jobs on its machine adds w * (c + 1) to C_k and takes w from
-    # R_k: it adds w * c.
+    root = agg(opt - o for opt, o in zip(scenario_optima(inst), offsets))
+    # bound[k] is C_k + R_k of the module docstring, so a node's bound is the
+    # larger of agg(bound) and root, and a leaf's value is agg(bound).  A job
+    # of weight w placed behind c scenario-k jobs on its machine adds
+    # w * (c + 1) to C_k and takes w from R_k: it adds w * c.
     bound = [sum(w[j] for j in jobs) - o for jobs, o in zip(inst.scenario_jobs, offsets)]
     # canonical labels never pass min(m, n) - 1, so the rest need no row
     counts = [[0] * K for _ in range(min(m, n))]
@@ -127,35 +136,25 @@ def _search(inst: Instance, kind: ObjectiveKind, limit: int, visit=None):
         nonlocal limit, best_assign
         wj = w[j]
         ks = job_scens[j]
-        if j < last:
-            for i in range(min(used + 1, m)):
-                row = counts[i]
-                for k in ks:
-                    bound[k] += wj * row[k]
-                    row[k] += 1
-                if agg(bound) < limit:
-                    assign[j] = i
-                    rec(j + 1, used + 1 if i == used else used)
-                for k in ks:
-                    row[k] -= 1
-                    bound[k] -= wj * row[k]
-            return
-        # the last job: each child is a leaf, evaluated here without a call
         for i in range(min(used + 1, m)):
             row = counts[i]
             for k in ks:
                 bound[k] += wj * row[k]
+                row[k] += 1
             value = agg(bound)
+            if root < limit and value < limit:
+                assign[j] = i
+                # the last job's children are leaves, recorded here without a call
+                if j < last:
+                    rec(j + 1, used + 1 if i == used else used)
+                elif visit is None:
+                    limit = value
+                    best_assign = tuple(assign)
+                else:
+                    visit(assign)
             for k in ks:
+                row[k] -= 1
                 bound[k] -= wj * row[k]
-            if value >= limit:
-                continue
-            assign[j] = i
-            if visit is None:
-                limit = value
-                best_assign = tuple(assign)
-            else:
-                visit(assign)
 
     rec(0, 0)
     return limit, best_assign
@@ -167,10 +166,11 @@ def brute_force(
     """Exact optimum of the given objective by canonical enumeration.
 
     Returns the optimal value and the lexicographically first canonical
-    optimal schedule; ``optimal_schedules`` lists every optimum.  Guarded by
-    the number of canonical assignments, at most ``2**guard_bits`` (see
-    ``_check_guard``); the prune visits fewer, but the guard does not count
-    on it.
+    optimal schedule; ``optimal_schedules`` lists every optimum.  The search
+    stops at the first leaf that meets the root bound of the module
+    docstring, since no leaf lies below it.  Guarded by the number of
+    canonical assignments, at most ``2**guard_bits`` (see ``_check_guard``);
+    the prune visits fewer, but the guard does not count on it.
     """
     _check_guard(inst.n, inst.m, guard_bits)
     agg, offsets = _objective(inst, kind)

@@ -720,7 +720,9 @@ def test_huge_m_equalizes_like_a_thousand_machines(tmp_path):
 # generate random flags of the instances below
 _WIDE = ["--n", "20000", "--m", "20000", "--K", "3", "--seed", "1"]
 _PAIR = ["--n", "20000", "--m", "2", "--K", "3", "--w-max", "1"]
+# 22 jobs on 2 machines have 2^21 canonical assignments, exactly the oracle guard
 _AT_GUARD = ["--n", "22", "--m", "2", "--K", "3", "--w-max", "1", "--seed", "2"]
+_FULL_AT_GUARD = ["--n", "22", "--m", "2", "--K", "8", "--seed", "0"]
 
 
 @pytest.mark.parametrize("instance, argv, limit", [
@@ -732,12 +734,17 @@ _AT_GUARD = ["--n", "22", "--m", "2", "--K", "3", "--w-max", "1", "--seed", "2"]
     (_WIDE, ["solve", "--algo", "dp", "--objective", "minmax"], 10),
     # equalize_two reads one side sequence per profile, not one job at a time
     (_PAIR, ["balance", "equalize", "--machines", "0", "1", "-s", "ZERO"], 10),
-    # 22 jobs on 2 machines have 2^21 canonical assignments, exactly the oracle guard
+    # at the oracle guard, an optimum that meets the root bound: the oracle
+    # stops at its first leaf that meets it
     (_AT_GUARD, ["verify", "--algo", "dp", "--objective", "minmax"], 60),
     (_AT_GUARD, ["verify", "--algo", "dp", "--objective", "minavg"], 60),
+    # at the oracle guard, an optimum (1034) above the root bound (1032): the
+    # stop never fires, so the oracle runs its full pruned enumeration
+    (_FULL_AT_GUARD, ["verify", "--algo", "dp", "--objective", "minavg"], 60),
 ], ids=["approx-minavg-n20000-m20000", "dp-minavg-n20000-m20000", "dp-minmax-n20000-m20000",
         "equalize-pair-n20000", "verify-minmax-at-the-oracle-guard",
-        "verify-minavg-at-the-oracle-guard"])
+        "verify-minavg-at-the-oracle-guard",
+        "verify-minavg-above-the-root-bound-at-the-oracle-guard"])
 def test_process_finishes_within_its_time_limit(tmp_path, instance, argv, limit):
     path = tmp_path / "i.json"
     assert main(["generate", "random", *instance, "-o", str(path)]) == 0

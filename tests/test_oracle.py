@@ -1,11 +1,13 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scensched.generators import Graph, gen_coloring
+from scensched import oracle
+from scensched.generators import Graph, gen_coloring, gen_random
 from scensched.model import (
     GUARD_BITS,
     GuardExceeded,
@@ -126,6 +128,35 @@ def test_pruned_search_matches_plain_enumeration_drawn(data):
     scenarios = data.draw(st.lists(
         st.lists(st.integers(0, n - 1), unique=True), min_size=1, max_size=4))
     _assert_matches_reference(make_instance(m, weights, scenarios))
+
+
+@pytest.mark.parametrize("kind", [ObjectiveKind.MINMAX, ObjectiveKind.MINAVG])
+def test_search_stops_at_the_first_leaf_that_meets_the_root_bound(kind):
+    # 22 jobs on 2 machines: 2^21 canonical assignments, and the first
+    # canonical optimum meets the root bound after a few hundred nodes (calls
+    # of the search's rec); a search that went on past it would enter more
+    # than a million, so the profiler raises past 10 000
+    inst = gen_random(22, 2, 3, w_max=1, density=0.5, seed=2)
+    rec_code = next(c for c in oracle._search.__code__.co_consts
+                    if getattr(c, "co_name", None) == "rec")
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code is rec_code:
+            nodes += 1
+            if nodes > 10_000:
+                raise AssertionError("more than 10 000 search nodes")
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        res = brute_force(inst, kind)
+    finally:
+        sys.setprofile(old)
+    agg = max if kind is ObjectiveKind.MINMAX else sum
+    assert res.best_value == agg(single_scenario_optimum(inst, k) for k in range(inst.K))
+    assert nodes < 1000
 
 
 def test_guard_counts_the_canonical_assignments():

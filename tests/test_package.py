@@ -65,6 +65,27 @@ WATCHED = [
 ]
 
 
+def _fresh_python(code: str):
+    """The JSON that ``code`` prints, run in a fresh interpreter on this
+    tree's ``src``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_oracle_imports_no_solver():
+    # the reference for every solver, and its root-bound stop rests on
+    # model.scenario_optima alone
+    loaded = _fresh_python(
+        "import json, sys; import scensched.oracle; print(json.dumps(sorted(sys.modules)))")
+    assert "scensched.oracle" in loaded
+    for name in ("dp_minavg", "dp_minmax", "dp_config", "approx", "two_scenario", "balance",
+                 "generators"):
+        assert f"scensched.{name}" not in loaded
+
+
 def test_cli_process_imports_only_what_its_command_runs(tmp_path):
     instance = tmp_path / "inst.json"
     instance.write_text(json.dumps({"m": 2, "weights": [3, 2, 1], "scenarios": [[0, 1], [1, 2]]}))
@@ -82,12 +103,7 @@ def test_cli_process_imports_only_what_its_command_runs(tmp_path):
         ("verify", ["verify", "--algo", "dp", *io_args]),
         ("fptas", ["solve", "--algo", "fptas", "--epsilon", "1/2", *io_args]),
     ]
-    code = IMPORT_PROBE.format(watched=WATCHED, steps=steps)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    report = json.loads(proc.stdout)
+    report = _fresh_python(IMPORT_PROBE.format(watched=WATCHED, steps=steps))
     assert report["import"] == []
     assert report["codes"] == [0] * len(steps)
     assert "scensched.dp_minavg" in report["minavg"]
